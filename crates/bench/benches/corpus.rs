@@ -9,14 +9,14 @@
 //!   < 10 B/record across the suite.
 //! * **Throughput** — encode (records → corpus bytes) and streaming
 //!   decode (corpus bytes → `FlatTrace` blocks) in records/s.
-//! * **Overhead** — `simulate_corpus` (decode-while-simulating from the
-//!   corpus bytes) vs `simulate` over the cached in-RAM trace, as a
+//! * **Overhead** — `drive` over a `CorpusReader` (decode-while-simulating
+//!   from the corpus bytes) vs `drive` over the cached in-RAM trace, as a
 //!   paired per-sample ratio: what a cold disk-tier run costs over the
 //!   warm cache tier.
 //!
 //! Bit-identity is asserted before any timing: the corpus decodes back
-//! to the exact source trace and `simulate_corpus` returns the exact
-//! `SimResult` of the in-RAM path — the numbers are only meaningful for
+//! to the exact source trace and the streaming run returns the exact
+//! tally of the in-RAM run — the numbers are only meaningful for
 //! equivalent computations. Sampling is paired per the `sweep_batched`
 //! rationale (this host's cross-run wall-clock swings exceed the
 //! measured effects); `EV8_BENCH_SAMPLES` overrides the sample count
@@ -25,8 +25,7 @@
 use std::time::{Duration, Instant};
 
 use ev8_predictors::gshare::Gshare;
-use ev8_sim::simulate;
-use ev8_sim::simulator::simulate_corpus;
+use ev8_sim::{drive, Plain};
 use ev8_trace::corpus::{write_corpus, CorpusReader};
 use ev8_util::bench::black_box;
 use ev8_util::json::JsonObject;
@@ -117,8 +116,8 @@ fn main() {
             );
             let reader = CorpusReader::new(bytes.as_slice()).expect("corpus header");
             assert_eq!(
-                simulate_corpus(predictor(), reader).expect("corpus simulate"),
-                simulate(predictor(), &trace),
+                drive(predictor(), reader, Plain).expect("corpus simulate"),
+                drive(predictor(), &*trace, Plain),
                 "{name}: streaming-decode simulation diverged"
             );
         }
@@ -141,9 +140,9 @@ fn main() {
                 }),
                 time(|| {
                     let reader = CorpusReader::new(bytes.as_slice()).expect("header");
-                    simulate_corpus(predictor(), reader).expect("simulate")
+                    drive(predictor(), reader, Plain).expect("simulate")
                 }),
-                time(|| simulate(predictor(), &trace)),
+                time(|| drive(predictor(), &*trace, Plain)),
             ]);
         }
 

@@ -18,19 +18,19 @@
 //! side regressing badly is visible.
 //!
 //! A fourth group guards the fault-injection subsystem's zero-cost
-//! claim: fault hooks are a *separate entry point*
-//! (`simulate_with_faults`), so the plain `simulate` hot loop carries no
-//! disabled-hook cost by construction — `fault_hook_disabled_ns` (plain
-//! `simulate` on the same predictor/trace) must stay in family with
-//! `simulate_ev8_ns` history, and `fault_hook_zero_rate_ns` records what
-//! an armed-but-rate-0 injector costs (one RNG draw per branch).
+//! claim: hooks are *types* of the one driver, not flags, so
+//! `drive(.., Plain)` carries no disabled-hook cost by construction —
+//! `fault_hook_disabled_ns` (the plain hook on the same predictor/trace)
+//! must stay in family with `simulate_ev8_ns` history, and
+//! `fault_hook_zero_rate_ns` (`drive` with a rate-0 `&mut
+//! FaultInjector`) records what an armed-but-idle injector costs (one
+//! RNG draw per branch).
 //!
 //! A fifth group makes the same argument for the observability layer:
-//! `observe_hook_disabled_ns` is plain `simulate` (the observed loop is a
-//! separate entry point, so the hot path never sees an observer), and
-//! `observe_hook_noop_ns` is `simulate_observed` with a `NullObserver` —
-//! the cost of materialising per-branch provenance into a sink that
-//! drops it, which bounds the armed-but-idle overhead.
+//! `observe_hook_disabled_ns` is the plain hook, and
+//! `observe_hook_noop_ns` is `drive` with a `NullObserver` — the cost of
+//! materialising per-branch provenance into a sink that drops it, which
+//! bounds the armed-but-idle overhead.
 //!
 //! # Paired sampling
 //!
@@ -57,12 +57,12 @@ use ev8_util::bench::black_box;
 use ev8_util::json::JsonObject;
 
 use ev8_core::Ev8Predictor;
-use ev8_faults::FaultPlan;
+use ev8_faults::{FaultInjector, FaultPlan};
 use ev8_predictors::counter::Counter2;
 use ev8_predictors::table::SplitCounterTable;
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
-use ev8_sim::observe::{simulate_observed, NullObserver};
-use ev8_sim::simulator::{simulate, simulate_with_faults};
+use ev8_sim::observe::NullObserver;
+use ev8_sim::simulator::{drive, simulate, Plain};
 use ev8_trace::{Outcome, Trace};
 use ev8_workloads::spec95;
 
@@ -256,17 +256,20 @@ fn main() {
         for leg in [0, 1, 1, 0, 0, 1, 1, 0] {
             match leg {
                 0 => {
-                    let d =
-                        time(|| simulate(TwoBcGskew::new(TwoBcGskewConfig::ev8_size()), &trace));
+                    let d = time(|| {
+                        drive(
+                            TwoBcGskew::new(TwoBcGskewConfig::ev8_size()),
+                            &*trace,
+                            Plain,
+                        )
+                    });
                     t[FAULT_DISABLED] = t[FAULT_DISABLED].min(d);
                 }
                 _ => {
                     let d = time(|| {
-                        simulate_with_faults(
-                            TwoBcGskew::new(TwoBcGskewConfig::ev8_size()),
-                            &trace,
-                            FaultPlan::seu(0.0),
-                        )
+                        let predictor = TwoBcGskew::new(TwoBcGskewConfig::ev8_size());
+                        let mut injector = FaultInjector::new(FaultPlan::seu(0.0), &predictor);
+                        drive(predictor, &*trace, &mut injector)
                     });
                     t[FAULT_ZERO] = t[FAULT_ZERO].min(d);
                 }
@@ -275,12 +278,11 @@ fn main() {
         for leg in [0, 1, 1, 0, 0, 1, 1, 0] {
             match leg {
                 0 => {
-                    let d = time(|| simulate(Ev8Predictor::ev8(), &trace));
+                    let d = time(|| drive(Ev8Predictor::ev8(), &*trace, Plain));
                     t[OBSERVE_DISABLED] = t[OBSERVE_DISABLED].min(d);
                 }
                 _ => {
-                    let d =
-                        time(|| simulate_observed(Ev8Predictor::ev8(), &trace, &mut NullObserver));
+                    let d = time(|| drive(Ev8Predictor::ev8(), &*trace, NullObserver));
                     t[OBSERVE_NOOP] = t[OBSERVE_NOOP].min(d);
                 }
             }

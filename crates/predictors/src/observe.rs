@@ -12,7 +12,7 @@
 //!
 //! Following the fault-injection subsystem's design, the observed path is
 //! a **separate entry point**: `simulate` in `ev8-sim` keeps calling the
-//! plain `predict_and_update`, and only the `simulate_observed` loop goes
+//! plain `predict_and_update`, and only the driver's observer hook goes
 //! through this trait. The plain hot path carries no observer check at
 //! all (see the `observe_hook` group in `BENCH_sim.json`).
 //!

@@ -29,8 +29,9 @@ use ev8_trace::Trace;
 use ev8_workloads::spec95;
 
 use crate::metrics::SimResult;
-use crate::observe::{simulate_observed, Attribution, JsonlObserver};
+use crate::observe::{Attribution, JsonlObserver};
 use crate::report::{fmt_mispki, ExperimentReport, TextTable};
+use crate::simulator::drive;
 use crate::sweep::run_parallel;
 
 /// How many top-mispredicting static branches the concentration column
@@ -101,8 +102,9 @@ pub fn report_for(
             let trace = Arc::clone(trace);
             let factory = Arc::clone(&factory);
             Box::new(move || {
+                let mut predictor = factory();
                 let mut attr = Attribution::new();
-                let (result, events) = if want_jsonl {
+                let (tally, events) = if want_jsonl {
                     // Each job streams into its own buffer; the buffers are
                     // concatenated in suite order after the parallel run,
                     // so the file is deterministic regardless of worker
@@ -111,13 +113,14 @@ pub fn report_for(
                         attr,
                         JsonlObserver::new(Vec::<u8>::new(), trace.name().to_owned()),
                     );
-                    let result = simulate_observed(factory(), &trace, &mut pair);
+                    let tally = drive(&mut predictor, &*trace, &mut pair);
                     attr = pair.0;
-                    (result, Some(pair.1.into_inner()))
+                    (tally, Some(pair.1.into_inner()))
                 } else {
-                    let result = simulate_observed(factory(), &trace, &mut attr);
-                    (result, None)
+                    (drive(&mut predictor, &*trace, &mut attr), None)
                 };
+                let name = predictor.name();
+                let result = SimResult::new(trace.name(), trace.instruction_count(), name, tally);
                 attr.reconcile(&result)
                     .expect("attribution counters must reconcile with the scoreboard");
                 (result, attr, events)
@@ -154,17 +157,18 @@ pub fn report_for(
             .iter()
             .map(|(_, s)| s.mispredictions)
             .sum();
+        let s = &attr.summary;
         table.row(vec![
             result.trace.clone(),
             fmt_mispki(result.misp_per_ki()),
-            format!("{:.1}", pct(attr.provider_majority, attr.predictions)),
-            format!("{:.1}", pct(attr.meta_decisive, attr.predictions)),
-            format!("{:.1}", pct(attr.meta_correct, attr.meta_decisive)),
-            format!("{:.1}", pct(attr.actions[0], attr.predictions)),
-            format!("{:.1}", pct(attr.actions[1], attr.predictions)),
-            format!("{:.1}", pct(attr.actions[2], attr.predictions)),
-            format!("{:.1}", pct(attr.actions[3], attr.predictions)),
-            attr.bank_collisions.unwrap_or(0).to_string(),
+            format!("{:.1}", pct(s.provider_majority, attr.predictions)),
+            format!("{:.1}", pct(s.meta_decisive, attr.predictions)),
+            format!("{:.1}", pct(s.meta_correct, s.meta_decisive)),
+            format!("{:.1}", pct(s.actions[0], attr.predictions)),
+            format!("{:.1}", pct(s.actions[1], attr.predictions)),
+            format!("{:.1}", pct(s.actions[2], attr.predictions)),
+            format!("{:.1}", pct(s.actions[3], attr.predictions)),
+            s.bank_collisions.unwrap_or(0).to_string(),
             format!("{:.1}", pct(top, result.mispredictions)),
         ]);
     }

@@ -11,20 +11,18 @@
 use std::sync::Arc;
 
 use ev8_core::backup::BackupHierarchy;
-use ev8_predictors::BranchPredictor;
 use ev8_trace::Trace;
 
 use crate::experiments::suite_traces;
 use crate::report::{ExperimentReport, TextTable};
+use crate::simulator::simulate;
 use crate::sweep::run_parallel;
 
 /// Runs the hierarchy over one trace; returns (primary misp/KI,
 /// hierarchy misp/KI, overrides, precision).
 fn run_one(trace: &Trace) -> (f64, f64, u64, f64) {
     let mut h = BackupHierarchy::default_hierarchy();
-    for rec in trace.iter() {
-        h.predict_and_update(rec);
-    }
+    simulate(&mut h, trace);
     let s = *h.stats();
     let ki = trace.instruction_count() as f64 / 1000.0;
     (

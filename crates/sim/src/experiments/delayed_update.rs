@@ -23,8 +23,9 @@ use ev8_predictors::BranchPredictor;
 
 use crate::batch::simulate_many;
 use crate::experiments::{suite_flat_traces, suite_traces};
+use crate::metrics::SimResult;
 use crate::report::{ExperimentReport, TextTable};
-use crate::simulator::simulate_stale_update_with_scratch;
+use crate::simulator::{drive, StaleCommit};
 use crate::sweep::run_parallel;
 
 /// Regenerates the immediate-vs-commit-time comparison with the given
@@ -51,12 +52,10 @@ pub fn report(scale: f64, workers: usize, window: usize) -> ExperimentReport {
                 ];
                 let batched = simulate_many(&mut configs, &flat);
                 let mut scratch = VecDeque::new();
-                let stale = simulate_stale_update_with_scratch(
-                    TwoBcGskew::new(TwoBcGskewConfig::size_512k()),
-                    &t,
-                    window,
-                    &mut scratch,
-                );
+                let mut stale = TwoBcGskew::new(TwoBcGskewConfig::size_512k());
+                let name = format!("{} [stale, window {window}]", stale.name());
+                let tally = drive(&mut stale, &*t, StaleCommit::new(window, &mut scratch));
+                let stale = SimResult::new(t.name(), t.instruction_count(), name, tally);
                 (
                     batched[0].misp_per_ki(),
                     batched[1].misp_per_ki(),

@@ -27,14 +27,16 @@ use std::sync::Arc;
 
 use ev8_core::Ev8Predictor;
 use ev8_predictors::gshare::Gshare;
+use ev8_predictors::observe::ConditionalBranchPredictor;
 use ev8_predictors::tage::{Tage, TageConfig};
 use ev8_trace::Trace;
 use ev8_workloads::behavior::Behavior;
 use ev8_workloads::h2p;
 
 use crate::metrics::SimResult;
-use crate::observe::{simulate_observed, Attribution};
+use crate::observe::Attribution;
 use crate::report::{fmt_mispki, ExperimentReport, TextTable};
+use crate::simulator::drive;
 use crate::sweep::run_parallel;
 
 /// The predictor roster: the paper's EV8 bracketed by its past (gshare
@@ -153,16 +155,16 @@ pub fn splits(scale: f64, workers: usize) -> (Vec<DecileSplit>, Vec<Vec<Cell>>) 
                 let trace = Arc::clone(trace);
                 let predictor = *predictor;
                 Box::new(move || {
-                    let mut attr = Attribution::new();
-                    let result = match predictor {
-                        "gshare" => simulate_observed(Gshare::new(17, 17), &trace, &mut attr),
-                        "ev8" => simulate_observed(Ev8Predictor::ev8(), &trace, &mut attr),
-                        _ => simulate_observed(
-                            Tage::new(TageConfig::ev8_budget()),
-                            &trace,
-                            &mut attr,
-                        ),
+                    let mut predictor: Box<dyn ConditionalBranchPredictor> = match predictor {
+                        "gshare" => Box::new(Gshare::new(17, 17)),
+                        "ev8" => Box::new(Ev8Predictor::ev8()),
+                        _ => Box::new(Tage::new(TageConfig::ev8_budget())),
                     };
+                    let mut attr = Attribution::new();
+                    let tally = drive(&mut predictor, &*trace, &mut attr);
+                    let name = predictor.name();
+                    let result =
+                        SimResult::new(trace.name(), trace.instruction_count(), name, tally);
                     attr.reconcile(&result)
                         .expect("per-PC histogram must reconcile with the scoreboard");
                     (result, attr)

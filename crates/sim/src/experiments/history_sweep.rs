@@ -5,11 +5,12 @@
 
 use std::sync::Arc;
 
-use ev8_predictors::gshare::Gshare;
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 use ev8_trace::Trace;
 
-use crate::experiments::suite_traces;
+use crate::batch::simulate_gshare_sweep;
+use crate::experiments::{suite_flat_traces, suite_traces};
+use crate::metrics::SimResult;
 use crate::report::{ExperimentReport, TextTable};
 use crate::sweep::run_parallel;
 
@@ -35,17 +36,24 @@ fn gskew_mean(traces: &[Arc<Trace>], h: u32, workers: usize) -> f64 {
     v.iter().sum::<f64>() / v.len() as f64
 }
 
-fn gshare_mean(traces: &[Arc<Trace>], h: u32, workers: usize) -> f64 {
-    let jobs: Vec<Box<dyn FnOnce() -> f64 + Send>> = traces
-        .iter()
+/// Mean misp/KI over the suite for the 2Mb gshare at every length in
+/// [`LENGTHS`]: one transposed [`simulate_gshare_sweep`] per trace, means
+/// summed in suite order.
+fn gshare_means(scale: f64, workers: usize) -> Vec<f64> {
+    let jobs: Vec<Box<dyn FnOnce() -> Vec<SimResult> + Send>> = suite_flat_traces(scale)
+        .into_iter()
         .map(|t| {
-            let t = Arc::clone(t);
-            Box::new(move || crate::simulator::simulate(Gshare::new(20, h), &t).misp_per_ki())
-                as Box<dyn FnOnce() -> f64 + Send>
+            Box::new(move || simulate_gshare_sweep(20, &LENGTHS, &t))
+                as Box<dyn FnOnce() -> Vec<SimResult> + Send>
         })
         .collect();
-    let v = run_parallel(jobs, workers);
-    v.iter().sum::<f64>() / v.len() as f64
+    let per_trace = run_parallel(jobs, workers);
+    (0..LENGTHS.len())
+        .map(|i| {
+            let sum = per_trace.iter().map(|r| r[i].misp_per_ki()).sum::<f64>();
+            sum / per_trace.len() as f64
+        })
+        .collect()
 }
 
 /// Regenerates the history-length sweep.
@@ -58,9 +66,8 @@ pub fn report(scale: f64, workers: usize) -> ExperimentReport {
     ]);
     let mut best_gskew = (0u32, f64::INFINITY);
     let mut best_gshare = (0u32, f64::INFINITY);
-    for &h in &LENGTHS {
+    for (&h, s) in LENGTHS.iter().zip(gshare_means(scale, workers)) {
         let g = gskew_mean(&traces, h, workers);
-        let s = gshare_mean(&traces, h, workers);
         if g < best_gskew.1 {
             best_gskew = (h, g);
         }

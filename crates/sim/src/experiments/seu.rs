@@ -17,15 +17,16 @@
 
 use std::sync::Arc;
 
-use ev8_faults::{ArraySelector, FaultPlan};
+use ev8_faults::{ArraySelector, FaultInjector, FaultPlan};
 use ev8_predictors::introspect::ArrayClass;
 use ev8_predictors::twobcgskew::{TableConfig, TwoBcGskew, TwoBcGskewConfig, UpdatePolicy};
 use ev8_trace::Trace;
 use ev8_util::rng::mix;
 use ev8_workloads::spec95;
 
+use crate::metrics::SimResult;
 use crate::report::{ExperimentReport, TextTable};
-use crate::simulator::simulate_with_faults;
+use crate::simulator::drive;
 use crate::sweep::{run_parallel_with, RunPolicy};
 
 /// Per-branch SEU probabilities swept (0 = fault-free baseline). Real
@@ -120,8 +121,13 @@ pub fn report_for(
                 let seed = mix((b as u64) << 32 | (r as u64) << 16 | t as u64);
                 jobs.push(Box::new(move || {
                     let plan = FaultPlan::seu(rate).targeting(selector).with_seed(seed);
-                    let (result, log) = simulate_with_faults(factory(), &trace, plan);
-                    (result.misp_per_ki(), log.injected())
+                    let mut predictor = factory();
+                    let mut injector = FaultInjector::new(plan, &predictor);
+                    let tally = drive(&mut predictor, &*trace, &mut injector);
+                    let name = predictor.name();
+                    let result =
+                        SimResult::new(trace.name(), trace.instruction_count(), name, tally);
+                    (result.misp_per_ki(), injector.log().injected())
                 }));
             }
         }

@@ -11,31 +11,22 @@
 use std::sync::Arc;
 
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig, UpdatePolicy};
-use ev8_predictors::BranchPredictor;
 use ev8_trace::Trace;
 
 use crate::experiments::suite_traces;
 use crate::report::{ExperimentReport, TextTable};
+use crate::simulator::simulate;
 use crate::sweep::run_parallel;
 
 /// (misp/KI, prediction writes per 1K branches, hysteresis writes per 1K
 /// branches) for one policy over one trace.
 fn run_policy(trace: &Trace, policy: UpdatePolicy) -> (f64, f64, f64) {
     let mut p = TwoBcGskew::new(TwoBcGskewConfig::size_512k().with_update_policy(policy));
-    let mut mispredictions = 0u64;
-    let mut branches = 0u64;
-    for rec in trace.iter() {
-        if let Some(pred) = p.predict_and_update(rec) {
-            branches += 1;
-            if pred != rec.outcome {
-                mispredictions += 1;
-            }
-        }
-    }
+    let r = simulate(&mut p, trace);
     let (pw, hw) = p.write_traffic();
-    let kb = branches.max(1) as f64 / 1000.0;
+    let kb = r.conditional_branches.max(1) as f64 / 1000.0;
     (
-        mispredictions as f64 * 1000.0 / trace.instruction_count().max(1) as f64,
+        r.mispredictions as f64 * 1000.0 / trace.instruction_count().max(1) as f64,
         pw as f64 / kb,
         hw as f64 / kb,
     )

@@ -5,42 +5,40 @@
 //! used to report the results is mispredictions per 1000 instructions
 //! (misp/KI)."
 //!
-//! * [`simulator`] — [`simulate`] runs any
-//!   [`ev8_predictors::BranchPredictor`] over a trace with immediate
-//!   update; [`simulate_with_faults`] is the same loop with an
-//!   `ev8_faults` injector stepped per branch (a separate entry point,
-//!   so the fault-free hot path carries no disabled-hook cost);
-//!   [`simulate_stale_update`]
-//!   models a predictor with *no speculative history update* (the
-//!   pathology the paper's reference \[8\] warns about), while the faithful
-//!   commit-time model lives in
-//!   `TwoBcGskewConfig::with_commit_window` (validated by
-//!   [`experiments::delayed_update`]); [`simulate_corpus`] is the same
-//!   immediate-update loop fed by a streaming
-//!   [`ev8_trace::corpus::CorpusReader`] decode, bit-identical to
-//!   [`simulate`] on the same trace without ever materializing it.
+//! * [`simulator`] — the one simulation loop, [`drive`]`(predictor,
+//!   source, hook)`: any record [`Source`] (AoS trace, packed flat trace,
+//!   a range of one, a streaming corpus decode, a record chunk) with any
+//!   per-record [`Hook`] ([`Plain`] immediate update, a fault injector,
+//!   an [`observe::Observer`], [`StaleCommit`] delayed update). It
+//!   returns the run's [`Tally`]; [`simulate`] is `drive` with the
+//!   plain hook over a trace. Every scoreboard in this crate counts
+//!   through it, except [`simulate_many`]'s K-way loop, which takes the
+//!   same plain step per configuration.
 //! * [`batch`] — the sweep engine: [`simulate_many`] steps K predictor
 //!   configurations per record in one pass over a packed
 //!   [`ev8_trace::FlatTrace`], bit-identical to K serial [`simulate`]
-//!   calls; [`simulate_flat`] is the single-config flat-trace loop.
-//! * [`observe`] — the opt-in observability layer: [`simulate_observed`]
-//!   threads an [`observe::Observer`] through a dedicated loop (again a
-//!   separate entry point — the plain hot path carries no hook), feeding
-//!   per-branch provenance into attribution counters, runtime invariant
-//!   checks (§6 bank collisions, exact count reconciliation) and an
-//!   optional JSONL event stream.
+//!   calls; [`simulate_flat`] is `drive` over the flat trace;
+//!   [`simulate_gshare_sweep`] runs a gshare history sweep on the
+//!   transposed engine.
+//! * [`observe`] — the opt-in observability layer: every
+//!   [`observe::Observer`] is a hook, fed per-branch provenance for
+//!   attribution counters, runtime invariant checks (§6 bank
+//!   collisions, exact count reconciliation) and an optional JSONL event
+//!   stream.
 //! * [`window`] — windowed single-trace parallelism:
 //!   [`simulate_windowed`] splits one flat trace into contiguous windows
-//!   with warmup prefixes, simulates them on worker threads, and splices
-//!   the scoreboards — bit-identical to serial at full warmup and with a
+//!   with warmup prefixes, drives them on worker threads, and splices
+//!   the tallies — bit-identical to serial at full warmup and with a
 //!   measured, convergent misprediction error otherwise.
 //! * [`sampling`] — SimPoint-style weighted phase sampling:
 //!   [`simulate_sampled`] profiles per-interval branch-behaviour
 //!   vectors in one streaming pass, clusters them with a deterministic
-//!   in-tree k-means, simulates one warm representative per phase and
+//!   in-tree k-means, drives one warm representative per phase and
 //!   returns a population-weighted estimate with the |sampled − full|
 //!   misp/KI delta recorded next to every number.
-//! * [`metrics`] — [`SimResult`] with misp/KI,
+//! * [`session`] — [`SessionSim`], the streaming per-session driver the
+//!   prediction server feeds record by record.
+//! * [`metrics`] — [`Tally`] and [`SimResult`] with misp/KI,
 //!   accuracy and counts.
 //! * [`sweep`] — parallel execution of simulation jobs over worker
 //!   threads (`std::thread::scope`).
@@ -75,18 +73,12 @@ pub mod simulator;
 pub mod sweep;
 pub mod window;
 
-pub use batch::{
-    simulate_flat, simulate_gshare_sweep, simulate_gshare_sweep_bitsliced, simulate_many,
-};
-pub use metrics::SimResult;
-pub use observe::simulate_observed;
+pub use batch::{simulate_flat, simulate_gshare_sweep, simulate_many};
+pub use metrics::{SimResult, Tally};
 pub use sampling::{
     cluster_intervals, profile_intervals, simulate_sampled, validate_sampled, AgeCurve, Interval,
     Phase, SampledRun, SampledVsFull, SamplingConfig, TailSample,
 };
 pub use session::{ProvenanceSummary, SessionSim, SessionSummary};
-pub use simulator::{
-    simulate, simulate_corpus, simulate_stale_update, simulate_stale_update_with_scratch,
-    simulate_with_faults,
-};
-pub use window::{simulate_windowed, simulate_windowed_factory, WindowPlan, WindowedRun};
+pub use simulator::{drive, simulate, Hook, Plain, Source, StaleCommit};
+pub use window::{simulate_windowed, WindowPlan, WindowedRun};

@@ -1,8 +1,38 @@
 //! Simulation result metrics.
 
 use std::fmt;
+use std::ops::AddAssign;
 
+use ev8_trace::Outcome;
 use ev8_util::json::{JsonObject, ToJson};
+
+/// A run's scoreboard: conditional branches predicted and how many of
+/// those predictions were wrong. Every simulation loop counts through
+/// [`Tally::score`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Dynamic conditional branches predicted.
+    pub conditional_branches: u64,
+    /// Mispredicted conditional branches.
+    pub mispredictions: u64,
+}
+
+impl Tally {
+    /// Counts one conditional branch, and a misprediction when
+    /// `prediction` differs from the resolved `outcome` (branchless).
+    #[inline(always)]
+    pub fn score(&mut self, prediction: Outcome, outcome: Outcome) {
+        self.conditional_branches += 1;
+        self.mispredictions += u64::from(prediction != outcome);
+    }
+}
+
+impl AddAssign for Tally {
+    fn add_assign(&mut self, other: Tally) {
+        self.conditional_branches += other.conditional_branches;
+        self.mispredictions += other.mispredictions;
+    }
+}
 
 /// The outcome of one predictor-over-trace simulation run.
 ///
@@ -23,6 +53,18 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    /// The result of one whole-trace run: the source's name and
+    /// instruction count, the predictor's name, and the run's [`Tally`].
+    pub fn new(trace: &str, instructions: u64, predictor: String, tally: Tally) -> Self {
+        SimResult {
+            trace: trace.to_owned(),
+            predictor,
+            instructions,
+            conditional_branches: tally.conditional_branches,
+            mispredictions: tally.mispredictions,
+        }
+    }
+
     /// Mispredictions per 1000 instructions — the paper's metric.
     ///
     /// An empty run (zero instructions) has no meaningful rate; asking for

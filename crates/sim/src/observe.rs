@@ -3,25 +3,26 @@
 //! Aggregate misp/KI hides everything the paper actually argues about:
 //! which of BIM/G0/G1 provided a prediction, whether Meta chose the right
 //! side, what the §4.2 partial update did, and whether the §6 bank
-//! interleave really is conflict-free. This module threads an opt-in
-//! [`Observer`] through a dedicated simulation loop,
-//! [`simulate_observed`], that consumes the per-branch
-//! [`Provenance`] the predictor emits through
-//! [`ObservedPredictor`].
+//! interleave really is conflict-free. Every [`Observer`] is a
+//! [`Hook`] for [`drive`](crate::drive): its step is the predictor's
+//! observed step, which emits each conditional branch's [`Provenance`]
+//! through [`ObservedPredictor`], and the observer consumes it.
 //!
-//! Like `simulate_with_faults`, the observed loop is a **separate entry
-//! point**: [`crate::simulate`] carries no observer check at all, so the
-//! plain hot path is zero-cost *by construction* (verified by the
-//! `observe_hook` group in `BENCH_sim.json`: disabled ≈ 0%, armed no-op
-//! observer ≲ 2%).
+//! Like the fault hook, the observer is a hook *type*, not a flag:
+//! [`crate::simulate`] drives the [`Plain`](crate::simulator::Plain)
+//! hook, which carries no observer check at all, so the plain hot path
+//! is zero-cost *by construction* (verified by the `observe_hook` group
+//! in `BENCH_sim.json`: armed no-op observer within noise of 1.00).
 //!
-//! Three observers are provided:
+//! Four observers are provided:
 //!
 //! * [`NullObserver`] — the no-op, for measuring hook overhead;
-//! * [`Attribution`] — the counting observer: provider/vote/action
-//!   counters that [`Attribution::reconcile`] cross-checks *exactly*
-//!   against the run's [`SimResult`], a per-static-branch histogram, and
-//!   the §6 bank-collision invariant;
+//! * [`ProvenanceSummary`] — bounded, O(1) provider/wrong-side/Meta/§4.2
+//!   action counters, what a server session reports;
+//! * [`Attribution`] — the counting observer: that summary plus vote
+//!   patterns, Meta writes and a per-static-branch histogram, all
+//!   cross-checked *exactly* by [`Attribution::reconcile`] against the
+//!   run's [`SimResult`], together with the §6 bank-collision invariant;
 //! * [`JsonlObserver`] — a structured JSONL event stream (one object per
 //!   prediction, via `ev8_util::json`) for offline analysis.
 
@@ -29,12 +30,14 @@ use std::collections::HashMap;
 use std::io::Write;
 
 use ev8_predictors::observe::ObservedPredictor;
-use ev8_predictors::provenance::{Provenance, UpdateAction};
+use ev8_predictors::provenance::Provenance;
 use ev8_predictors::twobcgskew::ChosenComponent;
-use ev8_trace::Trace;
+use ev8_trace::BranchRecord;
 use ev8_util::json::JsonObject;
 
-use crate::metrics::SimResult;
+use crate::metrics::{SimResult, Tally};
+use crate::session::ProvenanceSummary;
+use crate::simulator::Hook;
 
 /// A sink for per-branch prediction provenance.
 ///
@@ -77,6 +80,25 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     }
 }
 
+/// The observer hook: the predictor's observed step (state-identical to
+/// the plain one), the scoreboard, then [`Observer::on_prediction`]; at
+/// the end, [`Observer::on_finish`] with the bank-collision count. For
+/// any predictor implementing both steps the tally equals the
+/// [`Plain`](crate::simulator::Plain) hook's exactly.
+impl<P: ObservedPredictor, O: Observer> Hook<P> for O {
+    #[inline]
+    fn step(&mut self, predictor: &mut P, record: &BranchRecord, tally: &mut Tally) {
+        if let Some(p) = predictor.predict_and_update_observed(record) {
+            tally.score(p.overall, p.outcome);
+            self.on_prediction(&p);
+        }
+    }
+
+    fn finish(&mut self, predictor: &mut P) {
+        self.on_finish(ObservedPredictor::bank_collisions(predictor));
+    }
+}
+
 /// Fan-out: both observers see every event (e.g. attribution counters
 /// plus a JSONL stream in one run).
 impl<A: Observer, B: Observer> Observer for (A, B) {
@@ -115,30 +137,17 @@ pub struct Attribution {
     pub predictions: u64,
     /// Observed mispredictions.
     pub mispredictions: u64,
-    /// Predictions where Meta selected the bimodal side.
-    pub provider_bimodal: u64,
-    /// Predictions where Meta selected the e-gskew majority side.
-    pub provider_majority: u64,
-    /// Mispredictions delivered by the bimodal side.
-    pub wrong_by_bimodal: u64,
-    /// Mispredictions delivered by the majority side.
-    pub wrong_by_majority: u64,
-    /// Branches where the two sides disagreed (Meta's choice mattered).
-    pub meta_decisive: u64,
-    /// Decisive branches where Meta picked the correct side.
-    pub meta_correct: u64,
+    /// Provider, wrong-side, Meta-decision and §4.2 action counters plus
+    /// the §6 bank-collision count (`None` for unbanked predictors,
+    /// `Some(0)` for a healthy EV8 run) — the bounded summary a server
+    /// session reports, counted by the same observer.
+    pub summary: ProvenanceSummary,
     /// Branches whose update wrote the Meta table (train or strengthen).
     pub meta_writes: u64,
     /// Histogram over the 3-bit (BIM, G0, G1)-correct vote pattern;
     /// index 7 is unanimous-right, 0 unanimous-wrong (see
     /// [`Provenance::vote_pattern`]).
     pub vote_patterns: [u64; 8],
-    /// Histogram over the §4.2 update action, indexed by
-    /// [`UpdateAction::index`].
-    pub actions: [u64; UpdateAction::COUNT],
-    /// The predictor's §6 bank-collision counter (`None` for unbanked
-    /// predictors, `Some(0)` for a healthy EV8 run).
-    pub bank_collisions: Option<u64>,
     per_pc: HashMap<u64, PcStats>,
 }
 
@@ -215,21 +224,22 @@ impl Attribution {
                 ))
             }
         };
+        let s = &self.summary;
         check("predictions", self.predictions, result.conditional_branches)?;
         check("mispredictions", self.mispredictions, result.mispredictions)?;
         check(
             "provider sum",
-            self.provider_bimodal + self.provider_majority,
+            s.provider_bimodal + s.provider_majority,
             self.predictions,
         )?;
         check(
             "wrong-provider sum",
-            self.wrong_by_bimodal + self.wrong_by_majority,
+            s.wrong_by_bimodal + s.wrong_by_majority,
             self.mispredictions,
         )?;
         check(
             "action histogram sum",
-            self.actions.iter().sum(),
+            s.actions.iter().sum(),
             self.predictions,
         )?;
         check(
@@ -239,14 +249,14 @@ impl Attribution {
         )?;
         check(
             "meta-correct within decisive",
-            self.meta_correct.min(self.meta_decisive),
-            self.meta_correct,
+            s.meta_correct.min(s.meta_decisive),
+            s.meta_correct,
         )?;
         let pc_pred: u64 = self.per_pc.values().map(|s| s.predictions).sum();
         let pc_misp: u64 = self.per_pc.values().map(|s| s.mispredictions).sum();
         check("per-PC prediction sum", pc_pred, self.predictions)?;
         check("per-PC misprediction sum", pc_misp, self.mispredictions)?;
-        if let Some(n) = self.bank_collisions {
+        if let Some(n) = s.bank_collisions {
             if n != 0 {
                 return Err(format!(
                     "§6 violated: {n} successive-fetch-block bank collisions (must be 0)"
@@ -259,45 +269,19 @@ impl Attribution {
 
 impl Observer for Attribution {
     fn on_prediction(&mut self, p: &Provenance) {
+        self.summary.on_prediction(p);
+        let wrong = u64::from(!p.correct());
         self.predictions += 1;
-        let correct = p.correct();
-        if !correct {
-            self.mispredictions += 1;
-        }
-        match p.chosen {
-            ChosenComponent::Bimodal => {
-                self.provider_bimodal += 1;
-                if !correct {
-                    self.wrong_by_bimodal += 1;
-                }
-            }
-            ChosenComponent::Majority => {
-                self.provider_majority += 1;
-                if !correct {
-                    self.wrong_by_majority += 1;
-                }
-            }
-        }
-        if p.meta_decisive() {
-            self.meta_decisive += 1;
-            if correct {
-                self.meta_correct += 1;
-            }
-        }
-        if p.meta_trained {
-            self.meta_writes += 1;
-        }
+        self.mispredictions += wrong;
+        self.meta_writes += u64::from(p.meta_trained);
         self.vote_patterns[p.vote_pattern()] += 1;
-        self.actions[p.action.index()] += 1;
         let e = self.per_pc.entry(p.pc.as_u64()).or_default();
         e.predictions += 1;
-        if !correct {
-            e.mispredictions += 1;
-        }
+        e.mispredictions += wrong;
     }
 
     fn on_finish(&mut self, bank_collisions: Option<u64>) {
-        self.bank_collisions = bank_collisions;
+        self.summary.on_finish(bank_collisions);
     }
 }
 
@@ -391,45 +375,27 @@ impl<W: Write> Observer for JsonlObserver<W> {
     }
 }
 
-/// Runs an [`ObservedPredictor`] over a trace with immediate update,
-/// delivering every conditional branch's [`Provenance`] to `observer`.
-///
-/// The scoreboard logic is identical to [`crate::simulate`] — same
-/// record routing, same counting — and the observed predictor step is
-/// state-identical to the plain one, so for any predictor implementing
-/// both entry points the returned [`SimResult`] matches `simulate`'s
-/// exactly (property-tested in `tests/property_invariants.rs`).
-pub fn simulate_observed<P: ObservedPredictor, O: Observer>(
-    mut predictor: P,
-    trace: &Trace,
-    observer: &mut O,
-) -> SimResult {
-    let mut result = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: predictor.name(),
-        instructions: trace.instruction_count(),
-        ..SimResult::default()
-    };
-    for record in trace.iter() {
-        if let Some(p) = predictor.predict_and_update_observed(record) {
-            result.conditional_branches += 1;
-            if p.overall != p.outcome {
-                result.mispredictions += 1;
-            }
-            observer.on_prediction(&p);
-        }
-    }
-    observer.on_finish(ObservedPredictor::bank_collisions(&predictor));
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::simulate;
+    use crate::simulator::{drive, simulate};
     use ev8_core::Ev8Predictor;
     use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
-    use ev8_trace::{BranchKind, BranchRecord, Pc, TraceBuilder};
+    use ev8_trace::{BranchKind, Pc, Trace, TraceBuilder};
+
+    fn observed<P: ObservedPredictor>(
+        predictor: P,
+        trace: &Trace,
+        obs: impl Observer,
+    ) -> SimResult {
+        let name = predictor.name();
+        SimResult::new(
+            trace.name(),
+            trace.instruction_count(),
+            name,
+            drive(predictor, trace, obs),
+        )
+    }
 
     fn mixed_trace(n: u64) -> Trace {
         let mut b = TraceBuilder::new("mixed");
@@ -461,40 +427,39 @@ mod tests {
         let mut null = NullObserver;
 
         let plain = simulate(TwoBcGskew::new(TwoBcGskewConfig::ev8_size()), &t);
-        let observed =
-            simulate_observed(TwoBcGskew::new(TwoBcGskewConfig::ev8_size()), &t, &mut null);
-        assert_eq!(plain, observed);
+        let run = observed(TwoBcGskew::new(TwoBcGskewConfig::ev8_size()), &t, &mut null);
+        assert_eq!(plain, run);
 
         let plain = simulate(Ev8Predictor::ev8(), &t);
-        let observed = simulate_observed(Ev8Predictor::ev8(), &t, &mut null);
-        assert_eq!(plain, observed);
+        let run = observed(Ev8Predictor::ev8(), &t, &mut null);
+        assert_eq!(plain, run);
     }
 
     #[test]
     fn attribution_reconciles_exactly() {
         let t = mixed_trace(5000);
         let mut attr = Attribution::new();
-        let r = simulate_observed(Ev8Predictor::ev8(), &t, &mut attr);
+        let r = observed(Ev8Predictor::ev8(), &t, &mut attr);
         attr.reconcile(&r).expect("attribution must reconcile");
-        assert_eq!(attr.bank_collisions, Some(0));
+        assert_eq!(attr.summary.bank_collisions, Some(0));
         assert!(attr.static_branches() > 0);
-        assert!(attr.meta_correct <= attr.meta_decisive);
-        assert!(attr.meta_decisive <= attr.predictions);
+        assert!(attr.summary.meta_correct <= attr.summary.meta_decisive);
+        assert!(attr.summary.meta_decisive <= attr.predictions);
     }
 
     #[test]
     fn reconcile_detects_tampering() {
         let t = mixed_trace(500);
         let mut attr = Attribution::new();
-        let r = simulate_observed(Ev8Predictor::ev8(), &t, &mut attr);
+        let r = observed(Ev8Predictor::ev8(), &t, &mut attr);
         let mut broken = attr.clone();
         broken.predictions += 1;
         assert!(broken.reconcile(&r).is_err());
         let mut broken = attr.clone();
-        broken.wrong_by_majority += 1;
+        broken.summary.wrong_by_majority += 1;
         assert!(broken.reconcile(&r).is_err());
         let mut broken = attr;
-        broken.bank_collisions = Some(3);
+        broken.summary.bank_collisions = Some(3);
         let err = broken.reconcile(&r).unwrap_err();
         assert!(err.contains("§6"), "unexpected error: {err}");
     }
@@ -503,7 +468,7 @@ mod tests {
     fn top_mispredicting_is_sorted_and_deterministic() {
         let t = mixed_trace(4000);
         let mut attr = Attribution::new();
-        let r = simulate_observed(Ev8Predictor::ev8(), &t, &mut attr);
+        let r = observed(Ev8Predictor::ev8(), &t, &mut attr);
         let top = attr.top_mispredicting(5);
         assert!(top.len() <= 5);
         for w in top.windows(2) {
@@ -523,7 +488,7 @@ mod tests {
     fn tuple_observer_feeds_both_sinks() {
         let t = mixed_trace(800);
         let mut pair = (Attribution::new(), Attribution::new());
-        let r = simulate_observed(Ev8Predictor::ev8(), &t, &mut pair);
+        let r = observed(Ev8Predictor::ev8(), &t, &mut pair);
         assert_eq!(pair.0.predictions, r.conditional_branches);
         assert_eq!(pair.0.predictions, pair.1.predictions);
         assert_eq!(pair.0.mispredictions, pair.1.mispredictions);
@@ -533,7 +498,7 @@ mod tests {
     fn jsonl_stream_emits_one_line_per_prediction_plus_summary() {
         let t = mixed_trace(200);
         let mut obs = JsonlObserver::new(Vec::new(), t.name());
-        let r = simulate_observed(Ev8Predictor::ev8(), &t, &mut obs);
+        let r = observed(Ev8Predictor::ev8(), &t, &mut obs);
         let bytes = obs.into_inner();
         let text = String::from_utf8(bytes).expect("stream is UTF-8");
         let lines: Vec<&str> = text.lines().collect();

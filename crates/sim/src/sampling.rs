@@ -30,7 +30,8 @@
 //!    phases proportionally to their tail population (every phase's
 //!    centroid-nearest representative is always among its picks), each
 //!    re-warmed over a short history window — the warm-then-measure
-//!    geometry of [`crate::window`]'s [`WindowPlan`] with `window_len =
+//!    geometry of [`crate::window`]'s
+//!    [`WindowPlan`](crate::window::WindowPlan) with `window_len =
 //!    interval_len` — and everything between samples is skipped.
 //!
 //!    A sampled interval at position `p` is measured by a predictor
@@ -60,7 +61,7 @@ use ev8_util::rng::{DefaultRng, Rng};
 
 use crate::experiments::Factory;
 use crate::metrics::SimResult;
-use crate::window::WindowPlan;
+use crate::simulator::{drive, Plain};
 
 /// Geometry and determinism knobs for a sampled run.
 ///
@@ -605,21 +606,14 @@ pub fn simulate_sampled(
     let intervals = profile_intervals(trace, config);
     let n = intervals.len();
     let phases = cluster_intervals(&intervals, config);
-    let plan = WindowPlan::new(config.interval_len, config.warmup_len);
     let anchor = config.anchor_intervals.min(n);
     let len = trace.len();
 
     let mut predictor = factory();
-    let mut anchor_misps: Vec<u64> = Vec::with_capacity(anchor);
-    for iv in &intervals[..anchor] {
-        let mut misp = 0u64;
-        trace.for_each_in(iv.start..iv.end, |r| {
-            if let Some(pred) = predictor.predict_and_update(r) {
-                misp += u64::from(pred != r.outcome);
-            }
-        });
-        anchor_misps.push(misp);
-    }
+    let anchor_misps: Vec<u64> = intervals[..anchor]
+        .iter()
+        .map(|iv| drive(&mut predictor, (trace, iv.start..iv.end), Plain).mispredictions)
+        .collect();
     let anchor_end = intervals.get(anchor).map_or(len, |iv| iv.start);
     let mut consumed = anchor_end; // records the chained predictor has seen
     let mut simulated = anchor_end;
@@ -629,18 +623,11 @@ pub fn simulate_sampled(
     let mut prev_end = anchor_end;
     for &(j, pi) in &chosen {
         let (start, end) = (intervals[j].start, intervals[j].end);
-        let warm_start = start.saturating_sub(plan.warmup_len).max(prev_end);
-        trace.for_each_in(warm_start..start, |r| {
-            predictor.predict_and_update(r);
-        });
+        let warm_start = start.saturating_sub(config.warmup_len).max(prev_end);
+        drive(&mut predictor, (trace, warm_start..start), Plain);
         consumed += start - warm_start;
         let effective_age = (consumed + (end - start) / 2) as f64 / config.interval_len as f64;
-        let mut misp = 0u64;
-        trace.for_each_in(start..end, |r| {
-            if let Some(pred) = predictor.predict_and_update(r) {
-                misp += u64::from(pred != r.outcome);
-            }
-        });
+        let misp = drive(&mut predictor, (trace, start..end), Plain).mispredictions;
         consumed += end - start;
         simulated += end - warm_start;
         prev_end = end;

@@ -1,14 +1,16 @@
 //! Incremental per-session simulation for the prediction service.
 //!
-//! The trace-driven entry points in [`crate::simulator`] consume a whole
-//! [`ev8_trace::Trace`] in one call. A server session cannot: records
-//! arrive in frames, the predictor's state must persist *across* traces
-//! within the session (the paper's §3 SMT per-thread history argument —
-//! one tenant, one predictor), and observability must be sheddable under
-//! load without touching prediction accuracy.
+//! [`crate::drive`] consumes a whole record source in one call. A server
+//! session cannot: records arrive in frames, the predictor's state must
+//! persist *across* traces within the session (the paper's §3 SMT
+//! per-thread history argument — one tenant, one predictor), and
+//! observability must be sheddable under load without touching
+//! prediction accuracy.
 //!
 //! [`SessionSim`] is the streaming equivalent: feed records as they
-//! decode, take a [`SessionSummary`] per trace. Its results are
+//! decode, take a [`SessionSummary`] per trace. Each fed record is one
+//! step of the driver's own hook — [`Plain`], or [`ProvenanceSummary`]
+//! as an observer — into the session's [`Tally`]. Its results are
 //! **bit-identical** to [`crate::simulate`] over the same records — the
 //! chaos acceptance suite pins concurrent server sessions against serial
 //! simulation with exact counter equality.
@@ -19,17 +21,20 @@
 //! PCs. Everything in [`ProvenanceSummary`] is O(1) counters.
 
 use ev8_predictors::observe::ConditionalBranchPredictor;
-use ev8_predictors::provenance::UpdateAction;
+use ev8_predictors::provenance::{Provenance, UpdateAction};
 use ev8_predictors::twobcgskew::ChosenComponent;
 use ev8_trace::BranchRecord;
 
-use crate::metrics::SimResult;
+use crate::metrics::{SimResult, Tally};
+use crate::observe::Observer;
+use crate::simulator::{drive, Hook, Plain};
 
 /// Bounded, O(1)-memory attribution counters for one streamed trace.
 ///
-/// The counter semantics match [`crate::observe::Attribution`] (minus
-/// the per-PC map); degenerate single-component predictors (bimodal,
-/// gshare, TAGE) report everything on the side their provenance maps to.
+/// An [`Observer`]: a session with attribution on drives it as its hook,
+/// and [`crate::observe::Attribution`] embeds it, so both count through
+/// one routine. Degenerate single-component predictors (bimodal, gshare,
+/// TAGE) report everything on the side their provenance maps to.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProvenanceSummary {
     /// Predictions served by the bimodal side of the chooser.
@@ -48,6 +53,32 @@ pub struct ProvenanceSummary {
     pub actions: [u64; UpdateAction::COUNT],
     /// §6 bank-collision counter (`Some(0)` for a healthy EV8 session).
     pub bank_collisions: Option<u64>,
+}
+
+impl Observer for ProvenanceSummary {
+    fn on_prediction(&mut self, p: &Provenance) {
+        let correct = p.correct();
+        let wrong = u64::from(!correct);
+        match p.chosen {
+            ChosenComponent::Bimodal => {
+                self.provider_bimodal += 1;
+                self.wrong_by_bimodal += wrong;
+            }
+            ChosenComponent::Majority => {
+                self.provider_majority += 1;
+                self.wrong_by_majority += wrong;
+            }
+        }
+        if p.meta_decisive() {
+            self.meta_decisive += 1;
+            self.meta_correct += u64::from(correct);
+        }
+        self.actions[p.action.index()] += 1;
+    }
+
+    fn on_finish(&mut self, bank_collisions: Option<u64>) {
+        self.bank_collisions = bank_collisions;
+    }
 }
 
 /// The result of one streamed trace within a session: the exact
@@ -86,8 +117,7 @@ pub struct SessionSim {
     trace_name: String,
     declared_instructions: u64,
     computed_instructions: u64,
-    conditional_branches: u64,
-    mispredictions: u64,
+    tally: Tally,
     summary: ProvenanceSummary,
 }
 
@@ -105,8 +135,7 @@ impl SessionSim {
             trace_name: String::new(),
             declared_instructions: 0,
             computed_instructions: 0,
-            conditional_branches: 0,
-            mispredictions: 0,
+            tally: Tally::default(),
             summary: ProvenanceSummary::default(),
         }
     }
@@ -143,56 +172,32 @@ impl SessionSim {
         self.trace_name.push_str(name);
         self.declared_instructions = declared_instructions;
         self.computed_instructions = 0;
-        self.conditional_branches = 0;
-        self.mispredictions = 0;
+        self.tally = Tally::default();
         self.summary = ProvenanceSummary::default();
     }
 
-    /// Feeds one record through the predictor, updating the scoreboard.
+    /// Feeds one record through the predictor, updating the scoreboard:
+    /// one hook step into the session's tally.
     pub fn feed(&mut self, record: &BranchRecord) {
         self.computed_instructions += 1 + u64::from(record.gap);
         if self.attribution {
-            if let Some(p) = self.predictor.predict_and_update_observed(record) {
-                self.conditional_branches += 1;
-                let correct = p.correct();
-                if !correct {
-                    self.mispredictions += 1;
-                }
-                match p.chosen {
-                    ChosenComponent::Bimodal => {
-                        self.summary.provider_bimodal += 1;
-                        if !correct {
-                            self.summary.wrong_by_bimodal += 1;
-                        }
-                    }
-                    ChosenComponent::Majority => {
-                        self.summary.provider_majority += 1;
-                        if !correct {
-                            self.summary.wrong_by_majority += 1;
-                        }
-                    }
-                }
-                if p.meta_decisive() {
-                    self.summary.meta_decisive += 1;
-                    if correct {
-                        self.summary.meta_correct += 1;
-                    }
-                }
-                self.summary.actions[p.action.index()] += 1;
-            }
-        } else if let Some(prediction) = self.predictor.predict_and_update(record) {
-            self.conditional_branches += 1;
-            if prediction != record.outcome {
-                self.mispredictions += 1;
-            }
+            self.summary
+                .step(&mut self.predictor, record, &mut self.tally);
+        } else {
+            Plain.step(&mut self.predictor, record, &mut self.tally);
         }
     }
 
-    /// Feeds a decoded chunk of records.
+    /// Feeds a decoded chunk of records: one [`drive`] over the chunk
+    /// with the same hook [`SessionSim::feed`] steps.
     pub fn feed_all(&mut self, records: &[BranchRecord]) {
-        for r in records {
-            self.feed(r);
-        }
+        self.computed_instructions += records.iter().map(|r| 1 + u64::from(r.gap)).sum::<u64>();
+        let predictor = &mut self.predictor;
+        self.tally += if self.attribution {
+            drive(predictor, records, &mut self.summary)
+        } else {
+            drive(predictor, records, Plain)
+        };
     }
 
     /// Closes the current trace and returns its summary. The predictor
@@ -203,16 +208,15 @@ impl SessionSim {
         } else {
             self.computed_instructions
         };
-        let result = SimResult {
-            trace: self.trace_name.clone(),
-            predictor: self.predictor_name.clone(),
+        let result = SimResult::new(
+            &self.trace_name,
             instructions,
-            conditional_branches: self.conditional_branches,
-            mispredictions: self.mispredictions,
-        };
+            self.predictor_name.clone(),
+            self.tally,
+        );
         let attribution = self.attribution.then(|| {
             let mut s = self.summary;
-            s.bank_collisions = self.predictor.bank_collisions();
+            s.on_finish(self.predictor.bank_collisions());
             s
         });
         SessionSummary {

@@ -1,187 +1,227 @@
-//! Trace-driven simulators: immediate update and commit-time (delayed)
-//! update.
+//! The simulation driver: one loop, [`drive`], over any record
+//! [`Source`] with any per-record [`Hook`].
+//!
+//! The paper's methodology (§8.1.1) is trace-driven simulation with
+//! immediate update. Every whole-trace run in this crate is that loop
+//! with a different record source (AoS [`Trace`], packed [`FlatTrace`],
+//! a range of one, a streaming [`CorpusReader`] decode, a record chunk)
+//! or a different per-record hook ([`Plain`] immediate update, a fault
+//! injector, an [`Observer`](crate::observe::Observer), [`StaleCommit`]).
+//! `drive` is generic over both, so each pairing compiles to its own
+//! loop: the [`Plain`] hook is a zero-sized type whose step is exactly
+//! `predict_and_update` plus the scoreboard, and carries no disabled-hook
+//! test at all.
 
 use std::collections::VecDeque;
+use std::io::Read;
+use std::ops::Range;
 
-use ev8_faults::{FaultInjector, FaultLog, FaultPlan};
+use ev8_faults::FaultInjector;
 use ev8_predictors::introspect::FaultTarget;
 use ev8_predictors::BranchPredictor;
 use ev8_trace::corpus::CorpusReader;
-use ev8_trace::{BranchRecord, Outcome, Trace, TraceError};
+use ev8_trace::{BranchRecord, FlatTrace, Outcome, Trace, TraceError};
 
-use crate::metrics::SimResult;
+use crate::metrics::{SimResult, Tally};
 
-/// Runs a predictor over a trace with **immediate update** — the paper's
-/// methodology (§8.1.1). Every record is passed to the predictor
-/// ([`BranchPredictor::predict_and_update`]), so path-sensitive predictors
-/// see the full control flow.
-pub fn simulate<P: BranchPredictor>(mut predictor: P, trace: &Trace) -> SimResult {
-    let mut result = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: predictor.name(),
-        instructions: trace.instruction_count(),
-        ..SimResult::default()
-    };
-    for record in trace.iter() {
-        if let Some(prediction) = predictor.predict_and_update(record) {
-            result.conditional_branches += 1;
-            if prediction != record.outcome {
-                result.mispredictions += 1;
+/// A stream of trace records [`drive`] can walk, in trace order.
+///
+/// In-memory sources cannot fail, so a drive over one returns the
+/// [`Tally`] itself; a [`CorpusReader`] decode returns
+/// `Result<Tally, TraceError>`.
+pub trait Source {
+    /// `T` for in-memory sources, `Result<T, TraceError>` for a corpus.
+    type Output<T>;
+
+    /// Calls `visit` on every record in trace order.
+    fn walk(self, visit: impl FnMut(&BranchRecord)) -> Self::Output<()>;
+
+    /// Runs `then` after a walk that succeeded and wraps its value; a
+    /// failed walk propagates its error without running `then`.
+    fn then<T>(walked: Self::Output<()>, then: impl FnOnce() -> T) -> Self::Output<T>;
+}
+
+/// In-memory sources: the walk cannot fail, so the output is the value
+/// itself. Each entry binds the source and the visitor, then walks.
+macro_rules! in_memory_sources {
+    ($($source:ty => |$this:pat_param, $visit:ident| $walk:expr;)*) => {$(
+        impl Source for $source {
+            type Output<T> = T;
+
+            #[inline]
+            fn walk(self, $visit: impl FnMut(&BranchRecord)) {
+                let $this = self;
+                $walk
             }
+
+            #[inline]
+            fn then<T>((): (), then: impl FnOnce() -> T) -> T {
+                then()
+            }
+        }
+    )*};
+}
+
+in_memory_sources! {
+    &[BranchRecord] => |records, visit| records.iter().for_each(visit);
+    &Trace => |trace, visit| trace.records().iter().for_each(visit);
+    &FlatTrace => |trace, visit| trace.for_each(visit);
+    // A record-index range of a flat trace: the source windowed and
+    // sampled runs chain over one predictor.
+    (&FlatTrace, Range<usize>) => |(trace, range), visit| trace.for_each_in(range, visit);
+}
+
+/// A streaming corpus decode: chunks decode one at a time into packed
+/// blocks, so resident memory is one chunk regardless of trace length,
+/// and the corpus totals are validated during the walk. The first decode
+/// error (checksum mismatch, structural corruption, truncation) is
+/// returned without any partial result.
+impl<R: Read> Source for CorpusReader<R> {
+    type Output<T> = Result<T, TraceError>;
+
+    #[inline]
+    fn walk(self, visit: impl FnMut(&BranchRecord)) -> Result<(), TraceError> {
+        self.for_each(visit)
+    }
+
+    #[inline]
+    fn then<T>(walked: Result<(), TraceError>, then: impl FnOnce() -> T) -> Result<T, TraceError> {
+        walked.map(|()| then())
+    }
+}
+
+/// What [`drive`] does at each record: step the predictor and score the
+/// conditional branches.
+///
+/// The hooks are [`Plain`], `&mut FaultInjector`, any
+/// [`Observer`](crate::observe::Observer) and [`StaleCommit`].
+pub trait Hook<P> {
+    /// Steps `predictor` over `record`, scoring a conditional branch's
+    /// prediction into `tally`.
+    fn step(&mut self, predictor: &mut P, record: &BranchRecord, tally: &mut Tally);
+
+    /// Runs once after the last record. The default does nothing.
+    #[inline]
+    fn finish(&mut self, predictor: &mut P) {
+        let _ = predictor;
+    }
+}
+
+/// The plain hook: immediate update through
+/// [`BranchPredictor::predict_and_update`] and nothing else — the
+/// paper's methodology (§8.1.1). Path-sensitive predictors see every
+/// record, so they see the full control flow.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Plain;
+
+impl<P: BranchPredictor> Hook<P> for Plain {
+    #[inline(always)]
+    fn step(&mut self, predictor: &mut P, record: &BranchRecord, tally: &mut Tally) {
+        if let Some(prediction) = predictor.predict_and_update(record) {
+            tally.score(prediction, record.outcome);
         }
     }
-    result
 }
 
-/// Runs a predictor over a streaming corpus decode with immediate
-/// update — [`simulate`] fed from disk instead of RAM.
-///
-/// Chunks decode one at a time into packed [`ev8_trace::FlatTrace`]
-/// blocks (see [`CorpusReader::next_block`]), so the 24 B/record AoS
-/// [`Trace`] is never materialized: resident memory is one chunk
-/// regardless of trace length. The per-record loop body is identical to
-/// [`simulate`]'s, and the corpus totals are validated during the walk,
-/// so for an uncorrupted corpus of the same trace the returned
-/// [`SimResult`] is bit-identical to the in-RAM path (pinned for the
-/// full Table 2 suite by `tests/corpus_pipeline.rs`).
-///
-/// # Errors
-///
-/// Propagates the first decode error ([`ev8_trace::TraceError`]) —
-/// checksum mismatch, structural corruption, truncation — without
-/// returning any partial result.
-pub fn simulate_corpus<P: BranchPredictor, R: std::io::Read>(
-    mut predictor: P,
-    reader: CorpusReader<R>,
-) -> Result<SimResult, TraceError> {
-    let mut result = SimResult {
-        trace: reader.name().to_owned(),
-        predictor: predictor.name(),
-        instructions: reader.instruction_count(),
-        ..SimResult::default()
-    };
-    reader.for_each(|record| {
-        if let Some(prediction) = predictor.predict_and_update(record) {
-            result.conditional_branches += 1;
-            if prediction != record.outcome {
-                result.mispredictions += 1;
-            }
-        }
-    })?;
-    Ok(result)
-}
-
-/// Runs a predictor over a trace with immediate update while injecting
-/// faults from `plan` — one injector [step](FaultInjector::step) per
+/// The fault hook: one injector [step](FaultInjector::step) per
 /// conditional branch, *before* the branch is predicted, so a strike can
-/// corrupt the very next lookup.
-///
-/// This is a separate entry point rather than a hook inside [`simulate`]
-/// on purpose: the fault-free hot path stays byte-for-byte identical to
-/// the unfaulted build (no per-branch flag test, no dead injector state),
-/// which is what makes the "fault hooks are zero-cost when disabled"
-/// claim checkable by construction and by the `sim_hot_loop` bench.
+/// corrupt the very next lookup; then the plain step.
 ///
 /// Faults are *soft errors*, not logical writes: they go straight to the
-/// storage arrays via
-/// [`FaultTarget`] and bypass the predictor's write-enable accounting, so
-/// `prediction_writes`/`hysteresis_writes` in the result still count only
-/// the predictor's own update traffic.
-///
-/// Returns the simulation result plus the injector's [`FaultLog`] (how
-/// many faults landed, per array). With `plan.rate == 0.0` the result is
-/// identical to [`simulate`] — the injector draws from its RNG but never
-/// touches the tables.
-pub fn simulate_with_faults<P: BranchPredictor + FaultTarget>(
-    mut predictor: P,
-    trace: &Trace,
-    plan: FaultPlan,
-) -> (SimResult, FaultLog) {
-    let mut injector = FaultInjector::new(plan, &predictor);
-    let mut result = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: predictor.name(),
-        instructions: trace.instruction_count(),
-        ..SimResult::default()
-    };
-    for record in trace.iter() {
+/// storage arrays via [`FaultTarget`] and bypass the predictor's
+/// write-enable accounting, so its write counters still count only its
+/// own update traffic. At `plan.rate == 0.0` the injector draws from its
+/// RNG but never touches the tables, and the tally equals [`Plain`]'s.
+impl<P: BranchPredictor + FaultTarget> Hook<P> for &mut FaultInjector {
+    #[inline]
+    fn step(&mut self, predictor: &mut P, record: &BranchRecord, tally: &mut Tally) {
         if record.kind.is_conditional() {
-            injector.step(&mut predictor);
+            FaultInjector::step(self, predictor);
         }
-        if let Some(prediction) = predictor.predict_and_update(record) {
-            result.conditional_branches += 1;
-            if prediction != record.outcome {
-                result.mispredictions += 1;
-            }
-        }
+        Plain.step(predictor, record, tally);
     }
-    (result, injector.into_log())
 }
 
-/// Runs a predictor with **fully stale updates**: *both* the table write
-/// and the history shift for a branch happen only after `window` further
-/// conditional branches — i.e. without any speculative history update.
+/// The stale-commit hook: **fully stale updates**. Each conditional is
+/// predicted now, but *both* its table write and its history shift
+/// happen only `window` conditionals later — i.e. without any
+/// speculative history update. The in-flight queue drains at the end.
 ///
 /// This is deliberately the *wrong* way to build a deep-pipeline
-/// predictor: Hao, Chang and Patt (the paper's reference \[8\], recalled in
-/// §3) showed that speculative history update is essential, and this
-/// simulator demonstrates why — history-correlated patterns become
-/// invisible when the register lags the fetch stream. The faithful
-/// commit-time model (speculative history, delayed counter writes) is
+/// predictor: Hao, Chang and Patt (the paper's reference \[8\], recalled
+/// in §3) showed that speculative history update is essential, and this
+/// hook demonstrates why — history-correlated patterns become invisible
+/// when the register lags the fetch stream. The faithful commit-time
+/// model (speculative history, delayed counter writes) is
 /// `TwoBcGskewConfig::with_commit_window`, validated by the
-/// [`crate::experiments::delayed_update`] experiment.
-pub fn simulate_stale_update<P: BranchPredictor>(
-    predictor: P,
-    trace: &Trace,
+/// [`crate::experiments::delayed_update`] experiment, which labels this
+/// model's result `"<predictor> [stale, window W]"`.
+pub struct StaleCommit<'q> {
     window: usize,
-) -> SimResult {
-    let mut inflight = VecDeque::with_capacity(window + 1);
-    simulate_stale_update_with_scratch(predictor, trace, window, &mut inflight)
+    inflight: &'q mut VecDeque<BranchRecord>,
 }
 
-/// [`simulate_stale_update`] with a caller-owned in-flight queue, so
-/// sweeps running many stale-update simulations (e.g. the
-/// [`crate::experiments::delayed_update`] window sweep) reuse one
-/// allocation instead of growing a fresh `VecDeque` per run.
-///
-/// The scratch is cleared on entry; its capacity (grown to at least
-/// `window + 1`) is what carries over between runs.
-pub fn simulate_stale_update_with_scratch<P: BranchPredictor>(
-    mut predictor: P,
-    trace: &Trace,
-    window: usize,
-    inflight: &mut VecDeque<BranchRecord>,
-) -> SimResult {
-    let mut result = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: format!("{} [stale, window {window}]", predictor.name()),
-        instructions: trace.instruction_count(),
-        ..SimResult::default()
-    };
-    inflight.clear();
-    if inflight.capacity() <= window {
+impl<'q> StaleCommit<'q> {
+    /// Delays every update by `window` conditionals, queueing in-flight
+    /// records in the caller's `inflight`. The queue is cleared here;
+    /// its capacity is what carries over, so a sweep of stale runs
+    /// reuses one allocation.
+    pub fn new(window: usize, inflight: &'q mut VecDeque<BranchRecord>) -> Self {
+        inflight.clear();
         inflight.reserve(window + 1);
+        StaleCommit { window, inflight }
     }
-    for record in trace.iter() {
+}
+
+impl<P: BranchPredictor> Hook<P> for StaleCommit<'_> {
+    #[inline]
+    fn step(&mut self, predictor: &mut P, record: &BranchRecord, tally: &mut Tally) {
         if record.kind.is_conditional() {
-            let prediction = predictor.predict(record.pc);
-            result.conditional_branches += 1;
-            if prediction != record.outcome {
-                result.mispredictions += 1;
-            }
-            inflight.push_back(*record);
-            if inflight.len() > window {
-                let commit = inflight.pop_front().expect("non-empty");
+            tally.score(predictor.predict(record.pc), record.outcome);
+            self.inflight.push_back(*record);
+            if self.inflight.len() > self.window {
+                let commit = self.inflight.pop_front().expect("non-empty");
                 predictor.update_record(&commit);
             }
         } else {
             predictor.note_noncond(record);
         }
     }
-    while let Some(commit) = inflight.pop_front() {
-        predictor.update_record(&commit);
+
+    fn finish(&mut self, predictor: &mut P) {
+        while let Some(commit) = self.inflight.pop_front() {
+            predictor.update_record(&commit);
+        }
     }
-    result
+}
+
+/// Runs `predictor` over every record of `source`, calling `hook` at each
+/// one, then [`Hook::finish`]; returns the run's [`Tally`] (wrapped in a
+/// `Result` for a corpus source, whose decode can fail).
+///
+/// Pass `&mut predictor` (or `&mut hook`) to keep its state after the
+/// run, e.g. to chain ranges of one trace on one predictor or to read a
+/// fault log.
+#[inline]
+pub fn drive<P, S: Source, H: Hook<P>>(
+    mut predictor: P,
+    source: S,
+    mut hook: H,
+) -> S::Output<Tally> {
+    let mut tally = Tally::default();
+    let walked = source.walk(|record| hook.step(&mut predictor, record, &mut tally));
+    S::then(walked, || {
+        hook.finish(&mut predictor);
+        tally
+    })
+}
+
+/// Runs a predictor over a trace with **immediate update** — the paper's
+/// methodology (§8.1.1): [`drive`] with the [`Plain`] hook.
+pub fn simulate<P: BranchPredictor>(predictor: P, trace: &Trace) -> SimResult {
+    let name = predictor.name();
+    let tally = drive(predictor, trace, Plain);
+    SimResult::new(trace.name(), trace.instruction_count(), name, tally)
 }
 
 /// A perfect predictor (always right) — gives the misp/KI floor of zero
@@ -228,6 +268,24 @@ mod tests {
     use ev8_predictors::gshare::Gshare;
     use ev8_predictors::{AlwaysNotTaken, AlwaysTaken};
     use ev8_trace::{Pc, TraceBuilder};
+
+    fn faulted<P: BranchPredictor + FaultTarget>(
+        mut predictor: P,
+        trace: &Trace,
+        plan: ev8_faults::FaultPlan,
+    ) -> (Tally, ev8_faults::FaultLog) {
+        let mut injector = FaultInjector::new(plan, &predictor);
+        let tally = drive(&mut predictor, trace, &mut injector);
+        (tally, injector.into_log())
+    }
+
+    fn stale<P: BranchPredictor>(predictor: P, trace: &Trace, window: usize) -> Tally {
+        drive(
+            predictor,
+            trace,
+            StaleCommit::new(window, &mut VecDeque::new()),
+        )
+    }
 
     fn biased_trace(n: u64, taken_period: u64) -> Trace {
         let mut b = TraceBuilder::new("biased");
@@ -287,7 +345,7 @@ mod tests {
         // lags 32 branches behind.
         let t = biased_trace(4000, 5);
         let imm = simulate(Gshare::new(12, 10), &t);
-        let stale = simulate_stale_update(Gshare::new(12, 10), &t, 32);
+        let stale = stale(Gshare::new(12, 10), &t, 32);
         assert!(
             stale.mispredictions > imm.mispredictions * 5,
             "stale {} should be far worse than immediate {}",
@@ -297,20 +355,12 @@ mod tests {
     }
 
     #[test]
-    fn stale_with_zero_window_equals_immediate() {
-        let t = biased_trace(1000, 3);
-        let imm = simulate(Gshare::new(10, 8), &t);
-        let stale = simulate_stale_update(Gshare::new(10, 8), &t, 0);
-        assert_eq!(imm.mispredictions, stale.mispredictions);
-    }
-
-    #[test]
     fn stale_update_spares_history_free_predictors() {
         // Bimodal has no history register, so staleness costs only the
         // slower counter warmup.
         let t = biased_trace(2000, 50);
         let imm = simulate(Bimodal::new(10), &t);
-        let stale = simulate_stale_update(Bimodal::new(10), &t, 32);
+        let stale = stale(Bimodal::new(10), &t, 32);
         // Staleness costs at most the warmup window (the first `window`
         // predictions come from untrained counters); in steady state the
         // bimodal predictor is unaffected.
@@ -325,32 +375,17 @@ mod tests {
     #[test]
     fn stale_drains_inflight_at_end() {
         // A window larger than the trace still trains everything by the
-        // end (drain loop), so a second pass improves.
+        // end (drain loop), in trace order: the predictor ends where an
+        // immediate-update run leaves it, so a second pass improves.
         let t = biased_trace(50, 1000);
         let mut p = Gshare::new(10, 0);
-        let first = simulate_stale_update(&mut p, &t, 1000);
+        let first = stale(&mut p, &t, 1000);
         assert!(first.conditional_branches == 50);
+        let mut immediate = Gshare::new(10, 0);
+        simulate(&mut immediate, &t);
+        assert_eq!(p, immediate);
         let second = simulate(&mut p, &t);
         assert!(second.mispredictions <= first.mispredictions);
-    }
-
-    #[test]
-    fn faulted_sim_at_rate_zero_is_identical_to_plain() {
-        // The zero-cost/equivalence anchor: a disabled fault plan must
-        // reproduce `simulate` bit-for-bit (same mispredictions, same
-        // write accounting), with zero injections logged.
-        use ev8_faults::FaultPlan;
-        use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
-        let t = biased_trace(2000, 5);
-        let plain = simulate(TwoBcGskew::new(TwoBcGskewConfig::equal(10, 10)), &t);
-        let (faulted, log) = simulate_with_faults(
-            TwoBcGskew::new(TwoBcGskewConfig::equal(10, 10)),
-            &t,
-            FaultPlan::seu(0.0).with_seed(7),
-        );
-        assert_eq!(log.injected(), 0);
-        assert_eq!(plain.mispredictions, faulted.mispredictions);
-        assert_eq!(plain.conditional_branches, faulted.conditional_branches);
     }
 
     #[test]
@@ -361,7 +396,7 @@ mod tests {
         let clean = simulate(TwoBcGskew::new(TwoBcGskewConfig::equal(8, 8)), &t);
         // One SEU per branch into a small predictor is a blizzard; the
         // curve must move the right way, and nothing may panic.
-        let (hit, log) = simulate_with_faults(
+        let (hit, log) = faulted(
             TwoBcGskew::new(TwoBcGskewConfig::equal(8, 8)),
             &t,
             FaultPlan::seu(1.0).with_seed(3),
@@ -381,7 +416,7 @@ mod tests {
         use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
         let t = biased_trace(1500, 4);
         let run = || {
-            simulate_with_faults(
+            faulted(
                 TwoBcGskew::new(TwoBcGskewConfig::equal(9, 9)),
                 &t,
                 FaultPlan::seu(0.05).with_seed(11),

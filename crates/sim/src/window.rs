@@ -30,7 +30,7 @@
 //!
 //! The per-window warmup is redundant work: total cost is
 //! `len + windows * warmup_len` record steps, so throughput scales as
-//! `workers / (1 + W/window_len)`. The `sweep_bitsliced` bench records
+//! `workers / (1 + W/window_len)`. The `windowed` bench records
 //! the realized branches/sec and the signed misprediction delta next to
 //! each other, so the speed/accuracy trade is always visible in
 //! `BENCH_sim.json`.
@@ -40,7 +40,8 @@ use std::sync::Arc;
 use ev8_predictors::BranchPredictor;
 use ev8_trace::FlatTrace;
 
-use crate::metrics::SimResult;
+use crate::metrics::{SimResult, Tally};
+use crate::simulator::{drive, Plain};
 use crate::sweep::{run_parallel_with, RunPolicy};
 
 /// Geometry of a windowed run: how the record stream is cut and how much
@@ -81,15 +82,6 @@ impl WindowPlan {
     }
 }
 
-/// Per-window scoreboard from a windowed run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowCounts {
-    /// Conditional branches measured in the window (warmup excluded).
-    pub conditional_branches: u64,
-    /// Mispredictions among them.
-    pub mispredictions: u64,
-}
-
 /// Result of [`simulate_windowed`]: the spliced [`SimResult`] plus the
 /// per-window scoreboards for bit-accounting against a serial run.
 #[derive(Clone, Debug)]
@@ -98,14 +90,18 @@ pub struct WindowedRun {
     pub result: SimResult,
     /// The geometry the run used.
     pub plan: WindowPlan,
-    /// One scoreboard per window, in trace order; sums match `result`.
-    pub per_window: Vec<WindowCounts>,
+    /// One scoreboard per window (warmup excluded), in trace order;
+    /// sums match `result`.
+    pub per_window: Vec<Tally>,
 }
 
 /// Simulates `trace` in parallel windows, splicing the scoreboards.
 ///
 /// `factory` builds one fresh predictor per window (each worker owns its
-/// state; nothing is shared but the read-only trace). Jobs run over
+/// state; nothing is shared but the read-only trace); a type-erased
+/// experiment [`Factory`](crate::experiments::Factory) `f` fits as
+/// `move || f()`. Each window is two [`drive`] calls over ranges on one
+/// predictor: warmup (tally discarded), then measurement. Jobs run over
 /// [`run_parallel_with`] under `policy`; window results are spliced by
 /// summation in trace order, so the output is deterministic regardless
 /// of worker scheduling.
@@ -127,14 +123,9 @@ where
     F: Fn() -> P + Send + Sync + 'static,
 {
     let len = trace.len();
-    let mut result = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: factory().name(),
-        instructions: trace.instruction_count(),
-        ..SimResult::default()
-    };
+    let predictor = factory().name();
     let factory = Arc::new(factory);
-    let jobs: Vec<Box<dyn Fn() -> WindowCounts + Send + 'static>> = (0..plan.windows(len))
+    let jobs: Vec<Box<dyn Fn() -> Tally + Send + 'static>> = (0..plan.windows(len))
         .map(|w| {
             let trace = Arc::clone(trace);
             let factory = Arc::clone(&factory);
@@ -143,51 +134,21 @@ where
             let warm_start = start - plan.warmup_len.min(start);
             Box::new(move || {
                 let mut predictor = factory();
-                trace.for_each_in(warm_start..start, |record| {
-                    predictor.predict_and_update(record);
-                });
-                let mut counts = WindowCounts::default();
-                trace.for_each_in(start..end, |record| {
-                    if let Some(prediction) = predictor.predict_and_update(record) {
-                        counts.conditional_branches += 1;
-                        counts.mispredictions += u64::from(prediction != record.outcome);
-                    }
-                });
-                counts
-            }) as Box<dyn Fn() -> WindowCounts + Send + 'static>
+                drive(&mut predictor, (&*trace, warm_start..start), Plain);
+                drive(&mut predictor, (&*trace, start..end), Plain)
+            }) as Box<dyn Fn() -> Tally + Send + 'static>
         })
         .collect();
     let per_window = run_parallel_with(jobs, workers.max(1), policy).into_complete();
-    for counts in &per_window {
-        result.conditional_branches += counts.conditional_branches;
-        result.mispredictions += counts.mispredictions;
+    let mut spliced = Tally::default();
+    for &tally in &per_window {
+        spliced += tally;
     }
     WindowedRun {
-        result,
+        result: SimResult::new(trace.name(), trace.instruction_count(), predictor, spliced),
         plan,
         per_window,
     }
-}
-
-/// [`simulate_windowed`] over an experiment [`Factory`]: the front door
-/// for windowed and sampled runs of *any* predictor family (gshare,
-/// 2Bc-gskew, EV8, TAGE, …) described as a boxed constructor.
-///
-/// `Box<dyn BranchPredictor>` itself implements [`BranchPredictor`], so
-/// this is a thin adapter; it exists so call sites holding the
-/// type-erased factories used across [`crate::experiments`] (and the
-/// sampling engine) don't each re-derive the closure plumbing.
-///
-/// [`Factory`]: crate::experiments::Factory
-pub fn simulate_windowed_factory(
-    factory: &crate::experiments::Factory,
-    trace: &Arc<FlatTrace>,
-    plan: WindowPlan,
-    workers: usize,
-    policy: &RunPolicy,
-) -> WindowedRun {
-    let factory = Arc::clone(factory);
-    simulate_windowed(move || factory(), trace, plan, workers, policy)
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
-//! Equivalence guarantees for the batched sweep engine: `simulate_many`
-//! over a packed `FlatTrace` must be *bit-identical* to K serial
-//! `simulate` calls over the source `Trace` — same `SimResult` fields
-//! and same post-run predictor state (checked through the 2Bc-gskew
-//! write-accounting counters, the most fragile observable).
+//! Equivalence guarantees for the simulation driver and the batched
+//! sweep engine: every record source and identity hook `drive` accepts,
+//! and `simulate_many` over a packed `FlatTrace`, must be
+//! *bit-identical* to serial `simulate` calls over the source `Trace` —
+//! same `SimResult` fields and same post-run predictor state (checked
+//! through the 2Bc-gskew write-accounting counters, the most fragile
+//! observable).
 //!
 //! Property cases are driven by the in-tree deterministic harness
 //! (`ev8_util::prop`); a failure panics with an
@@ -10,20 +12,28 @@
 //! counterexample. The suite-level check (also run by the CI sweep
 //! smoke, see `scripts/ci.sh`) covers the real generated benchmarks.
 
+use std::collections::VecDeque;
+use std::fmt::Debug;
+
 use ev8_util::prop::{check, Gen};
 use ev8_util::prop_assert_eq;
 
 use ev8_core::Ev8Predictor;
+use ev8_faults::{FaultInjector, FaultPlan};
 use ev8_predictors::bimodal::Bimodal;
 use ev8_predictors::gshare::Gshare;
+use ev8_predictors::observe::ConditionalBranchPredictor;
 use ev8_predictors::tage::{Tage, TageConfig};
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 use ev8_predictors::BranchPredictor;
+use ev8_sim::observe::NullObserver;
+use ev8_sim::session::SessionSim;
 use ev8_sim::sweep::RunPolicy;
 use ev8_sim::{
-    simulate, simulate_flat, simulate_gshare_sweep, simulate_gshare_sweep_bitsliced, simulate_many,
-    simulate_windowed, WindowPlan,
+    drive, simulate, simulate_flat, simulate_gshare_sweep, simulate_many, simulate_windowed, Plain,
+    SimResult, StaleCommit, Tally, WindowPlan,
 };
+use ev8_trace::corpus::{write_corpus_chunked, CorpusReader};
 use ev8_trace::{BranchKind, BranchRecord, FlatTrace, Outcome, Pc, Trace, TraceBuilder};
 use ev8_workloads::spec95;
 
@@ -191,6 +201,88 @@ fn simulate_many_matches_serial_tage_full_state() {
     });
 }
 
+/// Runs `trace` through every record source and every identity hook
+/// `drive` accepts, each on a fresh predictor from `make`, and checks
+/// that every run returns plain `simulate`'s `SimResult` and leaves the
+/// predictor in the same `state`.
+fn every_path_matches_simulate<P, S>(
+    g: &mut Gen,
+    trace: &Trace,
+    make: impl Fn() -> P,
+    state: impl Fn(&P) -> S,
+) -> Result<(), String>
+where
+    P: ConditionalBranchPredictor + 'static,
+    S: PartialEq + Debug,
+{
+    let mut reference = make();
+    let want = simulate(&mut reference, trace);
+    let want_state = state(&reference);
+    let result = |p: &P, tally: Tally| {
+        SimResult::new(trace.name(), trace.instruction_count(), p.name(), tally)
+    };
+    let flat = FlatTrace::from_trace(trace);
+
+    // Sources: the flat view; flat ranges cut at random points and
+    // chained on one predictor; an in-memory corpus with a random chunk
+    // length.
+    let mut p = make();
+    prop_assert_eq!(simulate_flat(&mut p, &flat), want);
+    prop_assert_eq!(state(&p), want_state);
+
+    let mut cuts: Vec<usize> = (0..g.range(0u32..5))
+        .map(|_| g.range(0..=flat.len()))
+        .chain([0, flat.len()])
+        .collect();
+    cuts.sort_unstable();
+    let mut p = make();
+    let mut tally = Tally::default();
+    for span in cuts.windows(2) {
+        tally += drive(&mut p, (&flat, span[0]..span[1]), Plain);
+    }
+    prop_assert_eq!(result(&p, tally), want);
+    prop_assert_eq!(state(&p), want_state);
+
+    let mut bytes = Vec::new();
+    write_corpus_chunked(&mut bytes, trace, g.range(1usize..64)).expect("encode");
+    let reader = CorpusReader::new(bytes.as_slice()).expect("corpus header");
+    let mut p = make();
+    let tally = drive(&mut p, reader, Plain).expect("corpus decode");
+    prop_assert_eq!(result(&p, tally), want);
+    prop_assert_eq!(state(&p), want_state);
+
+    // The session driver, fed in random chunk sizes, attribution on or off.
+    let mut session = SessionSim::new(Box::new(make()), g.bool());
+    session.begin(trace.name(), trace.instruction_count());
+    let mut rest = trace.records();
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(g.range(1..=rest.len().min(40)));
+        session.feed_all(chunk);
+        rest = tail;
+    }
+    prop_assert_eq!(session.finish().result, want);
+
+    // Identity hooks: a rate-0 injector, the no-op observer, and stale
+    // commit with a zero window.
+    let mut p = make();
+    let mut injector = FaultInjector::new(FaultPlan::seu(0.0).with_seed(g.u64()), &p);
+    let tally = drive(&mut p, trace, &mut injector);
+    prop_assert_eq!(injector.log().injected(), 0);
+    prop_assert_eq!(result(&p, tally), want);
+    prop_assert_eq!(state(&p), want_state);
+
+    let mut p = make();
+    let tally = drive(&mut p, trace, NullObserver);
+    prop_assert_eq!(result(&p, tally), want);
+    prop_assert_eq!(state(&p), want_state);
+
+    let mut p = make();
+    let tally = drive(&mut p, trace, StaleCommit::new(0, &mut VecDeque::new()));
+    prop_assert_eq!(result(&p, tally), want);
+    prop_assert_eq!(state(&p), want_state);
+    Ok(())
+}
+
 #[test]
 fn simulate_flat_equals_simulate_on_arbitrary_traces() {
     check(
@@ -198,27 +290,28 @@ fn simulate_flat_equals_simulate_on_arbitrary_traces() {
         CASES,
         |g| {
             let trace = arb_trace(g);
-            let flat = FlatTrace::from_trace(&trace);
             let bits = g.range(4u32..12);
-            prop_assert_eq!(
-                simulate_flat(Gshare::new(bits, bits), &flat),
-                simulate(Gshare::new(bits, bits), &trace)
-            );
-            Ok(())
+            every_path_matches_simulate(g, &trace, || Gshare::new(bits, bits), |_| ())?;
+            let config = TwoBcGskewConfig::equal(g.range(4u32..10), g.range(0u32..12));
+            every_path_matches_simulate(
+                g,
+                &trace,
+                || TwoBcGskew::new(config),
+                TwoBcGskew::write_traffic,
+            )
         },
     );
 }
 
 #[test]
-fn bitsliced_and_transposed_sweeps_match_serial_on_arbitrary_traces() {
-    // Both specialized gshare sweep engines (the transposed-stream pass
-    // behind `simulate_gshare_sweep` and the SWAR lane pass behind
-    // `simulate_gshare_sweep_bitsliced`) against K serial runs, over
-    // arbitrary traces including escape-table extremes, with geometry
-    // drawn per case — including history lengths that force the
-    // long-history fallback.
+fn gshare_sweep_matches_serial_on_arbitrary_traces() {
+    // The specialized gshare sweep (the transposed-stream engine behind
+    // `simulate_gshare_sweep`) against K serial runs, over arbitrary
+    // traces including escape-table extremes, with geometry drawn per
+    // case — including history lengths that force the long-history
+    // fallback.
     check(
-        "bitsliced_and_transposed_sweeps_match_serial_on_arbitrary_traces",
+        "gshare_sweep_matches_serial_on_arbitrary_traces",
         CASES,
         |g| {
             let trace = arb_trace(g);
@@ -229,14 +322,7 @@ fn bitsliced_and_transposed_sweeps_match_serial_on_arbitrary_traces() {
                 .iter()
                 .map(|&h| simulate(Gshare::new(index_bits, h), &trace))
                 .collect();
-            prop_assert_eq!(
-                simulate_gshare_sweep(index_bits, &histories, &flat),
-                serial.clone()
-            );
-            prop_assert_eq!(
-                simulate_gshare_sweep_bitsliced(index_bits, &histories, &flat),
-                serial
-            );
+            prop_assert_eq!(simulate_gshare_sweep(index_bits, &histories, &flat), serial);
             Ok(())
         },
     );
@@ -341,7 +427,6 @@ fn windowed_splice_is_bit_accounted_on_real_benchmarks() {
 #[test]
 fn windowed_splice_is_exact_at_full_warmup_for_every_family() {
     use ev8_sim::experiments::{factory, Factory};
-    use ev8_sim::simulate_windowed_factory;
     let policy = RunPolicy::default();
     let families: Vec<(&str, Factory)> = vec![
         ("bimodal", factory(|| Bimodal::new(12))),
@@ -359,7 +444,8 @@ fn windowed_splice_is_exact_at_full_warmup_for_every_family() {
         assert!(plan.is_exact_for(flat.len()));
         for (family, fac) in &families {
             let serial = simulate_flat(fac(), &flat);
-            let run = simulate_windowed_factory(fac, &flat, plan, 4, &policy);
+            let fac = std::sync::Arc::clone(fac);
+            let run = simulate_windowed(move || fac(), &flat, plan, 4, &policy);
             assert_eq!(run.result, serial, "{name}/{family}: full-warmup splice");
             let spliced: u64 = run.per_window.iter().map(|w| w.mispredictions).sum();
             assert_eq!(spliced, serial.mispredictions, "{name}/{family}");

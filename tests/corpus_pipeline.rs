@@ -10,11 +10,12 @@ use std::time::Duration;
 
 use ev8_core::Ev8Predictor;
 use ev8_predictors::gshare::Gshare;
+use ev8_predictors::BranchPredictor;
 use ev8_server::proto::{code, PredictorSpec};
 use ev8_server::{Client, Server, ServerConfig, ServerError};
-use ev8_sim::simulate;
-use ev8_sim::simulator::simulate_corpus;
+use ev8_sim::{drive, simulate, Plain, SimResult};
 use ev8_trace::corpus::{write_corpus_chunked, CorpusReader};
+use ev8_trace::TraceError;
 use ev8_workloads::cache::TraceCache;
 use ev8_workloads::corpus::CorpusStore;
 use ev8_workloads::spec95;
@@ -22,6 +23,17 @@ use ev8_workloads::spec95;
 /// Small enough to keep the 8-benchmark differential pass to seconds,
 /// large enough for tens of thousands of dynamic branches each.
 const SCALE: f64 = 0.002;
+
+/// [`simulate`] fed from a streaming corpus decode instead of RAM.
+fn streamed_run<P: BranchPredictor>(
+    predictor: P,
+    reader: CorpusReader<&[u8]>,
+) -> Result<SimResult, TraceError> {
+    let (trace, instructions) = (reader.name().to_owned(), reader.instruction_count());
+    let name = predictor.name();
+    let tally = drive(predictor, reader, Plain)?;
+    Ok(SimResult::new(&trace, instructions, name, tally))
+}
 
 fn tmp_store(tag: &str) -> CorpusStore {
     let dir =
@@ -42,7 +54,7 @@ fn streaming_decode_simulation_is_bit_identical_for_all_benchmarks() {
         write_corpus_chunked(&mut bytes, &trace, 4096).expect("encode");
         let in_ram = simulate(Gshare::new(14, 12), &trace);
         let reader = CorpusReader::new(bytes.as_slice()).expect("header");
-        let streamed = simulate_corpus(Gshare::new(14, 12), reader).expect("streamed run");
+        let streamed = streamed_run(Gshare::new(14, 12), reader).expect("streamed run");
         assert_eq!(streamed, in_ram, "{name}: corpus path diverged");
     }
 }
@@ -56,7 +68,7 @@ fn streaming_decode_matches_the_full_ev8_predictor() {
     write_corpus_chunked(&mut bytes, &trace, 1 << 13).expect("encode");
     let reader = CorpusReader::new(bytes.as_slice()).expect("header");
     assert_eq!(
-        simulate_corpus(Ev8Predictor::ev8(), reader).expect("streamed run"),
+        streamed_run(Ev8Predictor::ev8(), reader).expect("streamed run"),
         simulate(Ev8Predictor::ev8(), &trace),
     );
 }

@@ -9,12 +9,26 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use ev8_faults::fuzz::{corrupt, decode_check, max_plausible_records};
-use ev8_faults::{ArraySelector, FaultPlan};
+use ev8_faults::{ArraySelector, FaultInjector, FaultLog, FaultPlan};
 use ev8_predictors::introspect::ArrayClass;
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
-use ev8_sim::{simulate, simulate_with_faults};
+use ev8_predictors::BranchPredictor;
+use ev8_sim::{drive, simulate, SimResult};
 use ev8_trace::{codec, BranchRecord, Pc, Trace, TraceBuilder};
 use ev8_workloads::spec95;
+
+/// [`simulate`] with a fault injector stepped before every conditional.
+fn faulted_run(mut predictor: TwoBcGskew, trace: &Trace, plan: FaultPlan) -> (SimResult, FaultLog) {
+    let mut injector = FaultInjector::new(plan, &predictor);
+    let tally = drive(&mut predictor, trace, &mut injector);
+    let result = SimResult::new(
+        trace.name(),
+        trace.instruction_count(),
+        predictor.name(),
+        tally,
+    );
+    (result, injector.into_log())
+}
 
 fn encoded_base() -> Vec<u8> {
     let mut b = TraceBuilder::new("fuzz-base");
@@ -74,7 +88,7 @@ fn seu_campaign_degrades_monotonically_with_zero_panics() {
         let mut curve = Vec::new();
         for (i, &rate) in RATES.iter().enumerate() {
             let plan = FaultPlan::seu(rate).with_seed(0xCA_FE + i as u64);
-            let (result, log) = simulate_with_faults(TwoBcGskew::new(config), &trace, plan);
+            let (result, log) = faulted_run(TwoBcGskew::new(config), &trace, plan);
             if rate == 0.0 {
                 assert_eq!(result.mispredictions, baseline.mispredictions);
                 assert_eq!(log.injected(), 0);
@@ -105,7 +119,7 @@ fn targeted_faults_respect_the_selector_end_to_end() {
         (ArraySelector::Class(ArrayClass::Hysteresis), "hysteresis"),
     ] {
         let plan = FaultPlan::seu(0.05).targeting(selector).with_seed(1);
-        let (_, log) = simulate_with_faults(TwoBcGskew::new(config), &trace, plan);
+        let (_, log) = faulted_run(TwoBcGskew::new(config), &trace, plan);
         assert!(log.injected() > 0);
         for (name, hits) in log.by_array() {
             assert!(

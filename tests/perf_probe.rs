@@ -1,14 +1,14 @@
 //! Manual perf probe for the sweep engines (ignored by default; run it
 //! with `cargo test --release --test perf_probe -- --ignored --nocapture`).
 //!
-//! Interleaves serial / transposed / bitsliced sweeps round-robin and
-//! reports per-engine medians plus paired ratios, so engine changes can
-//! be evaluated quickly despite host timing noise. Not part of tier-1.
+//! Interleaves serial / transposed sweeps round-robin and reports
+//! per-engine medians plus paired ratios, so engine changes can be
+//! evaluated quickly despite host timing noise. Not part of tier-1.
 
 use std::time::{Duration, Instant};
 
 use ev8_predictors::gshare::Gshare;
-use ev8_sim::{simulate, simulate_gshare_sweep, simulate_gshare_sweep_bitsliced};
+use ev8_sim::{simulate, simulate_gshare_sweep};
 use ev8_workloads::spec95;
 
 const HISTORIES: [u32; 8] = [0, 2, 4, 6, 8, 10, 12, 14];
@@ -36,9 +36,7 @@ fn sweep_engine_probe() {
         let branches = flat.conditional_count() as f64;
         let mut serial_ns = Vec::new();
         let mut transposed_ns = Vec::new();
-        let mut sliced_ns = Vec::new();
         let mut ratios_t = Vec::new();
-        let mut ratios_s = Vec::new();
         for _ in 0..rounds {
             let t0 = Instant::now();
             let serial: Vec<_> = HISTORIES
@@ -49,28 +47,19 @@ fn sweep_engine_probe() {
             let t0 = Instant::now();
             let transposed = simulate_gshare_sweep(INDEX_BITS, &HISTORIES, &flat);
             let dt = t0.elapsed();
-            let t0 = Instant::now();
-            let sliced = simulate_gshare_sweep_bitsliced(INDEX_BITS, &HISTORIES, &flat);
-            let dsl = t0.elapsed();
             assert_eq!(serial, transposed);
-            assert_eq!(serial, sliced);
             let ns = |d: Duration| d.as_nanos() as f64;
             serial_ns.push(ns(ds));
             transposed_ns.push(ns(dt));
-            sliced_ns.push(ns(dsl));
             ratios_t.push(ns(ds) / ns(dt));
-            ratios_s.push(ns(ds) / ns(dsl));
         }
         let per_bc = |total: f64| total / branches / HISTORIES.len() as f64;
         println!(
-            "{name}: serial {:.1}ms  transposed {:.1}ms ({:.2}ns/b/c)  bitsliced {:.1}ms ({:.2}ns/b/c)  speedup T {:.2}x  S {:.2}x",
+            "{name}: serial {:.1}ms  transposed {:.1}ms ({:.2}ns/b/c)  speedup {:.2}x",
             median(serial_ns.clone()) / 1e6,
             median(transposed_ns.clone()) / 1e6,
             per_bc(median(transposed_ns)),
-            median(sliced_ns.clone()) / 1e6,
-            per_bc(median(sliced_ns)),
             median(ratios_t),
-            median(ratios_s),
         );
     }
 }

@@ -425,11 +425,17 @@ fn attribution_reconciles_on_arbitrary_traces() {
         // and the §6 conflict-free banking invariant must hold: the
         // collision counter stays 0 on *every* input, not just the suite.
         let mut attr = ev8_sim::observe::Attribution::new();
-        let result = ev8_sim::simulate_observed(ev8_core::Ev8Predictor::ev8(), &trace, &mut attr);
+        let tally = ev8_sim::drive(ev8_core::Ev8Predictor::ev8(), &trace, &mut attr);
+        let result = ev8_sim::SimResult::new(
+            trace.name(),
+            trace.instruction_count(),
+            String::new(),
+            tally,
+        );
         if let Err(e) = attr.reconcile(&result) {
             return Err(format!("attribution failed to reconcile: {e}"));
         }
-        prop_assert_eq!(attr.bank_collisions, Some(0));
+        prop_assert_eq!(attr.summary.bank_collisions, Some(0));
         let cond = records.iter().filter(|r| r.kind.is_conditional()).count() as u64;
         prop_assert_eq!(attr.predictions, cond);
         prop_assert_eq!(attr.mispredictions, result.mispredictions);
