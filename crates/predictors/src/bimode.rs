@@ -3,12 +3,12 @@
 //! (Fig 5: two 128K-entry direction tables + a 16K-entry choice table,
 //! 544 Kbits total).
 
-use ev8_trace::{Outcome, Pc};
+use ev8_trace::{BranchRecord, Outcome, Pc};
 
 use crate::counter::Counter2;
 use crate::history::GlobalHistory;
 use crate::predictor::BranchPredictor;
-use crate::skew::xor_fold;
+use crate::skew::xor_fold64;
 
 /// The bi-mode predictor: a PC-indexed *choice* table steers each branch
 /// to one of two gshare-indexed *direction* tables (one biased toward
@@ -72,10 +72,14 @@ impl Bimode {
     }
 
     fn direction_index(&self, pc: Pc) -> usize {
-        let folded = xor_fold(self.history.bits() as u128, self.direction_bits);
+        let folded = xor_fold64(self.history.bits(), self.direction_bits);
         (pc.bits(2, self.direction_bits) ^ folded) as usize
     }
 
+    /// The one lookup per branch, `(choice, direction, choice index,
+    /// direction index)`: `predict`, `update` and the fused step all
+    /// start here.
+    #[inline]
     fn lookup(&self, pc: Pc) -> (Outcome, Outcome, usize, usize) {
         let ci = self.choice_index(pc);
         let di = self.direction_index(pc);
@@ -87,15 +91,15 @@ impl Bimode {
         };
         (choice, direction, ci, di)
     }
-}
 
-impl BranchPredictor for Bimode {
-    fn predict(&self, pc: Pc) -> Outcome {
-        self.lookup(pc).1
-    }
-
-    fn update(&mut self, pc: Pc, outcome: Outcome) {
-        let (choice, direction, ci, di) = self.lookup(pc);
+    /// The bi-mode update of a branch whose lookup was `(choice,
+    /// direction, ci, di)`, then the history shift.
+    #[inline]
+    fn step(
+        &mut self,
+        (choice, direction, ci, di): (Outcome, Outcome, usize, usize),
+        outcome: Outcome,
+    ) {
         // Train the selected direction table.
         if choice.is_taken() {
             self.taken[di].train(outcome);
@@ -109,6 +113,29 @@ impl BranchPredictor for Bimode {
             self.choice[ci].train(outcome);
         }
         self.history.push(outcome);
+    }
+}
+
+impl BranchPredictor for Bimode {
+    fn predict(&self, pc: Pc) -> Outcome {
+        self.lookup(pc).1
+    }
+
+    fn update(&mut self, pc: Pc, outcome: Outcome) {
+        let l = self.lookup(pc);
+        self.step(l, outcome);
+    }
+
+    /// One lookup per branch, bit-identical to `predict` +
+    /// `update_record`: both would look up under the same history.
+    #[inline]
+    fn predict_and_update(&mut self, record: &BranchRecord) -> Option<Outcome> {
+        if !record.kind.is_conditional() {
+            return None;
+        }
+        let l = self.lookup(record.pc);
+        self.step(l, record.outcome);
+        Some(l.1)
     }
 
     fn name(&self) -> String {

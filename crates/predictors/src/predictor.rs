@@ -55,10 +55,20 @@ pub trait BranchPredictor {
     /// was made for it (conditional records only), and applies the update.
     ///
     /// This is the method trace-driven simulators call. The default is
-    /// `predict` + `update_record`; predictors whose prediction context
-    /// depends on the record itself (the EV8 predictor must advance its
-    /// fetch-block state through the record's straight-line gap before
-    /// the prediction is made) override it.
+    /// the reference composition, `predict` then `update_record`, and it
+    /// stays that. Two kinds of predictor override it:
+    ///
+    /// * **One lookup per branch.** Bimodal, gshare, 2Bc-gskew, bi-mode,
+    ///   YAGS and TAGE compute their indices and read their tables once,
+    ///   then update from that read. Such an override must equal the
+    ///   default exactly: the same prediction, and the same state after
+    ///   it (counters, history, write accounting) on every record. The
+    ///   equivalence tests check it against `predict` then
+    ///   `update_record`, stepped by the stale-commit hook at window 0.
+    /// * **Context from the record.** The EV8 predictor must advance its
+    ///   fetch-block state through the record's straight-line gap before
+    ///   the prediction is made, so for it this method is the exact one
+    ///   and `predict` alone is best effort.
     fn predict_and_update(&mut self, record: &BranchRecord) -> Option<Outcome> {
         if record.kind.is_conditional() {
             let prediction = self.predict(record.pc);

@@ -18,6 +18,16 @@
 //!   `n` bits, enabling history lengths beyond `log2(entries)`.
 //! * [`InfoVector`] — packs (PC, global history) into the two halves
 //!   consumed by [`skew_index`].
+//!
+//! The skewed predictors compute these on every branch, so the per-branch
+//! forms are the fast ones, each pinned by the tests against a plain
+//! reference written straight from the definition:
+//!
+//! | fast form | reference |
+//! |---|---|
+//! | [`skew_index`]: width checked once, `H^{k+1}` and `H^{-(k+1)}` in closed form | [`h_pow`] / [`h_inv_pow`] over [`h_transform`] / [`h_inverse`] on the masked halves |
+//! | [`InfoVector::new`]: `pc_bits ^ xor_fold64(history, 2n)` | the `u128` pack `history << 2n \| pc_bits` through [`xor_fold`] |
+//! | [`xor_fold64`] on a `u64` history (gshare, bi-mode, YAGS, TAGE) | [`xor_fold`] on the same value widened to `u128` |
 
 use ev8_trace::Pc;
 
@@ -97,11 +107,42 @@ pub fn h_inv_pow(mut x: u64, n: u32, k: u32) -> u64 {
 /// Distinct banks use distinct powers of `H`, so vectors that collide in
 /// one bank are spread apart in the others.
 ///
+/// This is the per-branch form. It checks `n` and masks the halves once,
+/// then applies `H^{k+1}` and `H^{-(k+1)}` in closed form rather than
+/// step by step: `k + 1` steps of `H` shift `v1` down `k + 1` places and
+/// feed running XORs of its low bits in at the top, and `k + 1` steps of
+/// `H⁻¹` shift `v2` up and feed XORs of adjacent top bits in at the
+/// bottom — a few shifts whatever the bank. Widths of at most `k + 1`
+/// bits, and banks past 3, take the reference path. The result equals
+/// `h_pow(v1 & m, n, k + 1) ^ h_inv_pow(v2 & m, n, k + 1)` with `m` the
+/// `n`-bit mask; the tests pin that for every width and bank.
+///
 /// # Panics
 ///
 /// Panics if `n` is 0 or greater than 64.
+#[inline]
 pub fn skew_index(bank: u32, v1: u64, v2: u64, n: u32) -> u64 {
-    h_pow(v1 & mask(n), n, bank + 1) ^ h_inv_pow(v2 & mask(n), n, bank + 1)
+    assert!((1..=64).contains(&n), "width must be 1..=64");
+    let m = mask(n);
+    let (x, y) = (v1 & m, v2 & m);
+    let k = bank + 1;
+    if k >= n || k > 4 {
+        // Widths of at most k bits (the fed-in bits would be shifted
+        // again), or banks past the four a skewed predictor has: the
+        // step-by-step reference.
+        return h_pow(x, n, k) ^ h_inv_pow(y, n, k);
+    }
+    let kmask = (1u64 << k) - 1;
+    // H^k: x shifts down k places, and the k bits fed in at the top are
+    // the running XORs x_{n-1} ^ x_0 ^ .. ^ x_{j-1}, j = 1..=k.
+    let pairs = x ^ (x << 1);
+    let prefix = pairs ^ (pairs << 2);
+    let top = 0u64.wrapping_sub(x >> (n - 1));
+    let hx = (x >> k) | (((prefix ^ top) & kmask) << (n - k));
+    // H^-k: y shifts up k places, and the k bits fed in at the bottom are
+    // y_{n-j} ^ y_{n-j-1}, j = 1..=k, bits no earlier step has moved.
+    let hy = ((y << k) & m) | (((y ^ (y >> 1)) >> (n - 1 - k)) & kmask);
+    hx ^ hy
 }
 
 /// XOR-folds a wide value into `n` bits by XORing successive `n`-bit
@@ -123,8 +164,11 @@ pub fn xor_fold(value: u128, n: u32) -> u64 {
 
 /// [`xor_fold`] specialized to 64-bit information vectors: identical
 /// result for any value that fits in a `u64`, without the 128-bit shift
-/// sequences. Single-table schemes whose history register is a plain
-/// `u64` (gshare) call this on their per-branch index path.
+/// sequences. [`xor_fold`] on the value widened to `u128` is its
+/// reference, and the tests compare the two. Every scheme whose history
+/// register is a plain `u64` calls this on its per-branch index path:
+/// gshare, bi-mode, YAGS and TAGE, and [`InfoVector::new`] for the
+/// skewed banks.
 ///
 /// # Panics
 ///
@@ -168,9 +212,15 @@ impl InfoVector {
     /// XOR-folded into `2n` bits and split into halves. Histories longer
     /// than `2n` therefore still influence every index bit.
     ///
+    /// `pc_bits` fills exactly the lowest `2n`-bit chunk of the packed
+    /// value, so the fold is `pc_bits ^ xor_fold64(history, 2n)`: the
+    /// 128-bit pack through [`xor_fold`] is the reference, and the tests
+    /// compare the two for every `n` and history length.
+    ///
     /// # Panics
     ///
     /// Panics if `n` is 0 or greater than 32.
+    #[inline]
     pub fn new(pc: Pc, history: u64, history_length: u32, n: u32) -> Self {
         assert!((1..=32).contains(&n), "index width must be 1..=32");
         let hist = if history_length == 0 {
@@ -180,9 +230,7 @@ impl InfoVector {
         } else {
             history & ((1u64 << history_length) - 1)
         };
-        let pc_bits = pc.bits(2, (2 * n).min(62)) as u128;
-        let packed: u128 = ((hist as u128) << (2 * n).min(64)) | pc_bits;
-        let folded = xor_fold(packed, 2 * n);
+        let folded = pc.bits(2, (2 * n).min(62)) ^ xor_fold64(hist, 2 * n);
         InfoVector {
             v1: folded & mask(n),
             v2: (folded >> n) & mask(n),
@@ -296,6 +344,74 @@ mod tests {
         }
         assert_eq!(xor_fold64(0, 10), 0);
         assert_eq!(xor_fold64(u64::MAX, 64), u64::MAX);
+    }
+
+    /// A deterministic stream of 64-bit values for the fast-vs-reference
+    /// comparisons.
+    fn lcg_stream(seed: u64) -> impl Iterator<Item = u64> {
+        std::iter::successors(Some(seed), |x| {
+            Some(
+                x.wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407),
+            )
+        })
+        .map(|x| x ^ (x >> 29))
+    }
+
+    #[test]
+    fn skew_index_equals_the_h_power_composition() {
+        let mut xs = lcg_stream(0x5EED_0001);
+        // Banks 4 and 5 and widths up to bank + 1 take the reference path.
+        for n in 1..=64u32 {
+            for bank in 0..=5u32 {
+                for _ in 0..64 {
+                    let (v1, v2) = (xs.next().unwrap(), xs.next().unwrap());
+                    let want =
+                        h_pow(v1 & mask(n), n, bank + 1) ^ h_inv_pow(v2 & mask(n), n, bank + 1);
+                    assert_eq!(
+                        skew_index(bank, v1, v2, n),
+                        want,
+                        "bank {bank} n {n} v1 {v1:#x} v2 {v2:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn info_vector_equals_the_u128_pack_and_fold() {
+        let reference = |pc: Pc, history: u64, history_length: u32, n: u32| {
+            let hist = match history_length {
+                0 => 0,
+                64.. => history,
+                l => history & ((1u64 << l) - 1),
+            };
+            let pc_bits = pc.bits(2, (2 * n).min(62)) as u128;
+            let packed = ((hist as u128) << (2 * n).min(64)) | pc_bits;
+            let folded = xor_fold(packed, 2 * n);
+            (folded & mask(n), (folded >> n) & mask(n))
+        };
+        let mut xs = lcg_stream(0x5EED_0002);
+        for n in 1..=32u32 {
+            for history_length in 0..=64u32 {
+                for _ in 0..8 {
+                    let pc = Pc::new(xs.next().unwrap());
+                    let history = xs.next().unwrap();
+                    let iv = InfoVector::new(pc, history, history_length, n);
+                    assert_eq!(
+                        (iv.v1, iv.v2),
+                        reference(pc, history, history_length, n),
+                        "pc {pc:?} history {history:#x} length {history_length} n {n}"
+                    );
+                    for bank in 0..=3 {
+                        assert_eq!(
+                            iv.index(bank),
+                            h_pow(iv.v1, n, bank + 1) ^ h_inv_pow(iv.v2, n, bank + 1)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! between the paper's partial update policy and a naive total update
 //! policy (for the ablation benches).
 
-use ev8_trace::{Outcome, Pc};
+use ev8_trace::{BranchRecord, Outcome, Pc};
 
-use crate::counter::Counter2;
 use crate::egskew::majority;
 use crate::history::GlobalHistory;
 use crate::introspect::{prefixed, ArrayInfo, FaultTarget};
@@ -354,13 +353,12 @@ impl TwoBcGskew {
         Indices { bim, g0, g1, meta }
     }
 
-    fn detail_at(&self, idx: Indices) -> (PredictionDetail, Counter2) {
+    fn detail_at(&self, idx: Indices) -> PredictionDetail {
         let bim = self.bim.read(idx.bim).prediction();
         let g0 = self.g0.read(idx.g0).prediction();
         let g1 = self.g1.read(idx.g1).prediction();
         let maj = majority(bim, g0, g1);
-        let meta_ctr = self.meta.read(idx.meta);
-        let chosen = if meta_ctr.prediction().is_taken() {
+        let chosen = if self.meta.read(idx.meta).prediction().is_taken() {
             ChosenComponent::Majority
         } else {
             ChosenComponent::Bimodal
@@ -369,23 +367,30 @@ impl TwoBcGskew {
             ChosenComponent::Majority => maj,
             ChosenComponent::Bimodal => bim,
         };
-        (
-            PredictionDetail {
-                bim,
-                g0,
-                g1,
-                majority: maj,
-                chosen,
-                overall,
-            },
-            meta_ctr,
-        )
+        PredictionDetail {
+            bim,
+            g0,
+            g1,
+            majority: maj,
+            chosen,
+            overall,
+        }
+    }
+
+    /// The one lookup per branch: the four indices under the current
+    /// history and the detail read from them. `predict`, `update`, the
+    /// fused step and the observed step all start here, so each computes
+    /// the indices once.
+    #[inline]
+    fn lookup(&self, pc: Pc) -> (Indices, PredictionDetail) {
+        let idx = self.indices(pc);
+        (idx, self.detail_at(idx))
     }
 
     /// Computes the full per-component prediction detail for `pc` under
     /// the current history.
     pub fn predict_detail(&self, pc: Pc) -> PredictionDetail {
-        self.detail_at(self.indices(pc)).0
+        self.lookup(pc).1
     }
 
     /// Strengthens participating tables after a correct prediction
@@ -424,12 +429,31 @@ impl TwoBcGskew {
         self.g1.train(idx.g1, outcome);
     }
 
-    /// Applies the §4.2 partial update and classifies what it did. The
+    /// Applies the configured update policy to the branch at `idx`, whose
+    /// tables currently read `d`, and classifies what it did. The
     /// returned pair is `(action, meta written)`; the plain update path
     /// discards it (the values fall out of branches already taken, so
     /// producing them costs nothing).
-    fn update_partial(&mut self, idx: Indices, outcome: Outcome) -> (UpdateAction, bool) {
-        let (d, _) = self.detail_at(idx);
+    #[inline]
+    fn apply_update(
+        &mut self,
+        idx: Indices,
+        d: &PredictionDetail,
+        outcome: Outcome,
+    ) -> (UpdateAction, bool) {
+        match self.config.update_policy {
+            UpdatePolicy::Partial => self.update_partial(idx, d, outcome),
+            UpdatePolicy::Total => self.update_total(idx, d, outcome),
+        }
+    }
+
+    /// The §4.2 partial update.
+    fn update_partial(
+        &mut self,
+        idx: Indices,
+        d: &PredictionDetail,
+        outcome: Outcome,
+    ) -> (UpdateAction, bool) {
         let predictions_differ = d.bim != d.majority;
 
         if d.overall == outcome {
@@ -443,7 +467,7 @@ impl TwoBcGskew {
                 // Strengthen Meta toward its (correct) current choice.
                 self.meta.strengthen(idx.meta);
             }
-            self.strengthen_participants(idx, &d, d.chosen, outcome);
+            self.strengthen_participants(idx, d, d.chosen, outcome);
             (UpdateAction::Strengthened, predictions_differ)
         } else if predictions_differ {
             // Rationale 2: first update the chooser, then recompute the
@@ -462,7 +486,7 @@ impl TwoBcGskew {
             if new_overall == outcome {
                 // "correct prediction: strengthens all participating
                 // tables"
-                self.strengthen_participants(idx, &d, new_chosen, outcome);
+                self.strengthen_participants(idx, d, new_chosen, outcome);
                 (UpdateAction::ChooserFirst, true)
             } else {
                 // "misprediction: update all banks"
@@ -477,8 +501,12 @@ impl TwoBcGskew {
         }
     }
 
-    fn update_total(&mut self, idx: Indices, outcome: Outcome) -> (UpdateAction, bool) {
-        let (d, _) = self.detail_at(idx);
+    fn update_total(
+        &mut self,
+        idx: Indices,
+        d: &PredictionDetail,
+        outcome: Outcome,
+    ) -> (UpdateAction, bool) {
         let meta_trained = d.bim != d.majority;
         if meta_trained {
             self.meta
@@ -501,12 +529,8 @@ impl TwoBcGskew {
             self.config.commit_window, 0,
             "observed updates require immediate (commit_window = 0) updates"
         );
-        let idx = self.indices(pc);
-        let (d, _) = self.detail_at(idx);
-        let (action, meta_trained) = match self.config.update_policy {
-            UpdatePolicy::Partial => self.update_partial(idx, outcome),
-            UpdatePolicy::Total => self.update_total(idx, outcome),
-        };
+        let (idx, d) = self.lookup(pc);
+        let (action, meta_trained) = self.apply_update(idx, &d, outcome);
         self.history.push(outcome);
         Provenance {
             pc,
@@ -521,6 +545,32 @@ impl TwoBcGskew {
             meta_trained,
             bank: None,
         }
+    }
+
+    /// The state transition of one conditional branch whose
+    /// [`lookup`](Self::lookup) gave `idx` and `d`: the table update
+    /// (now, or `commit_window` branches later), then the history shift.
+    #[inline]
+    fn step(&mut self, idx: Indices, d: &PredictionDetail, outcome: Outcome) {
+        if self.config.commit_window == 0 {
+            // Immediate update — the paper's simulation methodology. The
+            // tables still hold what the lookup read.
+            let _ = self.apply_update(idx, d, outcome);
+        } else {
+            // Commit-time update: the indices were computed under the
+            // speculative (prediction-time) history; the counter write
+            // happens `commit_window` branches later, re-reading the
+            // tables as the hardware's commit-time hysteresis read does.
+            self.pending.push_back((idx, outcome));
+            if self.pending.len() > self.config.commit_window {
+                let (cidx, coutcome) = self.pending.pop_front().expect("non-empty");
+                let cd = self.detail_at(cidx);
+                let _ = self.apply_update(cidx, &cd, coutcome);
+            }
+        }
+        // History is updated speculatively at prediction time on the real
+        // EV8 (correct-path traces make the speculative value exact).
+        self.history.push(outcome);
     }
 }
 
@@ -583,30 +633,22 @@ impl BranchPredictor for TwoBcGskew {
     }
 
     fn update(&mut self, pc: Pc, outcome: Outcome) {
-        let idx = self.indices(pc);
-        if self.config.commit_window == 0 {
-            // Immediate update — the paper's simulation methodology.
-            let _ = match self.config.update_policy {
-                UpdatePolicy::Partial => self.update_partial(idx, outcome),
-                UpdatePolicy::Total => self.update_total(idx, outcome),
-            };
-        } else {
-            // Commit-time update: the indices were computed under the
-            // speculative (prediction-time) history; the counter write
-            // happens `commit_window` branches later, re-reading the
-            // tables as the hardware's commit-time hysteresis read does.
-            self.pending.push_back((idx, outcome));
-            if self.pending.len() > self.config.commit_window {
-                let (cidx, coutcome) = self.pending.pop_front().expect("non-empty");
-                let _ = match self.config.update_policy {
-                    UpdatePolicy::Partial => self.update_partial(cidx, coutcome),
-                    UpdatePolicy::Total => self.update_total(cidx, coutcome),
-                };
-            }
+        let (idx, d) = self.lookup(pc);
+        self.step(idx, &d, outcome);
+    }
+
+    /// One lookup per branch: the indices and table reads that make the
+    /// prediction also drive the update. Bit-identical to `predict` +
+    /// `update_record`, because nothing changes between the two calls'
+    /// lookups — the history shifts only after the update.
+    #[inline]
+    fn predict_and_update(&mut self, record: &BranchRecord) -> Option<Outcome> {
+        if !record.kind.is_conditional() {
+            return None;
         }
-        // History is updated speculatively at prediction time on the real
-        // EV8 (correct-path traces make the speculative value exact).
-        self.history.push(outcome);
+        let (idx, d) = self.lookup(record.pc);
+        self.step(idx, &d, record.outcome);
+        Some(d.overall)
     }
 
     fn name(&self) -> String {
@@ -632,6 +674,7 @@ impl BranchPredictor for TwoBcGskew {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counter::Counter2;
 
     #[test]
     fn paper_config_budgets() {
@@ -701,8 +744,7 @@ mod tests {
         for _ in 0..6 {
             p.update(pc, Outcome::Taken);
         }
-        let idx = p.indices(pc);
-        let (d, _) = p.detail_at(idx);
+        let (idx, d) = p.lookup(pc);
         assert_eq!(d.bim, Outcome::Taken);
         assert_eq!(d.g0, Outcome::Taken);
         assert_eq!(d.g1, Outcome::Taken);
@@ -964,6 +1006,29 @@ mod tests {
         for i in 0..53u64 {
             let pc = Pc::new(0x1000 + i * 4);
             assert_eq!(plain.predict_detail(pc), observed.predict_detail(pc));
+        }
+    }
+
+    #[test]
+    fn fused_step_equals_predict_then_update_for_every_policy_and_window() {
+        for policy in [UpdatePolicy::Partial, UpdatePolicy::Total] {
+            for window in [0, 1, 5] {
+                let config = TwoBcGskewConfig::equal(8, 10)
+                    .with_update_policy(policy)
+                    .with_commit_window(window);
+                let mut composed = TwoBcGskew::new(config);
+                let mut fused = composed.clone();
+                let mut x = 0x2545_F491u64;
+                for i in 0..3000u64 {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let pc = Pc::new(0x1000 + (i % 61) * 4);
+                    let record = BranchRecord::conditional(pc, pc, (x >> 35) % 3 != 0);
+                    let want = composed.predict(pc);
+                    composed.update_record(&record);
+                    assert_eq!(fused.predict_and_update(&record), Some(want));
+                }
+                assert_eq!(fused, composed, "{policy:?}, window {window}");
+            }
         }
     }
 

@@ -4,12 +4,12 @@
 //! checking 16 of these tags in only one and half cycle would have been
 //! difficult to implement." (§8.2)
 
-use ev8_trace::{Outcome, Pc};
+use ev8_trace::{BranchRecord, Outcome, Pc};
 
 use crate::counter::Counter2;
 use crate::history::GlobalHistory;
 use crate::predictor::BranchPredictor;
-use crate::skew::xor_fold;
+use crate::skew::xor_fold64;
 
 /// One entry of a YAGS direction cache: a partial tag plus a 2-bit
 /// counter.
@@ -28,6 +28,18 @@ impl CacheEntry {
             valid: false,
         }
     }
+}
+
+/// What one lookup read, and where: everything the update needs.
+#[derive(Clone, Copy, Debug)]
+struct Lookup {
+    choice_index: usize,
+    cache_index: usize,
+    tag: u8,
+    choice: Outcome,
+    /// The searched cache held a valid entry with the branch's tag.
+    hit: bool,
+    prediction: Outcome,
 }
 
 /// The YAGS predictor: a PC-indexed bimodal *choice* table plus two
@@ -101,7 +113,7 @@ impl Yags {
     }
 
     fn cache_index(&self, pc: Pc) -> usize {
-        let folded = xor_fold(self.history.bits() as u128, self.cache_bits);
+        let folded = xor_fold64(self.history.bits(), self.cache_bits);
         (pc.bits(2, self.cache_bits) ^ folded) as usize
     }
 
@@ -109,48 +121,47 @@ impl Yags {
         (pc.bits(2, self.tag_bits)) as u8
     }
 
-    /// (choice, used_cache_hit, prediction)
-    fn lookup(&self, pc: Pc) -> (Outcome, bool, Outcome) {
-        let choice = self.choice[self.choice_index(pc)].prediction();
-        let ci = self.cache_index(pc);
+    /// The one lookup per branch: `predict`, `update` and the fused step
+    /// all start here.
+    #[inline]
+    fn lookup(&self, pc: Pc) -> Lookup {
+        let choice_index = self.choice_index(pc);
+        let cache_index = self.cache_index(pc);
         let tag = self.tag(pc);
+        let choice = self.choice[choice_index].prediction();
         let cache = if choice.is_taken() {
             &self.not_taken_cache
         } else {
             &self.taken_cache
         };
-        let e = &cache[ci];
-        if e.valid && e.tag == tag {
-            (choice, true, e.counter.prediction())
-        } else {
-            (choice, false, choice)
+        let e = &cache[cache_index];
+        let hit = e.valid && e.tag == tag;
+        Lookup {
+            choice_index,
+            cache_index,
+            tag,
+            choice,
+            hit,
+            prediction: if hit { e.counter.prediction() } else { choice },
         }
     }
-}
 
-impl BranchPredictor for Yags {
-    fn predict(&self, pc: Pc) -> Outcome {
-        self.lookup(pc).2
-    }
-
-    fn update(&mut self, pc: Pc, outcome: Outcome) {
-        let (choice, hit, prediction) = self.lookup(pc);
-        let ci = self.cache_index(pc);
-        let tag = self.tag(pc);
-        let choice_idx = self.choice_index(pc);
-
-        let cache = if choice.is_taken() {
+    /// The YAGS update of a branch whose lookup was `l`, then the
+    /// history shift.
+    #[inline]
+    fn step(&mut self, l: Lookup, outcome: Outcome) {
+        let cache = if l.choice.is_taken() {
             &mut self.not_taken_cache
         } else {
             &mut self.taken_cache
         };
-        if hit {
-            cache[ci].counter.train(outcome);
-        } else if choice != outcome {
+        if l.hit {
+            cache[l.cache_index].counter.train(outcome);
+        } else if l.choice != outcome {
             // The choice mispredicted with no covering exception entry:
             // allocate one in the cache opposite to the choice.
-            cache[ci] = CacheEntry {
-                tag,
+            cache[l.cache_index] = CacheEntry {
+                tag: l.tag,
                 counter: if outcome.is_taken() {
                     Counter2::weakly_taken()
                 } else {
@@ -162,11 +173,34 @@ impl BranchPredictor for Yags {
         // Choice table: train toward the outcome except when the choice
         // was wrong but the exception cache predicted correctly (as in
         // bi-mode, this preserves the bias information).
-        let spare_choice = choice != outcome && hit && prediction == outcome;
+        let spare_choice = l.choice != outcome && l.hit && l.prediction == outcome;
         if !spare_choice {
-            self.choice[choice_idx].train(outcome);
+            self.choice[l.choice_index].train(outcome);
         }
         self.history.push(outcome);
+    }
+}
+
+impl BranchPredictor for Yags {
+    fn predict(&self, pc: Pc) -> Outcome {
+        self.lookup(pc).prediction
+    }
+
+    fn update(&mut self, pc: Pc, outcome: Outcome) {
+        let l = self.lookup(pc);
+        self.step(l, outcome);
+    }
+
+    /// One lookup per branch, bit-identical to `predict` +
+    /// `update_record`: both would look up under the same history.
+    #[inline]
+    fn predict_and_update(&mut self, record: &BranchRecord) -> Option<Outcome> {
+        if !record.kind.is_conditional() {
+            return None;
+        }
+        let l = self.lookup(record.pc);
+        self.step(l, record.outcome);
+        Some(l.prediction)
     }
 
     fn name(&self) -> String {
@@ -253,9 +287,9 @@ mod tests {
         // not-taken cache is searched.
         let chi = p.choice_index(pc_a);
         p.choice[chi] = Counter2::new(3);
-        let (_, hit, pred) = p.lookup(pc_a);
-        assert!(!hit);
-        assert_eq!(pred, Outcome::Taken); // falls back to choice
+        let l = p.lookup(pc_a);
+        assert!(!l.hit);
+        assert_eq!(l.prediction, Outcome::Taken); // falls back to choice
     }
 
     #[test]

@@ -61,7 +61,9 @@ fi
 
 # Observability smoke, budgeted like the suites above: the golden
 # misprediction fixture (exact counters for every benchmark × predictor
-# pair — re-bless intended changes with EV8_BLESS_GOLDEN=1) plus one
+# pair: EV8, gshare, bimodal and TAGE, then the Fig 5 families 2Bc-gskew
+# 512 Kbit, bi-mode and YAGS 288 Kbit — re-bless intended changes with
+# EV8_BLESS_GOLDEN=1) plus one
 # pass of the attribution experiment at one-sample scale, which
 # exercises the observed simulation loop end-to-end and asserts the
 # reconciliation and §6 zero-collision invariants in-process.
@@ -199,9 +201,16 @@ if [ "$QUICK" -eq 0 ]; then
         EV8_CORPUS_SCALE=0.002 EV8_SAMPLING_SCALE=0.002 \
         EV8_BENCH_JSON="$PWD/target/bench-smoke.json" \
         cargo bench --offline -p ev8-bench
+    # One pass of the pipeline benchmark's Fig 5 grid at the calibrated
+    # seed: run_grid over the whole roster at scale 0.2, every one of its
+    # 48 cells checked exactly against the benchmark's reference.tsv.
+    run cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+        fig5_grid --seed 0 --seconds 1
 fi
 
 run cargo clippy --all-targets --offline -- -D warnings
+run cargo clippy --all-targets --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- -D warnings
 run cargo fmt --check
+run cargo fmt --check --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
 echo "==> CI OK"

@@ -4,7 +4,9 @@
 //! *bit-identical* to serial `simulate` calls over the source `Trace` —
 //! same `SimResult` fields and same post-run predictor state (checked
 //! through the 2Bc-gskew write-accounting counters, the most fragile
-//! observable).
+//! observable). The stale-commit hook at window 0 steps `predict` then
+//! `update_record`, so the same checks pin every fused
+//! `predict_and_update` against the composition it replaces.
 //!
 //! Property cases are driven by the in-tree deterministic harness
 //! (`ev8_util::prop`); a failure panics with an
@@ -21,10 +23,12 @@ use ev8_util::prop_assert_eq;
 use ev8_core::Ev8Predictor;
 use ev8_faults::{FaultInjector, FaultPlan};
 use ev8_predictors::bimodal::Bimodal;
+use ev8_predictors::bimode::Bimode;
 use ev8_predictors::gshare::Gshare;
 use ev8_predictors::observe::ConditionalBranchPredictor;
 use ev8_predictors::tage::{Tage, TageConfig};
-use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
+use ev8_predictors::twobcgskew::{TableConfig, TwoBcGskew, TwoBcGskewConfig, UpdatePolicy};
+use ev8_predictors::yags::Yags;
 use ev8_predictors::BranchPredictor;
 use ev8_sim::observe::NullObserver;
 use ev8_sim::session::SessionSim;
@@ -283,6 +287,62 @@ where
     Ok(())
 }
 
+/// One 2Bc-gskew table of arbitrary geometry. Histories longer than
+/// twice the index width take more than one chunk of the fold.
+fn arb_table(g: &mut Gen) -> TableConfig {
+    let (index_bits, history_length) = (g.range(4u32..12), g.range(0u32..=64));
+    if g.bool() {
+        TableConfig::new(index_bits, history_length)
+    } else {
+        TableConfig::with_half_hysteresis(index_bits, history_length)
+    }
+}
+
+fn arb_gskew_config(g: &mut Gen) -> TwoBcGskewConfig {
+    TwoBcGskewConfig {
+        bim: arb_table(g),
+        g0: arb_table(g),
+        g1: arb_table(g),
+        meta: arb_table(g),
+        update_policy: *g.choose(&[UpdatePolicy::Partial, UpdatePolicy::Total]),
+        commit_window: 0,
+    }
+}
+
+/// For the families outside `ConditionalBranchPredictor`: the fused
+/// `simulate` against `predict` + `update_record` (stale commit at window
+/// 0) and against `simulate_many`, then every finished predictor's
+/// `predict` at every PC of the trace.
+fn fused_step_matches_composed<P: BranchPredictor>(
+    trace: &Trace,
+    make: impl Fn() -> P,
+) -> Result<(), String> {
+    let mut fused = make();
+    let want = simulate(&mut fused, trace);
+    let mut composed = make();
+    let tally = drive(
+        &mut composed,
+        trace,
+        StaleCommit::new(0, &mut VecDeque::new()),
+    );
+    let name = composed.name();
+    prop_assert_eq!(
+        SimResult::new(trace.name(), trace.instruction_count(), name, tally),
+        want.clone()
+    );
+    let mut batched = [make()];
+    prop_assert_eq!(
+        simulate_many(&mut batched, &FlatTrace::from_trace(trace)),
+        vec![want]
+    );
+    for record in trace.records() {
+        let prediction = fused.predict(record.pc);
+        prop_assert_eq!(composed.predict(record.pc), prediction);
+        prop_assert_eq!(batched[0].predict(record.pc), prediction);
+    }
+    Ok(())
+}
+
 #[test]
 fn simulate_flat_equals_simulate_on_arbitrary_traces() {
     check(
@@ -292,13 +352,20 @@ fn simulate_flat_equals_simulate_on_arbitrary_traces() {
             let trace = arb_trace(g);
             let bits = g.range(4u32..12);
             every_path_matches_simulate(g, &trace, || Gshare::new(bits, bits), |_| ())?;
-            let config = TwoBcGskewConfig::equal(g.range(4u32..10), g.range(0u32..12));
-            every_path_matches_simulate(
-                g,
-                &trace,
-                || TwoBcGskew::new(config),
-                TwoBcGskew::write_traffic,
-            )
+            // The whole predictor is the state: counters, write
+            // accounting and history.
+            let config = arb_gskew_config(g);
+            every_path_matches_simulate(g, &trace, || TwoBcGskew::new(config), Clone::clone)?;
+            let (choice, cache, tag, history) = (
+                g.range(4u32..12),
+                g.range(4u32..12),
+                g.range(1u32..=8),
+                g.range(0u32..=64),
+            );
+            fused_step_matches_composed(&trace, || Yags::new(choice, cache, tag, history))?;
+            let (choice, direction, history) =
+                (g.range(4u32..12), g.range(4u32..12), g.range(0u32..=64));
+            fused_step_matches_composed(&trace, || Bimode::new(choice, direction, history))
         },
     );
 }

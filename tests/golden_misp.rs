@@ -20,8 +20,11 @@ use std::path::PathBuf;
 
 use ev8_core::Ev8Predictor;
 use ev8_predictors::bimodal::Bimodal;
+use ev8_predictors::bimode::Bimode;
 use ev8_predictors::gshare::Gshare;
 use ev8_predictors::tage::{Tage, TageConfig};
+use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
+use ev8_predictors::yags::Yags;
 use ev8_predictors::BranchPredictor;
 use ev8_sim::{simulate, simulate_many};
 use ev8_workloads::spec95;
@@ -32,8 +35,13 @@ use ev8_workloads::spec95;
 const SCALE: f64 = 0.002;
 
 /// Stable fixture keys (decoupled from `BranchPredictor::name`, which
-/// embeds configuration and may be reworded).
-const PREDICTORS: [&str; 4] = ["ev8", "gshare", "bimodal", "tage"];
+/// embeds configuration and may be reworded), in blocks. The fixture
+/// holds the whole suite for the first block, then for the second, so
+/// the Fig 5 families were appended without moving any earlier line.
+const BLOCKS: [&[&str]; 2] = [
+    &["ev8", "gshare", "bimodal", "tage"],
+    &["twobcgskew_512k", "bimode_544k", "yags_288k"],
+];
 
 fn build(key: &str) -> Box<dyn BranchPredictor> {
     match key {
@@ -44,6 +52,11 @@ fn build(key: &str) -> Box<dyn BranchPredictor> {
         "bimodal" => Box::new(Bimodal::new(14)),
         // The next-generation design at the exact EV8 budget.
         "tage" => Box::new(Tage::new(TageConfig::ev8_budget())),
+        // The Fig 5 roster's other families, as `fig5::configs()` builds
+        // them.
+        "twobcgskew_512k" => Box::new(TwoBcGskew::new(TwoBcGskewConfig::size_512k())),
+        "bimode_544k" => Box::new(Bimode::paper_544k()),
+        "yags_288k" => Box::new(Yags::paper_288k()),
         _ => unreachable!("unknown fixture key {key}"),
     }
 }
@@ -54,19 +67,22 @@ fn fixture_path() -> PathBuf {
 
 /// Runs the whole grid and renders it in fixture format: one
 /// `benchmark predictor instructions conditional_branches mispredictions`
-/// line per (benchmark, predictor) pair, suite order, LF-terminated.
+/// line per (benchmark, predictor) pair, block by block, suite order
+/// within a block, LF-terminated.
 fn current_table() -> String {
     let mut out = String::new();
-    for name in spec95::NAMES {
-        let trace = spec95::cached(name, SCALE).expect("benchmark names are known");
-        for key in PREDICTORS {
-            let r = simulate(build(key), &trace);
-            writeln!(
-                out,
-                "{name} {key} {} {} {}",
-                r.instructions, r.conditional_branches, r.mispredictions
-            )
-            .unwrap();
+    for block in BLOCKS {
+        for name in spec95::NAMES {
+            let trace = spec95::cached(name, SCALE).expect("benchmark names are known");
+            for &key in block {
+                let r = simulate(build(key), &trace);
+                writeln!(
+                    out,
+                    "{name} {key} {} {} {}",
+                    r.instructions, r.conditional_branches, r.mispredictions
+                )
+                .unwrap();
+            }
         }
     }
     out
@@ -115,21 +131,22 @@ fn misprediction_counters_match_golden_fixture() {
     }
 }
 
-/// The same grid through the batched sweep engine: all four predictors
-/// stepped per branch in one pass over the packed flat view.
+/// The same grid through the batched sweep engine: each block's
+/// predictors stepped per branch in one pass over the packed flat view.
 fn current_table_batched() -> String {
     let mut out = String::new();
-    for name in spec95::NAMES {
-        let flat = spec95::cached_flat(name, SCALE).expect("benchmark names are known");
-        let mut batch: Vec<Box<dyn BranchPredictor>> =
-            PREDICTORS.iter().map(|k| build(k)).collect();
-        for (key, r) in PREDICTORS.iter().zip(simulate_many(&mut batch, &flat)) {
-            writeln!(
-                out,
-                "{name} {key} {} {} {}",
-                r.instructions, r.conditional_branches, r.mispredictions
-            )
-            .unwrap();
+    for block in BLOCKS {
+        for name in spec95::NAMES {
+            let flat = spec95::cached_flat(name, SCALE).expect("benchmark names are known");
+            let mut batch: Vec<Box<dyn BranchPredictor>> = block.iter().map(|k| build(k)).collect();
+            for (key, r) in block.iter().zip(simulate_many(&mut batch, &flat)) {
+                writeln!(
+                    out,
+                    "{name} {key} {} {} {}",
+                    r.instructions, r.conditional_branches, r.mispredictions
+                )
+                .unwrap();
+            }
         }
     }
     out
@@ -173,7 +190,10 @@ fn fixture_rows_are_internally_consistent() {
     for line in want.lines() {
         let f: Vec<&str> = line.split_whitespace().collect();
         assert_eq!(f.len(), 5, "malformed fixture line: {line}");
-        assert!(PREDICTORS.contains(&f[1]), "unknown predictor in: {line}");
+        assert!(
+            BLOCKS.iter().any(|block| block.contains(&f[1])),
+            "unknown predictor in: {line}"
+        );
         let inst: u64 = f[2].parse().expect("instructions");
         let cond: u64 = f[3].parse().expect("conditional_branches");
         let misp: u64 = f[4].parse().expect("mispredictions");
@@ -181,5 +201,6 @@ fn fixture_rows_are_internally_consistent() {
         assert!(misp <= cond, "more mispredictions than branches: {line}");
         lines += 1;
     }
-    assert_eq!(lines, spec95::NAMES.len() * PREDICTORS.len());
+    let keys: usize = BLOCKS.iter().map(|block| block.len()).sum();
+    assert_eq!(lines, spec95::NAMES.len() * keys);
 }
