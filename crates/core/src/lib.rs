@@ -21,7 +21,11 @@
 //! * [`predictor`] — the assembled [`Ev8Predictor`]: Table 1 geometry
 //!   (BIM 16K/16K h4, G0 64K/32K h13, G1 64K/64K h21, Meta 64K/32K h15 —
 //!   352 Kbits), the §4.2 partial update policy, and configurable
-//!   information-vector/indexing modes for the Fig 7-9 experiments.
+//!   information-vector/indexing modes for the Fig 7-9 experiments. The
+//!   tables, their read and the §4.2 update are
+//!   `ev8_predictors::twobcgskew::Tables`, the same body the scheme-level
+//!   2Bc-gskew runs; this crate adds the per-thread front end that
+//!   indexes them.
 //! * [`line_predictor`] — the simple line predictor that feeds the PC
 //!   address generator (§2), as a front-end substrate.
 //! * [`ras`] — the return-address stack and indirect-jump predictor that
@@ -30,8 +34,8 @@
 //!   single-ported access discipline audited.
 //! * [`pipeline`] — the cycle-level two-blocks-per-cycle fetch pipeline
 //!   of Figs 1 and 3.
-//! * [`smt`] — simultaneous multithreading support: per-thread history
-//!   registers over shared tables (§3).
+//! * [`smt`] — simultaneous multithreading support: one shared table set
+//!   and one [`Ev8Predictor`] front end per thread context (§3).
 //! * [`observe`] — the EV8 predictor's side of the opt-in
 //!   [`observe::ObservedPredictor`] hook (the trait itself and the
 //!   unified `ConditionalBranchPredictor` capability bundle live in

@@ -12,16 +12,22 @@
 //! * the **engineered index functions** (§7);
 //! * the **partial update policy** of §4.2.
 //!
+//! The predictor is two parts. The four tables, their read and the §4.2
+//! update are [`Tables`], the one body `ev8_predictors`' 2Bc-gskew also
+//! runs. Everything the EV8 keeps per hardware thread (fetch state,
+//! lghist, banks, conventional history) is the front end, which also owns
+//! the index dispatch; [`crate::smt::SmtEv8`] is the same tables under
+//! one front end per thread.
+//!
 //! The information-vector and indexing variants of Figures 7-9 are
 //! selected through [`Ev8Config`].
 
-use ev8_predictors::counter::Counter2;
 use ev8_predictors::history::GlobalHistory;
 use ev8_predictors::introspect::{ArrayInfo, FaultTarget};
-use ev8_predictors::provenance::{Provenance, UpdateAction};
-use ev8_predictors::skew::{xor_fold, InfoVector};
-use ev8_predictors::table::SplitCounterTable;
-use ev8_predictors::twobcgskew::ChosenComponent;
+use ev8_predictors::provenance::Provenance;
+use ev8_predictors::skew::{xor_fold64, InfoVector};
+pub use ev8_predictors::twobcgskew::Indices;
+use ev8_predictors::twobcgskew::{PredictionDetail, TableConfig, Tables};
 use ev8_predictors::BranchPredictor;
 use ev8_trace::{BranchRecord, Outcome, Pc};
 
@@ -31,78 +37,29 @@ use crate::fetch::{FetchBlock, FetchState};
 use crate::index::IndexInputs;
 use crate::lghist::DelayedLghist;
 
-/// Table indices for the four logical tables, for one branch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Indices {
-    /// BIM table index.
-    pub bim: usize,
-    /// G0 table index.
-    pub g0: usize,
-    /// G1 table index.
-    pub g1: usize,
-    /// Meta table index.
-    pub meta: usize,
-}
-
-/// Per-component prediction detail (mirrors
-/// `ev8_predictors::twobcgskew::PredictionDetail`, computed under the
-/// EV8's constrained context).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Ev8Prediction {
-    /// BIM prediction.
-    pub bim: Outcome,
-    /// G0 prediction.
-    pub g0: Outcome,
-    /// G1 prediction.
-    pub g1: Outcome,
-    /// Majority of (BIM, G0, G1).
-    pub majority: Outcome,
-    /// The side the meta-predictor chose.
-    pub chosen: ChosenComponent,
-    /// Final prediction.
-    pub overall: Outcome,
-}
-
-/// The Alpha EV8 conditional branch predictor.
-///
-/// # Example
-///
-/// ```
-/// use ev8_core::Ev8Predictor;
-/// use ev8_predictors::BranchPredictor;
-/// use ev8_trace::{BranchRecord, Pc};
-///
-/// let mut p = Ev8Predictor::ev8();
-/// let rec = BranchRecord::conditional(Pc::new(0x1000), Pc::new(0x1100), true);
-/// let predicted = p.predict_and_update(&rec);
-/// assert!(predicted.is_some());
-/// ```
+/// One hardware thread's front end: the state the EV8 keeps per thread
+/// (§3) and the index dispatch that turns it into table indices.
 #[derive(Clone, Debug)]
-pub struct Ev8Predictor {
-    config: Ev8Config,
-    bim: SplitCounterTable,
-    g0: SplitCounterTable,
-    g1: SplitCounterTable,
-    meta: SplitCounterTable,
+pub(crate) struct FrontEnd {
     lghist: DelayedLghist,
     ghist: GlobalHistory,
     fetch: FetchState,
     banks: BankSequencer,
     current_bank: BankId,
-    last_block_start: Option<Pc>,
+    pub(crate) last_block_start: Option<Pc>,
     /// Scratch buffer of blocks completed during the current feed.
     completed: Vec<FetchBlock>,
 }
 
-impl Ev8Predictor {
-    /// Creates a predictor from a configuration.
+impl FrontEnd {
+    /// A front end in its reset state.
     ///
     /// # Panics
     ///
     /// Panics if `config.index` is [`IndexScheme::Ev8`] but the geometry
     /// is not the Table 1 layout the hardware index functions assume
     /// (16K-entry BIM, 64K-entry G0/G1/Meta).
-    pub fn new(config: Ev8Config) -> Self {
+    pub(crate) fn new(config: &Ev8Config) -> Self {
         if matches!(config.index, IndexScheme::Ev8 { .. }) {
             assert_eq!(
                 (
@@ -123,11 +80,7 @@ impl Ev8Predictor {
                 ..
             } => (path_bit, three_blocks_old),
         };
-        Ev8Predictor {
-            bim: SplitCounterTable::new(config.bim.index_bits, config.bim.hysteresis_index_bits),
-            g0: SplitCounterTable::new(config.g0.index_bits, config.g0.hysteresis_index_bits),
-            g1: SplitCounterTable::new(config.g1.index_bits, config.g1.hysteresis_index_bits),
-            meta: SplitCounterTable::new(config.meta.index_bits, config.meta.hysteresis_index_bits),
+        FrontEnd {
             lghist: DelayedLghist::new(config.max_history().min(64), path_bit, delayed),
             ghist: GlobalHistory::new(config.max_history().min(64)),
             fetch: FetchState::new(),
@@ -135,53 +88,21 @@ impl Ev8Predictor {
             current_bank: 0,
             last_block_start: None,
             completed: Vec::with_capacity(8),
-            config,
         }
     }
 
-    /// The shipping EV8 configuration (352 Kbits, all constraints).
-    pub fn ev8() -> Self {
-        Self::new(Ev8Config::ev8())
-    }
-
-    /// The predictor's configuration.
-    pub fn config(&self) -> &Ev8Config {
-        &self.config
-    }
-
-    /// The history value visible to the index functions right now.
-    pub fn visible_history(&self) -> u64 {
-        match self.config.history {
+    fn visible_history(&self, config: &Ev8Config) -> u64 {
+        match config.history {
             HistoryMode::Ghist => self.ghist.bits(),
             HistoryMode::Lghist { .. } => self.lghist.visible_bits(),
         }
     }
 
-    fn path_patch_enabled(&self) -> bool {
-        matches!(
-            self.config.history,
-            HistoryMode::Lghist {
-                path_patch: true,
-                ..
-            }
-        )
-    }
-
-    /// A hash of the last three fetch-block addresses (the §5.2 path
-    /// information patch).
-    fn path_hash(&self) -> u64 {
-        let mut acc = 0u64;
-        for addr in self.lghist.recent_addresses() {
-            acc = acc.rotate_left(9) ^ (addr.as_u64() >> 2);
-        }
-        acc
-    }
-
-    /// Computes the four table indices for a branch at `pc` in the current
-    /// fetch context.
-    pub fn indices(&self, pc: Pc) -> Indices {
-        let history = self.visible_history();
-        match self.config.index {
+    /// The four table indices for a branch at `pc` in the current fetch
+    /// context.
+    fn indices(&self, config: &Ev8Config, pc: Pc) -> Indices {
+        let history = self.visible_history(config);
+        match config.index {
             IndexScheme::Ev8 { wordline } => {
                 let inputs = IndexInputs {
                     pc,
@@ -198,149 +119,45 @@ impl Ev8Predictor {
                 }
             }
             IndexScheme::CompleteHash => {
-                let patch = if self.path_patch_enabled() {
-                    self.path_hash()
-                } else {
-                    0
+                // The §5.2 path patch: a hash of the last three fetch-block
+                // addresses, folded into every hashed index.
+                let patch = match config.history {
+                    HistoryMode::Lghist {
+                        path_patch: true, ..
+                    } => self
+                        .lghist
+                        .recent_addresses()
+                        .fold(0u64, |acc, addr| acc.rotate_left(9) ^ (addr.as_u64() >> 2)),
+                    _ => 0,
                 };
-                let table = |bank: u32, bits: u32, hlen: u32| -> usize {
-                    let iv = InfoVector::new(pc, history, hlen, bits);
-                    let idx = iv.index(bank);
-                    if patch != 0 {
-                        (idx ^ xor_fold(patch as u128, bits)) as usize
-                    } else {
-                        idx as usize
-                    }
+                let table = |bank: u32, t: &TableConfig| {
+                    let idx = InfoVector::new(pc, history, t.history_length, t.index_bits);
+                    (idx.index(bank) ^ xor_fold64(patch, t.index_bits)) as usize
                 };
-                let c = &self.config;
                 Indices {
-                    bim: if c.bim.history_length == 0 {
-                        pc.bits(2, c.bim.index_bits) as usize
+                    bim: if config.bim.history_length == 0 {
+                        pc.bits(2, config.bim.index_bits) as usize
                     } else {
-                        table(0, c.bim.index_bits, c.bim.history_length)
+                        table(0, &config.bim)
                     },
-                    g0: table(1, c.g0.index_bits, c.g0.history_length),
-                    g1: table(2, c.g1.index_bits, c.g1.history_length),
-                    meta: table(3, c.meta.index_bits, c.meta.history_length),
+                    g0: table(1, &config.g0),
+                    g1: table(2, &config.g1),
+                    meta: table(3, &config.meta),
                 }
             }
         }
     }
 
-    /// Reads the tables and combines them per the 2Bc-gskew rule.
-    pub fn predict_at(&self, idx: Indices) -> Ev8Prediction {
-        let bim = self.bim.read(idx.bim).prediction();
-        let g0 = self.g0.read(idx.g0).prediction();
-        let g1 = self.g1.read(idx.g1).prediction();
-        let votes = bim.as_bit() + g0.as_bit() + g1.as_bit();
-        let majority = Outcome::from(votes >= 2);
-        let chosen = if self.meta.read(idx.meta).prediction().is_taken() {
-            ChosenComponent::Majority
-        } else {
-            ChosenComponent::Bimodal
-        };
-        let overall = match chosen {
-            ChosenComponent::Majority => majority,
-            ChosenComponent::Bimodal => bim,
-        };
-        Ev8Prediction {
-            bim,
-            g0,
-            g1,
-            majority,
-            chosen,
-            overall,
-        }
-    }
-
-    fn strengthen_participants(
-        &mut self,
-        idx: Indices,
-        d: &Ev8Prediction,
-        chosen: ChosenComponent,
-        outcome: Outcome,
-    ) {
-        match chosen {
-            ChosenComponent::Bimodal => self.bim.strengthen(idx.bim),
-            ChosenComponent::Majority => {
-                if d.bim == outcome {
-                    self.bim.strengthen(idx.bim);
-                }
-                if d.g0 == outcome {
-                    self.g0.strengthen(idx.g0);
-                }
-                if d.g1 == outcome {
-                    self.g1.strengthen(idx.g1);
-                }
-            }
-        }
-    }
-
-    fn train_all(&mut self, idx: Indices, outcome: Outcome) {
-        self.bim.train(idx.bim, outcome);
-        self.g0.train(idx.g0, outcome);
-        self.g1.train(idx.g1, outcome);
-    }
-
-    /// The §4.2 partial update policy (identical to the 2Bc-gskew policy
-    /// in `ev8-predictors`, applied to the EV8's constrained indices).
-    /// Returns `(action, meta written)` for the observed path; the plain
-    /// path discards the pair, which is free (both values fall out of
-    /// branches the update already takes).
-    fn apply_partial_update(
-        &mut self,
-        idx: Indices,
-        d: Ev8Prediction,
-        outcome: Outcome,
-    ) -> (UpdateAction, bool) {
-        let predictions_differ = d.bim != d.majority;
-        if d.overall == outcome {
-            let all_agree = d.bim == d.g0 && d.g0 == d.g1;
-            if all_agree {
-                return (UpdateAction::StrengthenSkipped, false);
-            }
-            if predictions_differ {
-                self.meta.strengthen(idx.meta);
-            }
-            self.strengthen_participants(idx, &d, d.chosen, outcome);
-            (UpdateAction::Strengthened, predictions_differ)
-        } else if predictions_differ {
-            let majority_was_right = d.majority == outcome;
-            self.meta.train(idx.meta, Outcome::from(majority_was_right));
-            let new_chosen = if self.meta.read(idx.meta).prediction().is_taken() {
-                ChosenComponent::Majority
-            } else {
-                ChosenComponent::Bimodal
-            };
-            let new_overall = match new_chosen {
-                ChosenComponent::Majority => d.majority,
-                ChosenComponent::Bimodal => d.bim,
-            };
-            if new_overall == outcome {
-                self.strengthen_participants(idx, &d, new_chosen, outcome);
-                (UpdateAction::ChooserFirst, true)
-            } else {
-                self.train_all(idx, outcome);
-                (UpdateAction::TableCorrected, true)
-            }
-        } else {
-            self.train_all(idx, outcome);
-            (UpdateAction::TableCorrected, false)
-        }
-    }
-
-    /// Absorbs blocks completed by the fetch state: pushes their history
-    /// bits and assigns banks to the blocks that started.
+    /// Absorbs the blocks the fetch state completed: pushes their history
+    /// bits and assigns a bank to each block that starts.
     fn absorb_blocks(&mut self) {
-        let completed = std::mem::take(&mut self.completed);
-        for b in &completed {
+        for b in &self.completed {
             if self.last_block_start != Some(b.start) {
                 self.current_bank = self.banks.next_bank(b.start);
                 self.last_block_start = Some(b.start);
             }
             self.lghist.push_block(b.summary());
         }
-        self.completed = completed;
         self.completed.clear();
         if let Some(s) = self.fetch.current_start() {
             if self.last_block_start != Some(s) {
@@ -350,53 +167,27 @@ impl Ev8Predictor {
         }
     }
 
-    /// Advances the front end through a record's straight-line gap so the
-    /// prediction context matches the fetch block that contains the
-    /// branch.
-    fn advance_to(&mut self, record: &BranchRecord) {
-        let mut buf = std::mem::take(&mut self.completed);
-        self.fetch.feed_run(record, |b| buf.push(b));
-        self.completed = buf;
+    /// One record through this front end and `tables`: advance through
+    /// the record's straight-line gap so the context is the fetch block
+    /// holding the branch; for a conditional branch, index, read and
+    /// apply the §4.2 update; then apply the branch itself (block
+    /// completion, history insertion, bank sequencing). Returns the
+    /// branch's [`Provenance`]; the plain steps keep only its prediction,
+    /// and once this is inlined into them the rest is never built.
+    #[inline(always)]
+    pub(crate) fn step(
+        &mut self,
+        config: &Ev8Config,
+        tables: &mut Tables,
+        record: &BranchRecord,
+    ) -> Option<Provenance> {
+        let completed = &mut self.completed;
+        self.fetch.feed_run(record, |b| completed.push(b));
         self.absorb_blocks();
-    }
-
-    /// Applies the record's branch to the front end (block completion,
-    /// history insertion, bank sequencing).
-    fn apply_branch(&mut self, record: &BranchRecord) {
-        let mut buf = std::mem::take(&mut self.completed);
-        self.fetch.feed_branch(record, |b| buf.push(b));
-        self.completed = buf;
-        self.absorb_blocks();
-        if record.kind.is_conditional() {
-            if let HistoryMode::Ghist = self.config.history {
-                self.ghist.push(record.outcome);
-            }
-        }
-    }
-
-    /// The bank the current fetch block reads from.
-    pub fn current_bank(&self) -> BankId {
-        self.current_bank
-    }
-
-    /// Successive-fetch-block bank collisions observed by the §6 bank
-    /// sequencer — always 0 by construction (the observability layer
-    /// asserts this).
-    pub fn bank_collisions(&self) -> u64 {
-        self.banks.collisions()
-    }
-
-    /// Opt-in observed step: performs exactly the state transition of
-    /// [`BranchPredictor::predict_and_update`] and, for conditional
-    /// branches, returns the full [`Provenance`] (per-table votes, chooser
-    /// decision, §4.2 update action, serving bank).
-    #[inline]
-    pub fn predict_and_update_observed(&mut self, record: &BranchRecord) -> Option<Provenance> {
-        self.advance_to(record);
         let provenance = if record.kind.is_conditional() {
-            let idx = self.indices(record.pc);
-            let d = self.predict_at(idx);
-            let (action, meta_trained) = self.apply_partial_update(idx, d, record.outcome);
+            let idx = self.indices(config, record.pc);
+            let d = tables.read(idx);
+            let (action, meta_trained) = tables.update_partial(idx, &d, record.outcome);
             Some(Provenance {
                 pc: record.pc,
                 outcome: record.outcome,
@@ -413,8 +204,105 @@ impl Ev8Predictor {
         } else {
             None
         };
-        self.apply_branch(record);
+        let completed = &mut self.completed;
+        self.fetch.feed_branch(record, |b| completed.push(b));
+        self.absorb_blocks();
+        if record.kind.is_conditional() {
+            if let HistoryMode::Ghist = config.history {
+                self.ghist.push(record.outcome);
+            }
+        }
         provenance
+    }
+}
+
+/// The Alpha EV8 conditional branch predictor.
+///
+/// # Example
+///
+/// ```
+/// use ev8_core::Ev8Predictor;
+/// use ev8_predictors::BranchPredictor;
+/// use ev8_trace::{BranchRecord, Pc};
+///
+/// let mut p = Ev8Predictor::ev8();
+/// let rec = BranchRecord::conditional(Pc::new(0x1000), Pc::new(0x1100), true);
+/// let predicted = p.predict_and_update(&rec);
+/// assert!(predicted.is_some());
+/// ```
+#[derive(Clone, Debug)]
+pub struct Ev8Predictor {
+    config: Ev8Config,
+    tables: Tables,
+    front: FrontEnd,
+}
+
+impl Ev8Predictor {
+    /// Creates a predictor from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.index` is [`IndexScheme::Ev8`] but the geometry
+    /// is not the Table 1 layout the hardware index functions assume
+    /// (16K-entry BIM, 64K-entry G0/G1/Meta).
+    pub fn new(config: Ev8Config) -> Self {
+        Ev8Predictor {
+            tables: Tables::new(config.bim, config.g0, config.g1, config.meta),
+            front: FrontEnd::new(&config),
+            config,
+        }
+    }
+
+    /// The shipping EV8 configuration (352 Kbits, all constraints).
+    pub fn ev8() -> Self {
+        Self::new(Ev8Config::ev8())
+    }
+
+    /// The predictor's configuration.
+    pub fn config(&self) -> &Ev8Config {
+        &self.config
+    }
+
+    /// The four tables.
+    pub fn tables(&self) -> &Tables {
+        &self.tables
+    }
+
+    /// The history value visible to the index functions right now.
+    pub fn visible_history(&self) -> u64 {
+        self.front.visible_history(&self.config)
+    }
+
+    /// Computes the four table indices for a branch at `pc` in the current
+    /// fetch context.
+    pub fn indices(&self, pc: Pc) -> Indices {
+        self.front.indices(&self.config, pc)
+    }
+
+    /// Reads the tables and combines them per the 2Bc-gskew rule.
+    pub fn predict_at(&self, idx: Indices) -> PredictionDetail {
+        self.tables.read(idx)
+    }
+
+    /// The bank the current fetch block reads from.
+    pub fn current_bank(&self) -> BankId {
+        self.front.current_bank
+    }
+
+    /// Successive-fetch-block bank collisions observed by the §6 bank
+    /// sequencer — always 0 by construction (the observability layer
+    /// asserts this).
+    pub fn bank_collisions(&self) -> u64 {
+        self.front.banks.collisions()
+    }
+
+    /// Opt-in observed step: performs exactly the state transition of
+    /// [`BranchPredictor::predict_and_update`] and, for conditional
+    /// branches, returns the full [`Provenance`] (per-table votes, chooser
+    /// decision, §4.2 update action, serving bank).
+    #[inline]
+    pub fn predict_and_update_observed(&mut self, record: &BranchRecord) -> Option<Provenance> {
+        self.front.step(&self.config, &mut self.tables, record)
     }
 }
 
@@ -433,19 +321,13 @@ impl BranchPredictor for Ev8Predictor {
         self.update_record(&record);
     }
 
+    /// A non-conditional record only moves the front end.
     fn note_noncond(&mut self, record: &BranchRecord) {
-        self.advance_to(record);
-        self.apply_branch(record);
+        self.update_record(record);
     }
 
     fn update_record(&mut self, record: &BranchRecord) {
-        self.advance_to(record);
-        if record.kind.is_conditional() {
-            let idx = self.indices(record.pc);
-            let d = self.predict_at(idx);
-            let _ = self.apply_partial_update(idx, d, record.outcome);
-        }
-        self.apply_branch(record);
+        let _ = self.front.step(&self.config, &mut self.tables, record);
     }
 
     // Inlined for parity with the observed step: `predict_and_update_observed`
@@ -455,17 +337,9 @@ impl BranchPredictor for Ev8Predictor {
     // no observer at all.
     #[inline]
     fn predict_and_update(&mut self, record: &BranchRecord) -> Option<Outcome> {
-        self.advance_to(record);
-        let prediction = if record.kind.is_conditional() {
-            let idx = self.indices(record.pc);
-            let d = self.predict_at(idx);
-            let _ = self.apply_partial_update(idx, d, record.outcome);
-            Some(d.overall)
-        } else {
-            None
-        };
-        self.apply_branch(record);
-        prediction
+        self.front
+            .step(&self.config, &mut self.tables, record)
+            .map(|p| p.overall)
     }
 
     fn name(&self) -> String {
@@ -497,38 +371,6 @@ impl BranchPredictor for Ev8Predictor {
     }
 }
 
-/// Convenience: expose the raw table state for tests and experiments.
-impl Ev8Predictor {
-    /// Reads the logical counter of one table (0 = BIM, 1 = G0, 2 = G1,
-    /// 3 = Meta) at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table > 3` or the index is out of range.
-    pub fn counter(&self, table: usize, index: usize) -> Counter2 {
-        match table {
-            0 => self.bim.read(index),
-            1 => self.g0.read(index),
-            2 => self.g1.read(index),
-            3 => self.meta.read(index),
-            _ => panic!("table must be 0..=3"),
-        }
-    }
-
-    /// Routes a flat fault-array index to the owning table and its
-    /// sub-array (0 = prediction, 1 = hysteresis).
-    fn fault_table_mut(&mut self, array: usize) -> (&mut SplitCounterTable, usize) {
-        let table = match array / 2 {
-            0 => &mut self.bim,
-            1 => &mut self.g0,
-            2 => &mut self.g1,
-            3 => &mut self.meta,
-            _ => panic!("EV8 predictor has eight arrays"),
-        };
-        (table, array & 1)
-    }
-}
-
 /// Fault-array names for the four physical tables (§7.1): prediction and
 /// hysteresis arrays per table, in BIM/G0/G1/Meta order to match the
 /// 2Bc-gskew scheme-level layout.
@@ -550,27 +392,24 @@ impl FaultTarget for Ev8Predictor {
     /// so SEU campaigns target the full implementation-constrained
     /// predictor, not just the scheme-level model.
     fn fault_arrays(&self) -> Vec<ArrayInfo> {
-        [&self.bim, &self.g0, &self.g1, &self.meta]
+        self.tables
+            .fault_arrays()
             .into_iter()
-            .flat_map(FaultTarget::fault_arrays)
             .zip(EV8_FAULT_NAMES)
             .map(|(info, name)| ArrayInfo { name, ..info })
             .collect()
     }
 
     fn flip_bit(&mut self, array: usize, bit: usize) {
-        let (table, sub) = self.fault_table_mut(array);
-        FaultTarget::flip_bit(table, sub, bit);
+        self.tables.flip_bit(array, bit);
     }
 
     fn force_bit(&mut self, array: usize, bit: usize, value: u8) {
-        let (table, sub) = self.fault_table_mut(array);
-        FaultTarget::force_bit(table, sub, bit, value);
+        self.tables.force_bit(array, bit, value);
     }
 
     fn flip_word(&mut self, array: usize, word: usize) {
-        let (table, sub) = self.fault_table_mut(array);
-        FaultTarget::flip_word(table, sub, word);
+        self.tables.flip_word(array, word);
     }
 }
 
@@ -646,7 +485,7 @@ mod tests {
         }
         assert_eq!(p.predict(Pc::new(0x1010)), Outcome::Taken);
         // ghist advanced once per conditional branch.
-        assert_eq!(p.ghist.bits() & 0xF, 0xF);
+        assert_eq!(p.front.ghist.bits() & 0xF, 0xF);
     }
 
     #[test]
@@ -697,7 +536,7 @@ mod tests {
         let mut p = Ev8Predictor::ev8();
         // Three NT branches inside one aligned region, then a taken one:
         // exactly one block completes, inserting exactly one lghist bit.
-        let cfg_hist_before = p.lghist.visible_bits();
+        let cfg_hist_before = p.front.lghist.visible_bits();
         p.predict_and_update(&not_taken(0x3_0000));
         p.predict_and_update(&not_taken(0x3_0004));
         p.predict_and_update(&not_taken(0x3_0008));
@@ -707,7 +546,7 @@ mod tests {
         for i in 1..=3u64 {
             p.predict_and_update(&taken(0x4_0000 * i, 0x4_0000 * (i + 1)));
         }
-        let h = p.lghist.visible_bits();
+        let h = p.front.lghist.visible_bits();
         // Exactly one bit committed, from the first block: its last
         // conditional branch was the taken one at 0x3_000c (pc bit 4 = 0,
         // outcome 1 -> lghist bit 1). Had the NT branches ended blocks,
@@ -801,24 +640,24 @@ mod tests {
         assert_eq!(arrays[0].name, "ev8.bim.prediction");
         assert_eq!(arrays[7].name, "ev8.meta.hysteresis");
         // A double flip through the trait restores the observable state.
-        let before = p.counter(1, 17);
+        let before = p.tables().counter(1, 17);
         FaultTarget::flip_bit(&mut p, 2, 17);
-        assert_ne!(p.counter(1, 17), before);
+        assert_ne!(p.tables().counter(1, 17), before);
         FaultTarget::flip_bit(&mut p, 2, 17);
-        assert_eq!(p.counter(1, 17), before);
+        assert_eq!(p.tables().counter(1, 17), before);
     }
 
     #[test]
     fn counter_accessor_bounds() {
         let p = Ev8Predictor::ev8();
-        let _ = p.counter(0, 0);
-        let _ = p.counter(3, 100);
+        let _ = p.tables().counter(0, 0);
+        let _ = p.tables().counter(3, 100);
     }
 
     #[test]
     #[should_panic(expected = "table must be 0..=3")]
     fn counter_accessor_rejects_bad_table() {
         let p = Ev8Predictor::ev8();
-        let _ = p.counter(4, 0);
+        let _ = p.tables().counter(4, 0);
     }
 }

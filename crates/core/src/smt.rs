@@ -5,43 +5,22 @@
 //! aliasing." The EV8 predictor tables are shared between threads; only
 //! the history/fetch state is per-thread.
 //!
-//! [`SmtEv8`] models this: one `Ev8Predictor`-style table set behind a
-//! lock (usable from worker threads in a parallel simulation), with a
-//! per-thread front end (fetch-block formation, lghist, banks).
+//! [`SmtEv8`] models this: the one table set of [`Ev8Predictor`] and one
+//! [`Ev8Predictor`] front end (fetch-block formation, lghist, banks) per
+//! thread context, each record stepped through the same body as the
+//! single-threaded predictor. With one context it predicts exactly as
+//! [`Ev8Predictor`] does.
+//!
+//! [`Ev8Predictor`]: crate::Ev8Predictor
 
-use std::sync::Mutex;
+use ev8_predictors::twobcgskew::Tables;
+use ev8_trace::{BranchRecord, Outcome};
 
-use ev8_predictors::twobcgskew::ChosenComponent;
-use ev8_trace::{BranchRecord, Outcome, Pc};
-
-use crate::banks::BankSequencer;
-use crate::config::{Ev8Config, HistoryMode, IndexScheme};
-use crate::fetch::{FetchBlock, FetchState};
-use crate::index::IndexInputs;
-use crate::lghist::DelayedLghist;
-use crate::predictor::{Ev8Prediction, Indices};
-
-use ev8_predictors::skew::{xor_fold, InfoVector};
-use ev8_predictors::table::SplitCounterTable;
+use crate::config::Ev8Config;
+use crate::predictor::FrontEnd;
 
 /// Identifier of a hardware thread context.
 pub type ThreadId = usize;
-
-struct SharedTables {
-    bim: SplitCounterTable,
-    g0: SplitCounterTable,
-    g1: SplitCounterTable,
-    meta: SplitCounterTable,
-}
-
-struct ThreadFrontEnd {
-    lghist: DelayedLghist,
-    fetch: FetchState,
-    banks: BankSequencer,
-    current_bank: u8,
-    last_block_start: Option<Pc>,
-    ghist: u64,
-}
 
 /// An SMT EV8 predictor: shared tables, per-thread history and fetch
 /// state.
@@ -57,10 +36,11 @@ struct ThreadFrontEnd {
 /// let rec = BranchRecord::conditional(Pc::new(0x1000), Pc::new(0x2000), true);
 /// let _ = p.predict_and_update(2, &rec);
 /// ```
+#[derive(Clone, Debug)]
 pub struct SmtEv8 {
     config: Ev8Config,
-    tables: Mutex<SharedTables>,
-    threads: Vec<Mutex<ThreadFrontEnd>>,
+    tables: Tables,
+    threads: Vec<FrontEnd>,
 }
 
 impl SmtEv8 {
@@ -69,41 +49,13 @@ impl SmtEv8 {
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`.
+    /// Panics if `threads == 0`, or under the geometry check of
+    /// [`crate::Ev8Predictor::new`].
     pub fn new(config: Ev8Config, threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread context");
-        let (path_bit, delayed) = match config.history {
-            HistoryMode::Ghist => (false, false),
-            HistoryMode::Lghist {
-                path_bit,
-                three_blocks_old,
-                ..
-            } => (path_bit, three_blocks_old),
-        };
-        let mk_frontend = || {
-            Mutex::new(ThreadFrontEnd {
-                lghist: DelayedLghist::new(config.max_history().min(64), path_bit, delayed),
-                fetch: FetchState::new(),
-                banks: BankSequencer::new(),
-                current_bank: 0,
-                last_block_start: None,
-                ghist: 0,
-            })
-        };
         SmtEv8 {
-            tables: Mutex::new(SharedTables {
-                bim: SplitCounterTable::new(
-                    config.bim.index_bits,
-                    config.bim.hysteresis_index_bits,
-                ),
-                g0: SplitCounterTable::new(config.g0.index_bits, config.g0.hysteresis_index_bits),
-                g1: SplitCounterTable::new(config.g1.index_bits, config.g1.hysteresis_index_bits),
-                meta: SplitCounterTable::new(
-                    config.meta.index_bits,
-                    config.meta.hysteresis_index_bits,
-                ),
-            }),
-            threads: (0..threads).map(|_| mk_frontend()).collect(),
+            tables: Tables::new(config.bim, config.g0, config.g1, config.meta),
+            threads: vec![FrontEnd::new(&config); threads],
             config,
         }
     }
@@ -113,76 +65,9 @@ impl SmtEv8 {
         self.threads.len()
     }
 
-    fn indices(&self, fe: &ThreadFrontEnd, pc: Pc) -> Indices {
-        let history = match self.config.history {
-            HistoryMode::Ghist => fe.ghist,
-            HistoryMode::Lghist { .. } => fe.lghist.visible_bits(),
-        };
-        match self.config.index {
-            IndexScheme::Ev8 { wordline } => {
-                let inputs = IndexInputs {
-                    pc,
-                    history,
-                    z: fe.lghist.z_address().unwrap_or(Pc::new(0)),
-                    bank: fe.current_bank,
-                    wordline,
-                };
-                Indices {
-                    bim: inputs.bim(),
-                    g0: inputs.g0(),
-                    g1: inputs.g1(),
-                    meta: inputs.meta(),
-                }
-            }
-            IndexScheme::CompleteHash => {
-                let patch = if matches!(
-                    self.config.history,
-                    HistoryMode::Lghist {
-                        path_patch: true,
-                        ..
-                    }
-                ) {
-                    let mut acc = 0u64;
-                    for addr in fe.lghist.recent_addresses() {
-                        acc = acc.rotate_left(9) ^ (addr.as_u64() >> 2);
-                    }
-                    acc
-                } else {
-                    0
-                };
-                let c = &self.config;
-                let table = |bank: u32, bits: u32, hlen: u32| -> usize {
-                    let idx = InfoVector::new(pc, history, hlen, bits).index(bank);
-                    (idx ^ xor_fold(patch as u128, bits)) as usize
-                };
-                Indices {
-                    bim: if c.bim.history_length == 0 {
-                        pc.bits(2, c.bim.index_bits) as usize
-                    } else {
-                        table(0, c.bim.index_bits, c.bim.history_length)
-                    },
-                    g0: table(1, c.g0.index_bits, c.g0.history_length),
-                    g1: table(2, c.g1.index_bits, c.g1.history_length),
-                    meta: table(3, c.meta.index_bits, c.meta.history_length),
-                }
-            }
-        }
-    }
-
-    fn absorb_blocks(fe: &mut ThreadFrontEnd, completed: &[FetchBlock]) {
-        for b in completed {
-            if fe.last_block_start != Some(b.start) {
-                fe.current_bank = fe.banks.next_bank(b.start);
-                fe.last_block_start = Some(b.start);
-            }
-            fe.lghist.push_block(b.summary());
-        }
-        if let Some(s) = fe.fetch.current_start() {
-            if fe.last_block_start != Some(s) {
-                fe.current_bank = fe.banks.next_bank(s);
-                fe.last_block_start = Some(s);
-            }
-        }
+    /// The shared tables.
+    pub fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     /// Processes one record on one thread context; returns the prediction
@@ -191,113 +76,22 @@ impl SmtEv8 {
     /// # Panics
     ///
     /// Panics if `thread` is out of range.
-    pub fn predict_and_update(&self, thread: ThreadId, record: &BranchRecord) -> Option<Outcome> {
-        let mut fe = self.threads[thread]
-            .lock()
-            .expect("front-end lock poisoned");
-        let mut completed: Vec<FetchBlock> = Vec::with_capacity(4);
-        fe.fetch.feed_run(record, |b| completed.push(b));
-        Self::absorb_blocks(&mut fe, &completed);
-        completed.clear();
-
-        let prediction = if record.kind.is_conditional() {
-            let idx = self.indices(&fe, record.pc);
-            let mut tables = self.tables.lock().expect("table lock poisoned");
-            let d = read_prediction(&tables, idx);
-            apply_partial_update(&mut tables, idx, d, record.outcome);
-            Some(d.overall)
-        } else {
-            None
-        };
-
-        fe.fetch.feed_branch(record, |b| completed.push(b));
-        Self::absorb_blocks(&mut fe, &completed);
-        if record.kind.is_conditional() {
-            if let HistoryMode::Ghist = self.config.history {
-                fe.ghist = (fe.ghist << 1) | record.outcome.as_bit();
-            }
-        }
-        prediction
-    }
-}
-
-fn read_prediction(t: &SharedTables, idx: Indices) -> Ev8Prediction {
-    let bim = t.bim.read(idx.bim).prediction();
-    let g0 = t.g0.read(idx.g0).prediction();
-    let g1 = t.g1.read(idx.g1).prediction();
-    let majority = Outcome::from(bim.as_bit() + g0.as_bit() + g1.as_bit() >= 2);
-    let chosen = if t.meta.read(idx.meta).prediction().is_taken() {
-        ChosenComponent::Majority
-    } else {
-        ChosenComponent::Bimodal
-    };
-    let overall = match chosen {
-        ChosenComponent::Majority => majority,
-        ChosenComponent::Bimodal => bim,
-    };
-    Ev8Prediction {
-        bim,
-        g0,
-        g1,
-        majority,
-        chosen,
-        overall,
-    }
-}
-
-fn apply_partial_update(t: &mut SharedTables, idx: Indices, d: Ev8Prediction, outcome: Outcome) {
-    let strengthen_participants = |t: &mut SharedTables, chosen: ChosenComponent| match chosen {
-        ChosenComponent::Bimodal => t.bim.strengthen(idx.bim),
-        ChosenComponent::Majority => {
-            if d.bim == outcome {
-                t.bim.strengthen(idx.bim);
-            }
-            if d.g0 == outcome {
-                t.g0.strengthen(idx.g0);
-            }
-            if d.g1 == outcome {
-                t.g1.strengthen(idx.g1);
-            }
-        }
-    };
-    let train_all = |t: &mut SharedTables| {
-        t.bim.train(idx.bim, outcome);
-        t.g0.train(idx.g0, outcome);
-        t.g1.train(idx.g1, outcome);
-    };
-    let predictions_differ = d.bim != d.majority;
-    if d.overall == outcome {
-        if d.bim == d.g0 && d.g0 == d.g1 {
-            return;
-        }
-        if predictions_differ {
-            t.meta.strengthen(idx.meta);
-        }
-        strengthen_participants(t, d.chosen);
-    } else if predictions_differ {
-        t.meta.train(idx.meta, Outcome::from(d.majority == outcome));
-        let new_chosen = if t.meta.read(idx.meta).prediction().is_taken() {
-            ChosenComponent::Majority
-        } else {
-            ChosenComponent::Bimodal
-        };
-        let new_overall = match new_chosen {
-            ChosenComponent::Majority => d.majority,
-            ChosenComponent::Bimodal => d.bim,
-        };
-        if new_overall == outcome {
-            strengthen_participants(t, new_chosen);
-        } else {
-            train_all(t);
-        }
-    } else {
-        train_all(t);
+    #[inline]
+    pub fn predict_and_update(
+        &mut self,
+        thread: ThreadId,
+        record: &BranchRecord,
+    ) -> Option<Outcome> {
+        self.threads[thread]
+            .step(&self.config, &mut self.tables, record)
+            .map(|p| p.overall)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ev8_trace::Pc;
 
     fn taken(pc: u64, target: u64) -> BranchRecord {
         BranchRecord::conditional(Pc::new(pc), Pc::new(target), true)
@@ -305,16 +99,14 @@ mod tests {
 
     #[test]
     fn threads_have_independent_history() {
-        let p = SmtEv8::new(Ev8Config::ev8(), 2);
+        let mut p = SmtEv8::new(Ev8Config::ev8(), 2);
         // Thread 0 runs a loop; thread 1 stays idle. Thread 0's state must
         // not leak into thread 1's front end.
         for _ in 0..20 {
             p.predict_and_update(0, &taken(0x1010, 0x1000));
         }
-        let fe0 = p.threads[0].lock().unwrap();
-        let fe1 = p.threads[1].lock().unwrap();
-        assert_ne!(fe0.last_block_start, fe1.last_block_start);
-        assert_eq!(fe1.last_block_start, None);
+        assert_ne!(p.threads[0].last_block_start, p.threads[1].last_block_start);
+        assert_eq!(p.threads[1].last_block_start, None);
     }
 
     #[test]
@@ -322,7 +114,7 @@ mod tests {
         // Two threads running the *same* code learn from each other: after
         // thread 0 trains a branch, thread 1's very first prediction of
         // the same (address, history) pattern benefits.
-        let p = SmtEv8::new(Ev8Config::ev8(), 2);
+        let mut p = SmtEv8::new(Ev8Config::ev8(), 2);
         for _ in 0..60 {
             p.predict_and_update(0, &taken(0x1010, 0x1000));
         }
@@ -337,27 +129,6 @@ mod tests {
             hits >= 55,
             "thread 1 should inherit learned state: {hits}/60"
         );
-    }
-
-    #[test]
-    fn parallel_use_is_safe() {
-        use std::sync::Arc;
-        let p = Arc::new(SmtEv8::new(Ev8Config::ev8(), 4));
-        let mut handles = Vec::new();
-        for t in 0..4usize {
-            let p = Arc::clone(&p);
-            handles.push(std::thread::spawn(move || {
-                let base = 0x1_0000 * (t as u64 + 1);
-                for i in 0..500u64 {
-                    let pc = base + (i % 5) * 0x40;
-                    p.predict_and_update(t, &taken(pc, pc + 0x40));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-        assert_eq!(p.thread_count(), 4);
     }
 
     #[test]

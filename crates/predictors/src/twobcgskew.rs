@@ -17,9 +17,10 @@
 
 use ev8_trace::{BranchRecord, Outcome, Pc};
 
+use crate::counter::Counter2;
 use crate::egskew::majority;
 use crate::history::GlobalHistory;
-use crate::introspect::{prefixed, ArrayInfo, FaultTarget};
+use crate::introspect::{ArrayInfo, FaultTarget};
 use crate::predictor::BranchPredictor;
 use crate::provenance::{Provenance, UpdateAction};
 use crate::skew::InfoVector;
@@ -228,8 +229,9 @@ pub enum ChosenComponent {
     Majority,
 }
 
-/// All per-component predictions for one lookup — exposed for tests, for
-/// the experiment harness, and for the EV8 predictor in `ev8-core`.
+/// All per-component predictions for one lookup: what [`Tables::read`]
+/// returns, for [`TwoBcGskew`] and for the EV8 predictor in `ev8-core`
+/// alike, and what the §4.2 update is applied from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PredictionDetail {
     /// BIM bank prediction.
@@ -244,6 +246,269 @@ pub struct PredictionDetail {
     pub chosen: ChosenComponent,
     /// The overall prediction.
     pub overall: Outcome,
+}
+
+/// Indices into the four tables for one branch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Indices {
+    /// BIM table index.
+    pub bim: usize,
+    /// G0 table index.
+    pub g0: usize,
+    /// G1 table index.
+    pub g1: usize,
+    /// Meta table index.
+    pub meta: usize,
+}
+
+/// Fault-array names, table-major in EV8 bank order (BIM, G0, G1, Meta),
+/// each table contributing its prediction array then its hysteresis
+/// array.
+const FAULT_NAMES: [&str; 8] = [
+    "bim.prediction",
+    "bim.hysteresis",
+    "g0.prediction",
+    "g0.hysteresis",
+    "g1.prediction",
+    "g1.hysteresis",
+    "meta.prediction",
+    "meta.hysteresis",
+];
+
+/// The four 2Bc-gskew tables and every rule that touches only them: the
+/// read that combines BIM, G0, G1 and Meta into a prediction, the §4.2
+/// partial update, the total update, write accounting and the flat
+/// fault-array view.
+///
+/// Who computes the indices is the owner's business. [`TwoBcGskew`]
+/// hashes the PC with a global history; the EV8 predictor in `ev8-core`
+/// uses its fetch-block front end and the §7 index functions, and its SMT
+/// form shares one `Tables` between several front ends (§3).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Tables {
+    bim: SplitCounterTable,
+    g0: SplitCounterTable,
+    g1: SplitCounterTable,
+    meta: SplitCounterTable,
+}
+
+impl Tables {
+    /// Creates the four tables, every counter weakly not taken.
+    pub fn new(bim: TableConfig, g0: TableConfig, g1: TableConfig, meta: TableConfig) -> Self {
+        let table = |c: TableConfig| SplitCounterTable::new(c.index_bits, c.hysteresis_index_bits);
+        Tables {
+            bim: table(bim),
+            g0: table(g0),
+            g1: table(g1),
+            meta: table(meta),
+        }
+    }
+
+    /// The side Meta's counter at `index` selects.
+    #[inline]
+    fn chooser(&self, index: usize) -> ChosenComponent {
+        if self.meta.read(index).prediction().is_taken() {
+            ChosenComponent::Majority
+        } else {
+            ChosenComponent::Bimodal
+        }
+    }
+
+    /// Reads the four tables at `idx` and combines them per the
+    /// 2Bc-gskew rule.
+    pub fn read(&self, idx: Indices) -> PredictionDetail {
+        let bim = self.bim.read(idx.bim).prediction();
+        let g0 = self.g0.read(idx.g0).prediction();
+        let g1 = self.g1.read(idx.g1).prediction();
+        let maj = majority(bim, g0, g1);
+        let chosen = self.chooser(idx.meta);
+        let overall = match chosen {
+            ChosenComponent::Majority => maj,
+            ChosenComponent::Bimodal => bim,
+        };
+        PredictionDetail {
+            bim,
+            g0,
+            g1,
+            majority: maj,
+            chosen,
+            overall,
+        }
+    }
+
+    /// Strengthens participating tables after a correct prediction
+    /// resolved through `chosen`.
+    fn strengthen_participants(
+        &mut self,
+        idx: Indices,
+        d: &PredictionDetail,
+        chosen: ChosenComponent,
+        outcome: Outcome,
+    ) {
+        match chosen {
+            ChosenComponent::Bimodal => {
+                // "strengthen BIM if the bimodal prediction was used"
+                self.bim.strengthen(idx.bim);
+            }
+            ChosenComponent::Majority => {
+                // "strengthen all the banks that gave the correct
+                // prediction if the majority vote was used"
+                if d.bim == outcome {
+                    self.bim.strengthen(idx.bim);
+                }
+                if d.g0 == outcome {
+                    self.g0.strengthen(idx.g0);
+                }
+                if d.g1 == outcome {
+                    self.g1.strengthen(idx.g1);
+                }
+            }
+        }
+    }
+
+    fn train_all(&mut self, idx: Indices, outcome: Outcome) {
+        self.bim.train(idx.bim, outcome);
+        self.g0.train(idx.g0, outcome);
+        self.g1.train(idx.g1, outcome);
+    }
+
+    /// The §4.2 partial update of the branch at `idx`, whose tables
+    /// currently read `d`. Returns `(action, meta written)`; a plain step
+    /// discards the pair, which costs nothing (both values fall out of
+    /// branches the update takes anyway).
+    pub fn update_partial(
+        &mut self,
+        idx: Indices,
+        d: &PredictionDetail,
+        outcome: Outcome,
+    ) -> (UpdateAction, bool) {
+        let predictions_differ = d.bim != d.majority;
+
+        if d.overall == outcome {
+            // Rationale 1: when BIM, G0 and G1 all agree, do not update —
+            // a counter can be stolen without destroying the majority.
+            let all_agree = d.bim == d.g0 && d.g0 == d.g1;
+            if all_agree {
+                return (UpdateAction::StrengthenSkipped, false);
+            }
+            if predictions_differ {
+                // Strengthen Meta toward its (correct) current choice.
+                self.meta.strengthen(idx.meta);
+            }
+            self.strengthen_participants(idx, d, d.chosen, outcome);
+            (UpdateAction::Strengthened, predictions_differ)
+        } else if predictions_differ {
+            // Rationale 2: first update the chooser, then recompute the
+            // overall prediction with the new chooser value.
+            let majority_was_right = d.majority == outcome;
+            self.meta.train(idx.meta, Outcome::from(majority_was_right));
+            let new_chosen = self.chooser(idx.meta);
+            let new_overall = match new_chosen {
+                ChosenComponent::Majority => d.majority,
+                ChosenComponent::Bimodal => d.bim,
+            };
+            if new_overall == outcome {
+                // "correct prediction: strengthens all participating
+                // tables"
+                self.strengthen_participants(idx, d, new_chosen, outcome);
+                (UpdateAction::ChooserFirst, true)
+            } else {
+                // "misprediction: update all banks"
+                self.train_all(idx, outcome);
+                (UpdateAction::TableCorrected, true)
+            }
+        } else {
+            // Both predictions wrong: nothing for the chooser to
+            // learn; retrain all banks toward the outcome.
+            self.train_all(idx, outcome);
+            (UpdateAction::TableCorrected, false)
+        }
+    }
+
+    /// The naive total update: every bank trains toward the outcome, and
+    /// Meta toward the right side whenever the two sides differ.
+    pub fn update_total(
+        &mut self,
+        idx: Indices,
+        d: &PredictionDetail,
+        outcome: Outcome,
+    ) -> (UpdateAction, bool) {
+        let meta_trained = d.bim != d.majority;
+        if meta_trained {
+            self.meta
+                .train(idx.meta, Outcome::from(d.majority == outcome));
+        }
+        self.train_all(idx, outcome);
+        (UpdateAction::TableCorrected, meta_trained)
+    }
+
+    /// Total (prediction-array, hysteresis-array) writes across the four
+    /// tables — the §4.2 rationales are precisely about limiting these
+    /// ("The goal is to limit the number of strengthened counters" /
+    /// "...the number of counters written on a wrong prediction").
+    pub fn write_traffic(&self) -> (u64, u64) {
+        let tables = [&self.bim, &self.g0, &self.g1, &self.meta];
+        (
+            tables.iter().map(|t| t.prediction_writes()).sum(),
+            tables.iter().map(|t| t.hysteresis_writes()).sum(),
+        )
+    }
+
+    /// Reads the logical counter of one table (0 = BIM, 1 = G0, 2 = G1,
+    /// 3 = Meta) at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table > 3` or the index is out of range.
+    pub fn counter(&self, table: usize, index: usize) -> Counter2 {
+        match table {
+            0 => self.bim.read(index),
+            1 => self.g0.read(index),
+            2 => self.g1.read(index),
+            3 => self.meta.read(index),
+            _ => panic!("table must be 0..=3"),
+        }
+    }
+
+    /// Maps a flat array index (0..8, in [`FAULT_NAMES`] order) onto
+    /// (table, sub-array).
+    fn array_mut(&mut self, array: usize) -> (&mut SplitCounterTable, usize) {
+        let table = match array >> 1 {
+            0 => &mut self.bim,
+            1 => &mut self.g0,
+            2 => &mut self.g1,
+            3 => &mut self.meta,
+            _ => panic!("2Bc-gskew has eight arrays"),
+        };
+        (table, array & 1)
+    }
+}
+
+impl FaultTarget for Tables {
+    /// The eight arrays, named `{bim,g0,g1,meta}.{prediction,hysteresis}`.
+    fn fault_arrays(&self) -> Vec<ArrayInfo> {
+        [&self.bim, &self.g0, &self.g1, &self.meta]
+            .into_iter()
+            .flat_map(FaultTarget::fault_arrays)
+            .zip(FAULT_NAMES)
+            .map(|(info, name)| ArrayInfo { name, ..info })
+            .collect()
+    }
+
+    fn flip_bit(&mut self, array: usize, bit: usize) {
+        let (table, sub) = self.array_mut(array);
+        FaultTarget::flip_bit(table, sub, bit);
+    }
+
+    fn force_bit(&mut self, array: usize, bit: usize, value: u8) {
+        let (table, sub) = self.array_mut(array);
+        FaultTarget::force_bit(table, sub, bit, value);
+    }
+
+    fn flip_word(&mut self, array: usize, word: usize) {
+        let (table, sub) = self.array_mut(array);
+        FaultTarget::flip_word(table, sub, word);
+    }
 }
 
 /// The 2Bc-gskew predictor.
@@ -261,33 +526,18 @@ pub struct PredictionDetail {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TwoBcGskew {
     config: TwoBcGskewConfig,
-    bim: SplitCounterTable,
-    g0: SplitCounterTable,
-    g1: SplitCounterTable,
-    meta: SplitCounterTable,
+    tables: Tables,
     history: GlobalHistory,
     /// Commit-time update queue: (indices captured at prediction time,
     /// resolved outcome). Empty when `commit_window == 0`.
     pending: std::collections::VecDeque<(Indices, Outcome)>,
 }
 
-/// Indices into the four tables for one branch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Indices {
-    bim: usize,
-    g0: usize,
-    g1: usize,
-    meta: usize,
-}
-
 impl TwoBcGskew {
     /// Creates a 2Bc-gskew predictor from a configuration.
     pub fn new(config: TwoBcGskewConfig) -> Self {
         TwoBcGskew {
-            bim: SplitCounterTable::new(config.bim.index_bits, config.bim.hysteresis_index_bits),
-            g0: SplitCounterTable::new(config.g0.index_bits, config.g0.hysteresis_index_bits),
-            g1: SplitCounterTable::new(config.g1.index_bits, config.g1.hysteresis_index_bits),
-            meta: SplitCounterTable::new(config.meta.index_bits, config.meta.hysteresis_index_bits),
+            tables: Tables::new(config.bim, config.g0, config.g1, config.meta),
             history: GlobalHistory::new(config.max_history().min(64)),
             pending: std::collections::VecDeque::with_capacity(config.commit_window + 1),
             config,
@@ -304,16 +554,15 @@ impl TwoBcGskew {
         &self.history
     }
 
+    /// The four tables (for tests and experiments).
+    pub fn tables(&self) -> &Tables {
+        &self.tables
+    }
+
     /// Total (prediction-array, hysteresis-array) writes across the four
-    /// tables — the §4.2 rationales are precisely about limiting these
-    /// ("The goal is to limit the number of strengthened counters" /
-    /// "...the number of counters written on a wrong prediction").
+    /// tables; see [`Tables::write_traffic`].
     pub fn write_traffic(&self) -> (u64, u64) {
-        let tables = [&self.bim, &self.g0, &self.g1, &self.meta];
-        (
-            tables.iter().map(|t| t.prediction_writes()).sum(),
-            tables.iter().map(|t| t.hysteresis_writes()).sum(),
-        )
+        self.tables.write_traffic()
     }
 
     fn indices(&self, pc: Pc) -> Indices {
@@ -353,30 +602,6 @@ impl TwoBcGskew {
         Indices { bim, g0, g1, meta }
     }
 
-    fn detail_at(&self, idx: Indices) -> PredictionDetail {
-        let bim = self.bim.read(idx.bim).prediction();
-        let g0 = self.g0.read(idx.g0).prediction();
-        let g1 = self.g1.read(idx.g1).prediction();
-        let maj = majority(bim, g0, g1);
-        let chosen = if self.meta.read(idx.meta).prediction().is_taken() {
-            ChosenComponent::Majority
-        } else {
-            ChosenComponent::Bimodal
-        };
-        let overall = match chosen {
-            ChosenComponent::Majority => maj,
-            ChosenComponent::Bimodal => bim,
-        };
-        PredictionDetail {
-            bim,
-            g0,
-            g1,
-            majority: maj,
-            chosen,
-            overall,
-        }
-    }
-
     /// The one lookup per branch: the four indices under the current
     /// history and the detail read from them. `predict`, `update`, the
     /// fused step and the observed step all start here, so each computes
@@ -384,7 +609,7 @@ impl TwoBcGskew {
     #[inline]
     fn lookup(&self, pc: Pc) -> (Indices, PredictionDetail) {
         let idx = self.indices(pc);
-        (idx, self.detail_at(idx))
+        (idx, self.tables.read(idx))
     }
 
     /// Computes the full per-component prediction detail for `pc` under
@@ -393,47 +618,8 @@ impl TwoBcGskew {
         self.lookup(pc).1
     }
 
-    /// Strengthens participating tables after a correct prediction
-    /// resolved through `chosen`.
-    fn strengthen_participants(
-        &mut self,
-        idx: Indices,
-        d: &PredictionDetail,
-        chosen: ChosenComponent,
-        outcome: Outcome,
-    ) {
-        match chosen {
-            ChosenComponent::Bimodal => {
-                // "strengthen BIM if the bimodal prediction was used"
-                self.bim.strengthen(idx.bim);
-            }
-            ChosenComponent::Majority => {
-                // "strengthen all the banks that gave the correct
-                // prediction if the majority vote was used"
-                if d.bim == outcome {
-                    self.bim.strengthen(idx.bim);
-                }
-                if d.g0 == outcome {
-                    self.g0.strengthen(idx.g0);
-                }
-                if d.g1 == outcome {
-                    self.g1.strengthen(idx.g1);
-                }
-            }
-        }
-    }
-
-    fn train_all(&mut self, idx: Indices, outcome: Outcome) {
-        self.bim.train(idx.bim, outcome);
-        self.g0.train(idx.g0, outcome);
-        self.g1.train(idx.g1, outcome);
-    }
-
     /// Applies the configured update policy to the branch at `idx`, whose
-    /// tables currently read `d`, and classifies what it did. The
-    /// returned pair is `(action, meta written)`; the plain update path
-    /// discards it (the values fall out of branches already taken, so
-    /// producing them costs nothing).
+    /// tables currently read `d`, and classifies what it did.
     #[inline]
     fn apply_update(
         &mut self,
@@ -442,78 +628,9 @@ impl TwoBcGskew {
         outcome: Outcome,
     ) -> (UpdateAction, bool) {
         match self.config.update_policy {
-            UpdatePolicy::Partial => self.update_partial(idx, d, outcome),
-            UpdatePolicy::Total => self.update_total(idx, d, outcome),
+            UpdatePolicy::Partial => self.tables.update_partial(idx, d, outcome),
+            UpdatePolicy::Total => self.tables.update_total(idx, d, outcome),
         }
-    }
-
-    /// The §4.2 partial update.
-    fn update_partial(
-        &mut self,
-        idx: Indices,
-        d: &PredictionDetail,
-        outcome: Outcome,
-    ) -> (UpdateAction, bool) {
-        let predictions_differ = d.bim != d.majority;
-
-        if d.overall == outcome {
-            // Rationale 1: when BIM, G0 and G1 all agree, do not update —
-            // a counter can be stolen without destroying the majority.
-            let all_agree = d.bim == d.g0 && d.g0 == d.g1;
-            if all_agree {
-                return (UpdateAction::StrengthenSkipped, false);
-            }
-            if predictions_differ {
-                // Strengthen Meta toward its (correct) current choice.
-                self.meta.strengthen(idx.meta);
-            }
-            self.strengthen_participants(idx, d, d.chosen, outcome);
-            (UpdateAction::Strengthened, predictions_differ)
-        } else if predictions_differ {
-            // Rationale 2: first update the chooser, then recompute the
-            // overall prediction with the new chooser value.
-            let majority_was_right = d.majority == outcome;
-            self.meta.train(idx.meta, Outcome::from(majority_was_right));
-            let new_chosen = if self.meta.read(idx.meta).prediction().is_taken() {
-                ChosenComponent::Majority
-            } else {
-                ChosenComponent::Bimodal
-            };
-            let new_overall = match new_chosen {
-                ChosenComponent::Majority => d.majority,
-                ChosenComponent::Bimodal => d.bim,
-            };
-            if new_overall == outcome {
-                // "correct prediction: strengthens all participating
-                // tables"
-                self.strengthen_participants(idx, d, new_chosen, outcome);
-                (UpdateAction::ChooserFirst, true)
-            } else {
-                // "misprediction: update all banks"
-                self.train_all(idx, outcome);
-                (UpdateAction::TableCorrected, true)
-            }
-        } else {
-            // Both predictions wrong: nothing for the chooser to
-            // learn; retrain all banks toward the outcome.
-            self.train_all(idx, outcome);
-            (UpdateAction::TableCorrected, false)
-        }
-    }
-
-    fn update_total(
-        &mut self,
-        idx: Indices,
-        d: &PredictionDetail,
-        outcome: Outcome,
-    ) -> (UpdateAction, bool) {
-        let meta_trained = d.bim != d.majority;
-        if meta_trained {
-            self.meta
-                .train(idx.meta, Outcome::from(d.majority == outcome));
-        }
-        self.train_all(idx, outcome);
-        (UpdateAction::TableCorrected, meta_trained)
     }
 
     /// Opt-in observed update: performs exactly the state transition of
@@ -564,7 +681,7 @@ impl TwoBcGskew {
             self.pending.push_back((idx, outcome));
             if self.pending.len() > self.config.commit_window {
                 let (cidx, coutcome) = self.pending.pop_front().expect("non-empty");
-                let cd = self.detail_at(cidx);
+                let cd = self.tables.read(cidx);
                 let _ = self.apply_update(cidx, &cd, coutcome);
             }
         }
@@ -574,56 +691,21 @@ impl TwoBcGskew {
     }
 }
 
-impl TwoBcGskew {
-    /// Maps a flat array index (0..8) onto (table, sub-array): arrays are
-    /// listed table-major in EV8 bank order (BIM, G0, G1, Meta), each
-    /// contributing its prediction array then its hysteresis array.
-    fn table_mut(&mut self, array: usize) -> (&mut SplitCounterTable, usize) {
-        let table = match array >> 1 {
-            0 => &mut self.bim,
-            1 => &mut self.g0,
-            2 => &mut self.g1,
-            3 => &mut self.meta,
-            _ => panic!("2Bc-gskew has eight arrays"),
-        };
-        (table, array & 1)
-    }
-}
-
 impl FaultTarget for TwoBcGskew {
     fn fault_arrays(&self) -> Vec<ArrayInfo> {
-        let mut arrays = prefixed(
-            self.bim.fault_arrays(),
-            &["bim.prediction", "bim.hysteresis"],
-        );
-        arrays.extend(prefixed(
-            self.g0.fault_arrays(),
-            &["g0.prediction", "g0.hysteresis"],
-        ));
-        arrays.extend(prefixed(
-            self.g1.fault_arrays(),
-            &["g1.prediction", "g1.hysteresis"],
-        ));
-        arrays.extend(prefixed(
-            self.meta.fault_arrays(),
-            &["meta.prediction", "meta.hysteresis"],
-        ));
-        arrays
+        self.tables.fault_arrays()
     }
 
     fn flip_bit(&mut self, array: usize, bit: usize) {
-        let (table, sub) = self.table_mut(array);
-        FaultTarget::flip_bit(table, sub, bit);
+        self.tables.flip_bit(array, bit);
     }
 
     fn force_bit(&mut self, array: usize, bit: usize, value: u8) {
-        let (table, sub) = self.table_mut(array);
-        FaultTarget::force_bit(table, sub, bit, value);
+        self.tables.force_bit(array, bit, value);
     }
 
     fn flip_word(&mut self, array: usize, word: usize) {
-        let (table, sub) = self.table_mut(array);
-        FaultTarget::flip_word(table, sub, word);
+        self.tables.flip_word(array, word);
     }
 }
 
@@ -674,7 +756,6 @@ impl BranchPredictor for TwoBcGskew {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::Counter2;
 
     #[test]
     fn paper_config_budgets() {
@@ -749,17 +830,17 @@ mod tests {
         assert_eq!(d.g0, Outcome::Taken);
         assert_eq!(d.g1, Outcome::Taken);
         let snapshot = (
-            p.bim.read(idx.bim).value(),
-            p.g0.read(idx.g0).value(),
-            p.g1.read(idx.g1).value(),
-            p.meta.read(idx.meta).value(),
+            p.tables.bim.read(idx.bim).value(),
+            p.tables.g0.read(idx.g0).value(),
+            p.tables.g1.read(idx.g1).value(),
+            p.tables.meta.read(idx.meta).value(),
         );
         p.update(pc, Outcome::Taken); // correct, all agreeing: no table write
         let after = (
-            p.bim.read(idx.bim).value(),
-            p.g0.read(idx.g0).value(),
-            p.g1.read(idx.g1).value(),
-            p.meta.read(idx.meta).value(),
+            p.tables.bim.read(idx.bim).value(),
+            p.tables.g0.read(idx.g0).value(),
+            p.tables.g1.read(idx.g1).value(),
+            p.tables.meta.read(idx.meta).value(),
         );
         assert_eq!(snapshot, after, "Rationale 1 violated");
     }
@@ -776,7 +857,7 @@ mod tests {
         }
         let idx = p.indices(pc);
         assert!(
-            p.g0.read(idx.g0).value() < 3 || p.g1.read(idx.g1).value() < 3,
+            p.tables.g0.read(idx.g0).value() < 3 || p.tables.g1.read(idx.g1).value() < 3,
             "agreeing banks should not all saturate under partial update"
         );
     }
@@ -792,10 +873,10 @@ mod tests {
         let idx = p.indices(pc);
         // Hand-set state: BIM strongly taken; G0,G1 strongly not-taken;
         // meta weakly majority (value 2).
-        p.bim.write(idx.bim, Counter2::new(3));
-        p.g0.write(idx.g0, Counter2::new(0));
-        p.g1.write(idx.g1, Counter2::new(0));
-        p.meta.write(idx.meta, Counter2::new(2));
+        p.tables.bim.write(idx.bim, Counter2::new(3));
+        p.tables.g0.write(idx.g0, Counter2::new(0));
+        p.tables.g1.write(idx.g1, Counter2::new(0));
+        p.tables.meta.write(idx.meta, Counter2::new(2));
         let d = p.predict_detail(pc);
         assert_eq!(d.chosen, ChosenComponent::Majority);
         assert_eq!(d.overall, Outcome::NotTaken);
@@ -803,11 +884,11 @@ mod tests {
         p.update(pc, Outcome::Taken);
         // Meta moved toward bimodal (2 -> 1): choice flips, banks only
         // strengthened on the bimodal side (BIM already saturated).
-        assert_eq!(p.meta.read(idx.meta).value(), 1);
-        assert_eq!(p.bim.read(idx.bim).value(), 3);
+        assert_eq!(p.tables.meta.read(idx.meta).value(), 1);
+        assert_eq!(p.tables.bim.read(idx.bim).value(), 3);
         // G0/G1 were NOT retrained (they keep their strong not-taken).
-        assert_eq!(p.g0.read(idx.g0).value(), 0);
-        assert_eq!(p.g1.read(idx.g1).value(), 0);
+        assert_eq!(p.tables.g0.read(idx.g0).value(), 0);
+        assert_eq!(p.tables.g1.read(idx.g1).value(), 0);
     }
 
     #[test]
@@ -815,16 +896,16 @@ mod tests {
         let mut p = TwoBcGskew::new(TwoBcGskewConfig::equal(6, 0));
         let pc = Pc::new(0x100);
         let idx = p.indices(pc);
-        p.bim.write(idx.bim, Counter2::new(0));
-        p.g0.write(idx.g0, Counter2::new(0));
-        p.g1.write(idx.g1, Counter2::new(0));
-        let meta_before = p.meta.read(idx.meta).value();
+        p.tables.bim.write(idx.bim, Counter2::new(0));
+        p.tables.g0.write(idx.g0, Counter2::new(0));
+        p.tables.g1.write(idx.g1, Counter2::new(0));
+        let meta_before = p.tables.meta.read(idx.meta).value();
         p.update(pc, Outcome::Taken); // everyone wrong
-        assert_eq!(p.bim.read(idx.bim).value(), 1);
-        assert_eq!(p.g0.read(idx.g0).value(), 1);
-        assert_eq!(p.g1.read(idx.g1).value(), 1);
+        assert_eq!(p.tables.bim.read(idx.bim).value(), 1);
+        assert_eq!(p.tables.g0.read(idx.g0).value(), 1);
+        assert_eq!(p.tables.g1.read(idx.g1).value(), 1);
         // Chooser had nothing to learn (both sides agreed and were wrong).
-        assert_eq!(p.meta.read(idx.meta).value(), meta_before);
+        assert_eq!(p.tables.meta.read(idx.meta).value(), meta_before);
     }
 
     #[test]
@@ -837,9 +918,9 @@ mod tests {
             p.update(pc, Outcome::Taken);
         }
         // Under total update all banks saturate.
-        assert_eq!(p.bim.read(idx.bim).value(), 3);
-        assert_eq!(p.g0.read(idx.g0).value(), 3);
-        assert_eq!(p.g1.read(idx.g1).value(), 3);
+        assert_eq!(p.tables.bim.read(idx.bim).value(), 3);
+        assert_eq!(p.tables.g0.read(idx.g0).value(), 3);
+        assert_eq!(p.tables.g1.read(idx.g1).value(), 3);
     }
 
     #[test]
@@ -881,15 +962,15 @@ mod tests {
         let mut p = TwoBcGskew::new(cfg);
         let pc = Pc::new(0x100);
         let idx = p.indices(pc);
-        let before = p.bim.read(idx.bim).value();
+        let before = p.tables.bim.read(idx.bim).value();
         // Four updates fit entirely in the window: no table write yet.
         for _ in 0..4 {
             p.update(pc, Outcome::Taken);
         }
-        assert_eq!(p.bim.read(idx.bim).value(), before);
+        assert_eq!(p.tables.bim.read(idx.bim).value(), before);
         // The fifth update commits the first one.
         p.update(pc, Outcome::Taken);
-        assert_ne!(p.bim.read(idx.bim).value(), before);
+        assert_ne!(p.tables.bim.read(idx.bim).value(), before);
     }
 
     #[test]
@@ -1049,10 +1130,10 @@ mod tests {
         // majority with a weak counter => chooser-first.
         let mut p = TwoBcGskew::new(TwoBcGskewConfig::equal(6, 0));
         let idx = p.indices(pc);
-        p.bim.write(idx.bim, Counter2::new(3));
-        p.g0.write(idx.g0, Counter2::new(0));
-        p.g1.write(idx.g1, Counter2::new(0));
-        p.meta.write(idx.meta, Counter2::new(2));
+        p.tables.bim.write(idx.bim, Counter2::new(3));
+        p.tables.g0.write(idx.g0, Counter2::new(0));
+        p.tables.g1.write(idx.g1, Counter2::new(0));
+        p.tables.meta.write(idx.meta, Counter2::new(2));
         let prov = p.predict_update_observed(pc, Outcome::Taken);
         assert!(!prov.correct());
         assert_eq!(prov.action, UpdateAction::ChooserFirst);
@@ -1062,9 +1143,9 @@ mod tests {
         // Both sides wrong => table-corrected, chooser untouched.
         let mut p = TwoBcGskew::new(TwoBcGskewConfig::equal(6, 0));
         let idx = p.indices(pc);
-        p.bim.write(idx.bim, Counter2::new(0));
-        p.g0.write(idx.g0, Counter2::new(0));
-        p.g1.write(idx.g1, Counter2::new(0));
+        p.tables.bim.write(idx.bim, Counter2::new(0));
+        p.tables.g0.write(idx.g0, Counter2::new(0));
+        p.tables.g1.write(idx.g1, Counter2::new(0));
         let prov = p.predict_update_observed(pc, Outcome::Taken);
         assert_eq!(prov.action, UpdateAction::TableCorrected);
         assert!(!prov.meta_trained);

@@ -101,8 +101,15 @@ impl Client {
         let mut payload = Vec::new();
         let mut out = Vec::new();
         proto::encode_hello(&Hello { spec, attribution }, &mut out);
-        send(&mut write, kind::HELLO, &out)?;
-        let (header, base) = read_frame(&mut reader, &mut payload)?;
+        // A server at its session cap answers RETRY_AFTER as it accepts
+        // and closes without reading, so the HELLO can meet a closed
+        // socket. The refusal is then already in our receive buffer, and
+        // it, not the broken pipe, is the answer.
+        let sent = send(&mut write, kind::HELLO, &out);
+        let (header, base) = match read_frame(&mut reader, &mut payload) {
+            Ok(frame) => frame,
+            Err(e) => return Err(sent.err().unwrap_or(e)),
+        };
         match header {
             kind::WELCOME => {
                 let welcome = proto::decode_welcome(&payload, base)?;

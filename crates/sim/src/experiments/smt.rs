@@ -18,7 +18,7 @@ use crate::simulator::simulate;
 /// misp/KI of thread 0's workload when co-running `traces` round-robin on
 /// one shared-table SMT predictor.
 pub fn corun_mispki(traces: &[Trace]) -> Vec<f64> {
-    let smt = SmtEv8::new(Ev8Config::ev8(), traces.len());
+    let mut smt = SmtEv8::new(Ev8Config::ev8(), traces.len());
     let mut iters: Vec<_> = traces.iter().map(|t| t.iter()).collect();
     let mut misses = vec![0u64; traces.len()];
     loop {

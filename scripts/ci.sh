@@ -28,21 +28,61 @@ run() {
 if [ "$QUICK" -eq 0 ]; then
     run cargo build --release --offline
 fi
-run cargo test -q --workspace --offline
+# Every test binary runs once, here. Without -q cargo names each binary
+# ("Running tests/<name>.rs (...)") and libtest closes each with "test
+# result: ... finished in <s>s"; the budgeted stages below read their
+# suites' times from this log instead of running the suites again.
+mkdir -p target
+test_log="$PWD/target/ci-workspace-test.log"
+echo "==> cargo test --workspace --offline"
+cargo test --workspace --offline 2>&1 | tee "$test_log"
+
+# stage_seconds <start> <test binary>...: the seconds libtest reported in
+# the workspace run for the named integration-test binaries, plus the wall
+# time since <start> (epoch seconds) that the stage's own smokes took.
+# Fails if any named binary did not run.
+stage_seconds() {
+    local start=$1
+    shift
+    awk -v want="$*" -v smoke="$(($(date +%s) - start))" '
+        BEGIN { n = split(want, names, " "); for (i = 1; i <= n; i++) wanted[names[i]] = 1 }
+        /^ *Running / {
+            cur = $2
+            if (!(sub(/^tests\//, "", cur) && sub(/\.rs$/, "", cur) && cur in wanted)) cur = ""
+            next
+        }
+        /^ *Doc-tests / { cur = ""; next }
+        cur != "" && /^test result:/ && match($0, /finished in [0-9.]+s/) {
+            total += substr($0, RSTART + 12, RLENGTH - 13)
+            seen[cur] = 1
+            cur = ""
+        }
+        END {
+            for (i = 1; i <= n; i++) if (!(names[i] in seen)) {
+                print "error: test binary " names[i] " missing from the workspace run" > "/dev/stderr"
+                exit 1
+            }
+            printf "%.2f\n", total + smoke
+        }' "$test_log"
+}
+
+# check_budget <stage> <budget s> <elapsed s>: fail the gate when a stage
+# overruns its wall-clock budget.
+check_budget() {
+    echo "==> $1 wall-clock: $3s (budget $2s)"
+    if awk -v t="$3" -v b="$2" 'BEGIN { exit !(t > b) }'; then
+        echo "error: $1 exceeded its $2s wall-clock budget" >&2
+        exit 1
+    fi
+}
 
 # The heaviest tier-1 suite runs against a wall-clock budget. With the
 # memoized trace provider and parallel fan-out it finishes in well under
 # a minute; the generous default budget only trips on a real regression
 # (e.g. the trace cache silently regenerating at every call site).
 PAPER_SHAPES_BUDGET="${EV8_PAPER_SHAPES_BUDGET:-180}"
-paper_shapes_start=$(date +%s)
-run cargo test -q --test paper_shapes --offline
-paper_shapes_elapsed=$(( $(date +%s) - paper_shapes_start ))
-echo "==> paper_shapes wall-clock: ${paper_shapes_elapsed}s (budget ${PAPER_SHAPES_BUDGET}s)"
-if [ "$paper_shapes_elapsed" -gt "$PAPER_SHAPES_BUDGET" ]; then
-    echo "error: paper_shapes exceeded its ${PAPER_SHAPES_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+paper_shapes_elapsed=$(stage_seconds "$(date +%s)" paper_shapes)
+check_budget paper_shapes "$PAPER_SHAPES_BUDGET" "$paper_shapes_elapsed"
 
 # Robustness smoke, also budgeted: ten thousand fixed-seed trace
 # corruptions through both decoders (far past the 256-mutation floor the
@@ -50,14 +90,8 @@ fi
 # three benchmarks. Every case replays from a literal seed, so a failure
 # here is a one-line reproduction.
 FAULTS_BUDGET="${EV8_FAULTS_BUDGET:-120}"
-faults_start=$(date +%s)
-run cargo test -q --test fault_injection --offline
-faults_elapsed=$(( $(date +%s) - faults_start ))
-echo "==> fault_injection wall-clock: ${faults_elapsed}s (budget ${FAULTS_BUDGET}s)"
-if [ "$faults_elapsed" -gt "$FAULTS_BUDGET" ]; then
-    echo "error: fault_injection exceeded its ${FAULTS_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+faults_elapsed=$(stage_seconds "$(date +%s)" fault_injection)
+check_budget fault_injection "$FAULTS_BUDGET" "$faults_elapsed"
 
 # Observability smoke, budgeted like the suites above: the golden
 # misprediction fixture (exact counters for every benchmark × predictor
@@ -69,14 +103,9 @@ fi
 # reconciliation and §6 zero-collision invariants in-process.
 OBSERVE_BUDGET="${EV8_OBSERVE_BUDGET:-120}"
 observe_start=$(date +%s)
-run cargo test -q --test golden_misp --offline
 run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin attribution
-observe_elapsed=$(( $(date +%s) - observe_start ))
-echo "==> observability wall-clock: ${observe_elapsed}s (budget ${OBSERVE_BUDGET}s)"
-if [ "$observe_elapsed" -gt "$OBSERVE_BUDGET" ]; then
-    echo "error: observability smoke exceeded its ${OBSERVE_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+observe_elapsed=$(stage_seconds "$observe_start" golden_misp)
+check_budget "observability smoke" "$OBSERVE_BUDGET" "$observe_elapsed"
 
 # Sweep-engine smoke, budgeted: the batched-vs-serial equivalence suite
 # (drive over every record source and identity hook, simulate_many,
@@ -86,14 +115,8 @@ fi
 # it guards the sweep engine every experiment run leans on, so a budget
 # blowout here means trace memoization or the batched hot loop regressed.
 SWEEP_BUDGET="${EV8_SWEEP_BUDGET:-120}"
-sweep_start=$(date +%s)
-run cargo test -q --test batched_equivalence --offline
-sweep_elapsed=$(( $(date +%s) - sweep_start ))
-echo "==> batched_equivalence wall-clock: ${sweep_elapsed}s (budget ${SWEEP_BUDGET}s)"
-if [ "$sweep_elapsed" -gt "$SWEEP_BUDGET" ]; then
-    echo "error: batched_equivalence exceeded its ${SWEEP_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+sweep_elapsed=$(stage_seconds "$(date +%s)" batched_equivalence)
+check_budget batched_equivalence "$SWEEP_BUDGET" "$sweep_elapsed"
 
 # Cross-generation smoke, budgeted: the TAGE property suite (tagged-table
 # invariants under arbitrary streams, with literal-seed replay) plus one
@@ -102,14 +125,9 @@ fi
 # tage-beats-gshare acceptance gate lives in.
 SHOOTOUT_BUDGET="${EV8_SHOOTOUT_BUDGET:-120}"
 shootout_start=$(date +%s)
-run cargo test -q --test tage_properties --offline
 run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin shootout
-shootout_elapsed=$(( $(date +%s) - shootout_start ))
-echo "==> shootout wall-clock: ${shootout_elapsed}s (budget ${SHOOTOUT_BUDGET}s)"
-if [ "$shootout_elapsed" -gt "$SHOOTOUT_BUDGET" ]; then
-    echo "error: shootout smoke exceeded its ${SHOOTOUT_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+shootout_elapsed=$(stage_seconds "$shootout_start" tage_properties)
+check_budget "shootout smoke" "$SHOOTOUT_BUDGET" "$shootout_elapsed"
 
 # Prediction-service smoke, budgeted: the chaos acceptance suite drives
 # a live Unix-socket server with 16 well-behaved concurrent clients plus
@@ -120,14 +138,8 @@ fi
 # finishes in a few seconds; the budget trips on supervision regressions
 # that turn reaping or draining into waiting.
 SERVER_BUDGET="${EV8_SERVER_BUDGET:-120}"
-server_start=$(date +%s)
-run cargo test -q --test server_chaos --offline
-server_elapsed=$(( $(date +%s) - server_start ))
-echo "==> server_chaos wall-clock: ${server_elapsed}s (budget ${SERVER_BUDGET}s)"
-if [ "$server_elapsed" -gt "$SERVER_BUDGET" ]; then
-    echo "error: server_chaos exceeded its ${SERVER_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+server_elapsed=$(stage_seconds "$(date +%s)" server_chaos)
+check_budget server_chaos "$SERVER_BUDGET" "$server_elapsed"
 
 # Corpus smoke, budgeted: the on-disk container's whole contract — the
 # property roundtrip suite (arbitrary traces across chunk sizes), the
@@ -140,21 +152,13 @@ fi
 # scale and re-verifies every chunk checksum through the catalog.
 CORPUS_BUDGET="${EV8_CORPUS_BUDGET:-120}"
 corpus_start=$(date +%s)
-run cargo test -q -p ev8-trace --test corpus_roundtrip --offline
-run cargo test -q --test corpus_format --offline
-run cargo test -q --test corpus_corruption --offline
-run cargo test -q --test corpus_pipeline --offline
 corpus_smoke_dir="$PWD/target/corpus-smoke"
 rm -rf "$corpus_smoke_dir"
 run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin corpus -- build "$corpus_smoke_dir"
 run cargo run -q --release --offline -p ev8-bench --bin corpus -- verify "$corpus_smoke_dir"
 rm -rf "$corpus_smoke_dir"
-corpus_elapsed=$(( $(date +%s) - corpus_start ))
-echo "==> corpus wall-clock: ${corpus_elapsed}s (budget ${CORPUS_BUDGET}s)"
-if [ "$corpus_elapsed" -gt "$CORPUS_BUDGET" ]; then
-    echo "error: corpus smoke exceeded its ${CORPUS_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+corpus_elapsed=$(stage_seconds "$corpus_start" corpus_roundtrip corpus_format corpus_corruption corpus_pipeline)
+check_budget "corpus smoke" "$CORPUS_BUDGET" "$corpus_elapsed"
 
 # Sampling smoke, budgeted: the phase-sampling estimator's whole
 # contract — the integration properties (seeded k-means determinism
@@ -165,15 +169,9 @@ fi
 # scale, which reconciles every per-PC histogram in-process.
 SAMPLING_BUDGET="${EV8_SAMPLING_BUDGET:-120}"
 sampling_start=$(date +%s)
-run cargo test -q --test sampling_properties --offline
-run cargo test -q --test golden_sampling --offline
 run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin h2p
-sampling_elapsed=$(( $(date +%s) - sampling_start ))
-echo "==> sampling wall-clock: ${sampling_elapsed}s (budget ${SAMPLING_BUDGET}s)"
-if [ "$sampling_elapsed" -gt "$SAMPLING_BUDGET" ]; then
-    echo "error: sampling smoke exceeded its ${SAMPLING_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+sampling_elapsed=$(stage_seconds "$sampling_start" sampling_properties golden_sampling)
+check_budget "sampling smoke" "$SAMPLING_BUDGET" "$sampling_elapsed"
 
 # The pipeline benchmark is its own package (own workspace and lock
 # file) that builds against this repository's crates by path: its smoke

@@ -90,10 +90,17 @@ fn raw_hello(spec: PredictorSpec) -> Vec<u8> {
 /// the chaos mix is guaranteed to actually occupy — and be reaped from —
 /// a session slot.
 fn slowloris(path: PathBuf) {
-    for _attempt in 0..200 {
-        let mut s = UnixStream::connect(&path).expect("slowloris connect");
-        s.write_all(&raw_hello(PredictorSpec::Bimodal { index_bits: 8 }))
-            .expect("slowloris hello");
+    for attempt in 0..200 {
+        let mut s = UnixStream::connect(&path).unwrap_or_else(|e| {
+            panic!(
+                "slowloris connect failed on attempt {attempt}: kind {:?}, raw OS error {:?}: {e}",
+                e.kind(),
+                e.raw_os_error()
+            )
+        });
+        // A refused connection can already be closed by the time the
+        // HELLO goes out; the read below still finds its RETRY_AFTER.
+        let _ = s.write_all(&raw_hello(PredictorSpec::Bimodal { index_bits: 8 }));
         // A frame header is 5 bytes; send 3 and stall forever.
         let _ = s.write_all(&[kind::BEGIN, 0x10]);
         let _ = s.flush();
