@@ -1,9 +1,8 @@
-//! History registers: global branch history, hashed path history, and the
-//! per-branch local history table.
+//! The global branch-history register.
 
 use std::fmt;
 
-use ev8_trace::{Outcome, Pc};
+use ev8_trace::Outcome;
 
 /// A global branch-history shift register of up to 64 bits.
 ///
@@ -116,128 +115,6 @@ impl fmt::Debug for GlobalHistory {
     }
 }
 
-/// A hashed path-history register: a rolling hash over the addresses of
-/// recently executed control transfers.
-///
-/// The EV8 itself does not keep such a register (its path information is
-/// folded into lghist and the index functions), but a hashed path register
-/// is the customary academic representation and is used by the information
-/// vector experiments of Fig 7.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct PathHistory {
-    bits: u64,
-    length: u32,
-}
-
-impl PathHistory {
-    /// Creates an empty path history of `length` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `length > 64`.
-    pub fn new(length: u32) -> Self {
-        assert!(length <= 64, "path history limited to 64 bits");
-        PathHistory { bits: 0, length }
-    }
-
-    /// Accumulates a PC into the path: shift left by 2 and XOR in the
-    /// meaningful low address bits.
-    #[inline]
-    pub fn push(&mut self, pc: Pc) {
-        self.bits = (self.bits << 2) ^ (pc.as_u64() >> 2);
-        if self.length < 64 {
-            self.bits &= (1u64 << self.length) - 1;
-        }
-    }
-
-    /// The current path hash.
-    #[inline]
-    pub fn bits(&self) -> u64 {
-        self.bits
-    }
-
-    /// The configured length in bits.
-    #[inline]
-    pub fn length(&self) -> u32 {
-        self.length
-    }
-
-    /// Clears the register.
-    pub fn clear(&mut self) {
-        self.bits = 0;
-    }
-}
-
-/// The first level of a local (per-branch) two-level predictor: a table of
-/// per-PC history registers, as in the Alpha 21264 hybrid predictor the
-/// paper contrasts against in §3.
-#[derive(Clone, Debug)]
-pub struct LocalHistoryTable {
-    entries: Vec<u64>,
-    index_bits: u32,
-    history_length: u32,
-}
-
-impl LocalHistoryTable {
-    /// Creates a table with `2^index_bits` history registers of
-    /// `history_length` bits each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index_bits > 30` or `history_length > 64`.
-    pub fn new(index_bits: u32, history_length: u32) -> Self {
-        assert!(index_bits <= 30, "local history table too large");
-        assert!(history_length <= 64, "local history limited to 64 bits");
-        LocalHistoryTable {
-            entries: vec![0; 1 << index_bits],
-            index_bits,
-            history_length,
-        }
-    }
-
-    fn index(&self, pc: Pc) -> usize {
-        (pc.bits(2, self.index_bits)) as usize
-    }
-
-    /// Reads the local history register for `pc`.
-    #[inline]
-    pub fn read(&self, pc: Pc) -> u64 {
-        self.entries[self.index(pc)]
-    }
-
-    /// Shifts the outcome into the history register for `pc`.
-    #[inline]
-    pub fn update(&mut self, pc: Pc, outcome: Outcome) {
-        let idx = self.index(pc);
-        let mut h = (self.entries[idx] << 1) | outcome.as_bit();
-        if self.history_length < 64 {
-            h &= (1u64 << self.history_length) - 1;
-        }
-        self.entries[idx] = h;
-    }
-
-    /// Number of history registers.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the table has no entries (never the case after
-    /// construction; provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Per-entry history length in bits.
-    pub fn history_length(&self) -> u32 {
-        self.history_length
-    }
-
-    /// Storage cost in bits.
-    pub fn storage_bits(&self) -> u64 {
-        (self.entries.len() as u64) * self.history_length as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,62 +161,5 @@ mod tests {
     #[should_panic(expected = "global history limited")]
     fn oversized_history_rejected() {
         GlobalHistory::new(65);
-    }
-
-    #[test]
-    fn path_history_mixes_addresses() {
-        let mut p = PathHistory::new(16);
-        p.push(Pc::new(0x1000));
-        let after_one = p.bits();
-        assert_ne!(after_one, 0);
-        p.push(Pc::new(0x2000));
-        assert_ne!(p.bits(), after_one);
-        assert_eq!(p.length(), 16);
-        p.clear();
-        assert_eq!(p.bits(), 0);
-        // Order sensitivity: a,b differs from b,a.
-        let mut p1 = PathHistory::new(16);
-        p1.push(Pc::new(0x1000));
-        p1.push(Pc::new(0x2000));
-        let mut p2 = PathHistory::new(16);
-        p2.push(Pc::new(0x2000));
-        p2.push(Pc::new(0x1000));
-        assert_ne!(p1.bits(), p2.bits());
-    }
-
-    #[test]
-    fn local_history_is_per_pc() {
-        let mut t = LocalHistoryTable::new(4, 8);
-        let a = Pc::new(0x100);
-        let b = Pc::new(0x104);
-        t.update(a, Outcome::Taken);
-        t.update(a, Outcome::Taken);
-        t.update(b, Outcome::NotTaken);
-        assert_eq!(t.read(a), 0b11);
-        assert_eq!(t.read(b), 0b0);
-        assert_eq!(t.len(), 16);
-        assert!(!t.is_empty());
-        assert_eq!(t.history_length(), 8);
-        assert_eq!(t.storage_bits(), 16 * 8);
-    }
-
-    #[test]
-    fn local_history_masks_to_length() {
-        let mut t = LocalHistoryTable::new(2, 3);
-        let pc = Pc::new(0x40);
-        for _ in 0..10 {
-            t.update(pc, Outcome::Taken);
-        }
-        assert_eq!(t.read(pc), 0b111);
-    }
-
-    #[test]
-    fn local_history_aliases_across_index_mask() {
-        // Two PCs 2^index_bits apart share an entry (index aliasing).
-        let mut t = LocalHistoryTable::new(4, 8);
-        let a = Pc::new(0x100);
-        let aliased = Pc::new(0x100 + (1 << (4 + 2)));
-        t.update(a, Outcome::Taken);
-        assert_eq!(t.read(aliased), 0b1);
     }
 }

@@ -9,14 +9,10 @@
 //! |---|---|---|
 //! | [`bimodal`] | Smith's PC-indexed 2-bit counters | component / baseline |
 //! | [`gshare`] | McFarling's gshare | Fig 5 competitor (2 Mbit, 1M entries) |
-//! | [`gselect`] | GAs / gselect two-level | §3 context |
-//! | [`local`] | per-branch two-level local | §3 global-vs-local discussion |
-//! | [`tournament`] | 21264-style hybrid local/global | §3 (previous-generation Alpha) |
-//! | [`egskew`] | enhanced skewed predictor (3 banks, majority) | 2Bc-gskew component |
+//! | [`egskew`] | enhanced skewed predictor (3 banks, majority) | 2Bc-gskew component, `aliasing` study |
 //! | [`twobcgskew`] | the full 2Bc-gskew design space of §4 | the EV8 scheme |
 //! | [`bimode`] | Lee/Chen/Mudge bi-mode | Fig 5 competitor (544 Kbit) |
 //! | [`yags`] | Eden/Mudge YAGS | Fig 5 competitor (288/576 Kbit) |
-//! | [`agree`] | Sprangle et al. agree predictor | de-aliased family |
 //! | [`perceptron`] | Jiménez/Lin perceptron | §9 future-work pointer |
 //! | [`tage`] | Seznec/Michaud TAGE at the EV8 budget | next-generation shootout |
 //!
@@ -44,17 +40,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agree;
 pub mod bimodal;
 pub mod bimode;
 pub mod bitvec;
 pub mod counter;
 pub mod egskew;
-pub mod gselect;
 pub mod gshare;
 pub mod history;
 pub mod introspect;
-pub mod local;
 pub mod observe;
 pub mod perceptron;
 mod predictor;
@@ -62,7 +55,6 @@ pub mod provenance;
 pub mod skew;
 pub mod table;
 pub mod tage;
-pub mod tournament;
 pub mod twobcgskew;
 pub mod yags;
 

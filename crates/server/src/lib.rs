@@ -22,9 +22,9 @@
 //!   connections get an explicit `RETRY_AFTER` frame (seeded-jitter
 //!   delay) instead of unbounded queueing.
 //! * **Supervision** — per-session stall watchdogs reap slowloris
-//!   clients; transient failures back off on the
-//!   [`ev8_sim::sweep::RunPolicy`] schedule; the stats frame surfaces
-//!   process-wide watchdog abandonment counters.
+//!   clients; transient accept failures and `RETRY_AFTER` answers back
+//!   off exponentially from [`ServerConfig::retry_backoff`] with
+//!   fixed-seed jitter; the stats frame reports the session counters.
 //! * **Degraded mode** — under load the server sheds attribution
 //!   (observability) before predictions.
 //! * **Graceful drain** — shutdown stops accepting, closes queued

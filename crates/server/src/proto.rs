@@ -101,8 +101,10 @@ pub mod code {
     pub const UNKNOWN_WORKLOAD: u16 = 9;
 }
 
-/// Protocol version carried in `HELLO`/`WELCOME`.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// Protocol version carried in `HELLO`/`WELCOME`. Version 2 dropped two
+/// counters from the `STATS` payload, so a version-1 peer is refused at
+/// the handshake rather than on its first stats frame.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Maximum predictor table index width a client may request. Caps the
 /// server-side allocation a handshake can demand (2^24 two-bit counters
@@ -535,12 +537,6 @@ pub struct ServerStats {
     pub records_simulated: u64,
     /// Times attribution was shed from a session (degraded mode).
     pub attribution_shed: u64,
-    /// Process-wide sweep watchdog abandonments
-    /// ([`ev8_sim::sweep::abandoned_jobs`]).
-    pub abandoned_jobs: u64,
-    /// Abandoned sweep threads later observed finishing
-    /// ([`ev8_sim::sweep::abandoned_jobs_finished_late`]).
-    pub abandoned_jobs_finished_late: u64,
 }
 
 /// Encodes a [`ServerStats`] payload.
@@ -558,8 +554,6 @@ pub fn encode_stats(s: &ServerStats, out: &mut Vec<u8>) {
         s.traces_simulated,
         s.records_simulated,
         s.attribution_shed,
-        s.abandoned_jobs,
-        s.abandoned_jobs_finished_late,
     ] {
         put_u64(out, v);
     }
@@ -580,8 +574,6 @@ pub fn decode_stats(payload: &[u8], base: u64) -> Result<ServerStats, ServerErro
         traces_simulated: r.u64("traces_simulated")?,
         records_simulated: r.u64("records_simulated")?,
         attribution_shed: r.u64("attribution_shed")?,
-        abandoned_jobs: r.u64("abandoned_jobs")?,
-        abandoned_jobs_finished_late: r.u64("abandoned_jobs_finished_late")?,
     };
     r.finish("stats")?;
     Ok(stats)
@@ -887,11 +879,49 @@ mod tests {
             traces_simulated: 9,
             records_simulated: 10,
             attribution_shed: 11,
-            abandoned_jobs: 12,
-            abandoned_jobs_finished_late: 13,
         };
         encode_stats(&s, &mut buf);
+        assert_eq!(buf.len(), 11 * 8);
         assert_eq!(decode_stats(&buf, 0).unwrap(), s);
+        // A version-1 payload carried two more counters; it is refused,
+        // not silently truncated.
+        buf.extend_from_slice(&[0; 2 * 8]);
+        assert!(matches!(
+            decode_stats(&buf, 0),
+            Err(ServerError::Protocol { what: "stats", .. })
+        ));
+    }
+
+    #[test]
+    fn version_1_handshakes_are_refused() {
+        let mut buf = Vec::new();
+        encode_hello(
+            &Hello {
+                spec: PredictorSpec::Bimodal { index_bits: 8 },
+                attribution: false,
+            },
+            &mut buf,
+        );
+        buf[..2].copy_from_slice(&1u16.to_le_bytes());
+        let err = decode_hello(&buf, 0).expect_err("version 1 hello must be refused");
+        assert!(
+            err.to_string().contains("unsupported protocol version"),
+            "{err}"
+        );
+
+        encode_welcome(
+            &Welcome {
+                attribution: false,
+                predictor: "bimodal".to_string(),
+            },
+            &mut buf,
+        );
+        buf[..2].copy_from_slice(&1u16.to_le_bytes());
+        let err = decode_welcome(&buf, 0).expect_err("version 1 welcome must be refused");
+        assert!(
+            err.to_string().contains("unsupported protocol version"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -5,23 +5,21 @@
 //! * **Accept loop** — the thread calling [`Server::serve`] polls every
 //!   listener nonblockingly, applies admission control, and pushes
 //!   admitted connections onto per-worker queues (shortest queue wins).
-//!   Refused connections get a `RETRY_AFTER` frame whose delay comes
-//!   from the supervision policy's seeded backoff — a thundering herd of
-//!   rejected clients restaggers deterministically.
+//!   Refused connections get a `RETRY_AFTER` frame whose delay is
+//!   [`ServerConfig::retry_backoff`] plus fixed-seed jitter per refusal —
+//!   a thundering herd of rejected clients restaggers deterministically.
 //! * **Worker pool** — `config.workers` threads under `thread::scope`,
 //!   each owning a queue; an idle worker steals from its siblings, so
 //!   one slow session cannot strand queued work behind it.
-//! * **Per-session supervision** — reuses [`RunPolicy`] semantics: the
-//!   socket read timeout is the stall watchdog (a slowloris client
-//!   surfaces as a timed-out read and is reaped with a `CLOSED`
-//!   frame), transient accept failures back off via
-//!   [`ev8_sim::sweep::backoff_delay`], and every session runs under the
-//!   cumulative [`SessionBudget`] from the trace layer.
+//! * **Per-session supervision** — the socket read timeout is the stall
+//!   watchdog (a slowloris client surfaces as a timed-out read and is
+//!   reaped with a `CLOSED` frame), transient accept failures back off
+//!   exponentially from [`ServerConfig::retry_backoff`], and every
+//!   session runs under the cumulative [`SessionBudget`] from the trace
+//!   layer.
 //! * **Degraded mode** — above [`ServerConfig::degrade_sessions`]
 //!   concurrent sessions the server sheds per-branch attribution
-//!   (observability) before it sheds predictions, matching the
-//!   shed-work-not-correctness ordering of the sweep runner's
-//!   [`FailureMode::Degraded`](ev8_sim::sweep::FailureMode).
+//!   (observability) before it sheds predictions.
 //! * **Graceful drain** — [`ServerHandle::shutdown`] stops the accept
 //!   loop; queued-but-unstarted sessions are closed immediately with
 //!   `CLOSED{DRAINING}`, in-flight sessions run on until the drain
@@ -41,9 +39,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ev8_sim::session::SessionSim;
-use ev8_sim::sweep::{self, backoff_delay, RunPolicy};
+use ev8_sim::sweep;
 use ev8_trace::frame::{write_frame, FrameReader};
 use ev8_trace::{BranchRecord, Pc, SessionBudget, TraceError, DEFAULT_FRAME_CAP};
+use ev8_util::rng::mix;
 use ev8_workloads::corpus::{CorpusStore, StoreError};
 use ev8_workloads::spec95;
 
@@ -74,10 +73,10 @@ pub struct ServerConfig {
     /// Active-session threshold above which attribution is shed
     /// (degraded mode, observability before predictions).
     pub degrade_sessions: usize,
-    /// Supervision policy reused from the sweep runner: `backoff_base`
-    /// and `seed` drive `RETRY_AFTER` delays and transient-accept
-    /// backoff.
-    pub supervision: RunPolicy,
+    /// Base delay of `RETRY_AFTER` answers and of transient-accept
+    /// backoff: retry `k` waits `retry_backoff * 2^(k-1)` plus a
+    /// fixed-seed jitter in `[0, retry_backoff)`.
+    pub retry_backoff: Duration,
 }
 
 impl Default for ServerConfig {
@@ -92,7 +91,7 @@ impl Default for ServerConfig {
             stall_timeout: Duration::from_secs(5),
             drain_timeout: Duration::from_secs(5),
             degrade_sessions: workers * 2,
-            supervision: RunPolicy::default().degraded(),
+            retry_backoff: Duration::from_millis(100),
         }
     }
 }
@@ -152,8 +151,6 @@ impl Shared {
             traces_simulated: self.stats.traces.load(Ordering::Relaxed),
             records_simulated: self.stats.records.load(Ordering::Relaxed),
             attribution_shed: self.stats.shed.load(Ordering::Relaxed),
-            abandoned_jobs: sweep::abandoned_jobs(),
-            abandoned_jobs_finished_late: sweep::abandoned_jobs_finished_late(),
         }
     }
 
@@ -338,14 +335,9 @@ fn accept_loop(listeners: &[Listener], shared: &Shared) {
                     ) => {}
                 Err(_) => {
                     // Transient accept failure (fd exhaustion, aborted
-                    // handshake): back off with the supervision policy's
-                    // seeded schedule instead of spinning.
-                    thread::sleep(backoff_delay(
-                        cfg.supervision.backoff_base,
-                        cfg.supervision.seed,
-                        0,
-                        accept_attempt,
-                    ));
+                    // handshake): back off exponentially instead of
+                    // spinning.
+                    thread::sleep(backoff_delay(cfg.retry_backoff, 0, accept_attempt));
                     accept_attempt = accept_attempt.saturating_add(1).min(8);
                 }
             }
@@ -369,12 +361,7 @@ fn admit(conn: Conn, shared: &Shared, rejected_seq: &mut usize) {
         shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
         // Seeded-jitter delay: concurrent rejects spread out instead of
         // hammering back simultaneously.
-        let delay = backoff_delay(
-            cfg.supervision.backoff_base,
-            cfg.supervision.seed,
-            *rejected_seq,
-            1,
-        );
+        let delay = backoff_delay(cfg.retry_backoff, *rejected_seq, 1);
         *rejected_seq = rejected_seq.wrapping_add(1);
         let mut payload = Vec::new();
         proto::encode_retry_after(delay.as_millis() as u64, &mut payload);
@@ -390,6 +377,25 @@ fn admit(conn: Conn, shared: &Shared, rejected_seq: &mut usize) {
         .expect("at least one worker");
     shortest.q.lock().expect("queue lock").push_back(conn);
     shortest.cv.notify_one();
+}
+
+/// The delay before retry `attempt` (1-based) of caller `job` (a
+/// refusal's sequence number, or 0 for the accept loop):
+/// `base * 2^(attempt-1)` plus jitter in `[0, base)` drawn from
+/// `(job, attempt)` by the SplitMix64 mixer. A herd of refused clients
+/// staggers instead of coming back in lockstep, and every schedule is
+/// reproducible.
+fn backoff_delay(base: Duration, job: usize, attempt: u32) -> Duration {
+    let attempt = attempt.max(1);
+    // Cap the shift: past 2^20 the exponential term saturates anyway.
+    let factor = 1u32 << (attempt - 1).min(20);
+    let exp = base.saturating_mul(factor);
+    let base_nanos = base.as_nanos().min(u128::from(u64::MAX)) as u64;
+    if base_nanos == 0 {
+        return exp;
+    }
+    let jitter = mix(mix(job as u64).wrapping_add(u64::from(attempt))) % base_nanos;
+    exp.saturating_add(Duration::from_nanos(jitter))
 }
 
 /// Pops the worker's own queue, stealing from siblings when empty.
@@ -742,7 +748,7 @@ fn close_with(write: &mut Conn, c: u16, offset: u64, message: &str) -> SessionEn
 }
 
 /// Sends an `ERROR` frame followed by `CLOSED` (or just `CLOSED` for
-/// orderly/drain codes) — the `JobFailure`-style machine-readable close.
+/// orderly/drain codes) — the machine-readable close.
 fn send_close(write: &mut Conn, c: u16, offset: u64, message: &str) -> bool {
     let info = CloseInfo {
         code: c,
@@ -792,6 +798,49 @@ mod tests {
     #[should_panic(expected = "bind a listener")]
     fn serve_without_listener_panics() {
         Server::new(ServerConfig::default()).serve();
+    }
+
+    #[test]
+    fn backoff_schedule_is_deterministic_and_exponential() {
+        let base = Duration::from_millis(10);
+        for attempt in 1..=4u32 {
+            let d = backoff_delay(base, 0, attempt);
+            // Same (job, attempt) → identical delay, forever.
+            assert_eq!(d, backoff_delay(base, 0, attempt));
+            // Exponential envelope with jitter in [0, base).
+            let floor = base * (1 << (attempt - 1));
+            assert!(d >= floor, "attempt {attempt}: {d:?} < {floor:?}");
+            assert!(
+                d < floor + base,
+                "attempt {attempt}: {d:?} >= {:?}",
+                floor + base
+            );
+        }
+        // Different jobs jitter differently — the whole point of the
+        // jitter.
+        let spread: std::collections::HashSet<Duration> =
+            (0..16).map(|job| backoff_delay(base, job, 1)).collect();
+        assert!(spread.len() > 1, "jitter collapsed to a single delay");
+        // Degenerate base: no jitter, no panic.
+        assert_eq!(backoff_delay(Duration::ZERO, 0, 1), Duration::ZERO);
+        // Huge attempt numbers saturate instead of overflowing.
+        let huge = backoff_delay(base, 0, 4_000_000);
+        assert!(huge >= base * (1 << 20));
+    }
+
+    #[test]
+    fn backoff_delays_are_pinned() {
+        // Literal delays in ns: a drift in the jitter derivation changes
+        // every RETRY_AFTER a client sees.
+        let nanos = |base_ms: u64, job: usize, attempt: u32| {
+            backoff_delay(Duration::from_millis(base_ms), job, attempt).as_nanos()
+        };
+        let jobs: Vec<u128> = (0..4).map(|job| nanos(100, job, 1)).collect();
+        assert_eq!(jobs, [140578789, 132428630, 139603566, 164920808]);
+        let attempts: Vec<u128> = (1..=4).map(|attempt| nanos(100, 0, attempt)).collect();
+        assert_eq!(attempts, [140578789, 282574730, 414831856, 865663252]);
+        let short: Vec<u128> = (0..4).map(|job| nanos(20, job, 1)).collect();
+        assert_eq!(short, [20578789, 32428630, 39603566, 24920808]);
     }
 
     #[test]

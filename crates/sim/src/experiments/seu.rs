@@ -10,10 +10,9 @@
 //! loss only weakens confirmation, so hysteresis-targeted damage should
 //! degrade more gracefully than prediction-bit damage.
 //!
-//! The sweep runs under the hardened runner
-//! ([`run_parallel_with`]) in degraded mode with a retry budget, so one
-//! wedged or panicking cell of the grid reports a failure instead of
-//! killing the whole campaign.
+//! Every cell of the grid is seeded from its coordinates, so the sweep
+//! runs on [`run_parallel`] like every other experiment: a panicking
+//! cell re-raises its own payload once the other cells have drained.
 
 use std::sync::Arc;
 
@@ -27,7 +26,7 @@ use ev8_workloads::spec95;
 use crate::metrics::SimResult;
 use crate::report::{ExperimentReport, TextTable};
 use crate::simulator::drive;
-use crate::sweep::{run_parallel_with, RunPolicy};
+use crate::sweep::run_parallel;
 
 /// Per-branch SEU probabilities swept (0 = fault-free baseline). Real
 /// soft-error rates are far lower; the sweep compresses the wall-clock a
@@ -100,6 +99,11 @@ pub fn report(scale: f64, workers: usize) -> ExperimentReport {
 /// Returns one row per (benchmark, rate) with a misp/KI column per fault
 /// target. Every cell is deterministic: the injection seed is derived
 /// from the (benchmark, rate, target) coordinates.
+///
+/// # Panics
+///
+/// Panics if `targets` is empty. A panicking cell re-raises its own
+/// payload once the other cells have drained ([`run_parallel`]).
 pub fn report_for(
     scale: f64,
     workers: usize,
@@ -112,7 +116,7 @@ pub fn report_for(
         .map(|name| spec95::cached(name, scale).expect("benchmark names are known"))
         .collect();
 
-    let mut jobs: Vec<Box<dyn Fn() -> Cell + Send>> = Vec::new();
+    let mut jobs: Vec<Box<dyn FnOnce() -> Cell + Send>> = Vec::new();
     for (b, trace) in traces.iter().enumerate() {
         for (r, &rate) in FAULT_RATES.iter().enumerate() {
             for (t, &(_, selector)) in targets.iter().enumerate() {
@@ -133,13 +137,7 @@ pub fn report_for(
         }
     }
 
-    // Degraded mode with a small retry budget: a failed cell becomes a
-    // hole in the table, not a dead campaign.
-    let policy = RunPolicy::default()
-        .with_retries(1, std::time::Duration::from_millis(20))
-        .with_seed(0x5E0)
-        .degraded();
-    let outcome = run_parallel_with(jobs, workers, &policy);
+    let cells = run_parallel(jobs, workers);
 
     let mut headers = vec!["benchmark".to_string(), "SEU rate/branch".to_string()];
     for (label, _) in targets {
@@ -148,37 +146,23 @@ pub fn report_for(
     headers.push("faults (all)".to_string());
     let mut table = TextTable::new(headers);
 
-    let mut cells = outcome.results.iter();
-    for (b, _) in BENCHMARKS.iter().enumerate() {
+    let mut rows = cells.chunks(targets.len());
+    for bench in BENCHMARKS {
         for &rate in FAULT_RATES.iter() {
-            let mut row = vec![BENCHMARKS[b].to_string(), format!("{rate:.0e}")];
-            let mut all_faults = None;
-            for t in 0..targets.len() {
-                let cell = cells.next().expect("grid covers every coordinate");
-                match cell {
-                    Some((mispki, injected)) => {
-                        row.push(format!("{mispki:.3}"));
-                        if t == 0 {
-                            all_faults = Some(*injected);
-                        }
-                    }
-                    None => row.push("failed".to_string()),
-                }
-            }
-            row.push(all_faults.map_or_else(|| "failed".to_string(), |n| n.to_string()));
+            let row_cells = rows.next().expect("grid covers every coordinate");
+            let mut row = vec![bench.to_string(), format!("{rate:.0e}")];
+            row.extend(row_cells.iter().map(|(mispki, _)| format!("{mispki:.3}")));
+            row.push(row_cells[0].1.to_string());
             table.row(row);
         }
     }
 
-    let mut notes =
-        vec!["predictor state is speculative: faults cost accuracy, never correctness".into()];
-    for failure in &outcome.failures {
-        notes.push(format!("degraded: {failure}"));
-    }
     ExperimentReport {
         title: format!("SEU resilience: misp/KI vs per-branch fault rate ({label})"),
         table,
-        notes,
+        notes: vec![
+            "predictor state is speculative: faults cost accuracy, never correctness".into(),
+        ],
     }
 }
 
@@ -254,7 +238,7 @@ mod tests {
         // The seam the unified trait removed: the same grid, driven by a
         // TAGE factory and TAGE-generation array classes instead of the
         // built-in 2Bc-gskew. A storm into the tagged entries must
-        // degrade the fault-free baseline, and no cell may fail.
+        // degrade the fault-free baseline.
         use ev8_predictors::tage::{Tage, TageConfig};
         let targets = [
             ("all arrays", ArraySelector::All),
@@ -276,11 +260,6 @@ mod tests {
         );
         assert!(r.title.contains("TAGE 7 Kbit"));
         assert_eq!(r.table.len(), BENCHMARKS.len() * FAULT_RATES.len());
-        assert!(
-            r.notes.iter().all(|n| !n.starts_with("degraded:")),
-            "unexpected failures: {:?}",
-            r.notes
-        );
         // Sum the all-arrays column across benchmarks to beat per-cell
         // noise: the storm endpoint must sit above the fault-free floor.
         let (mut clean, mut storm) = (0.0, 0.0);
@@ -292,18 +271,6 @@ mod tests {
         assert!(
             storm > clean,
             "fault storm ({storm:.3}) should degrade the fault-free baseline ({clean:.3})"
-        );
-    }
-
-    #[test]
-    fn campaign_completes_without_degradation_report() {
-        // The smoke contract: no cell panics, no cell times out — the
-        // notes contain no "degraded:" lines.
-        let r = report(0.0005, default_workers());
-        assert!(
-            r.notes.iter().all(|n| !n.starts_with("degraded:")),
-            "unexpected failures: {:?}",
-            r.notes
         );
     }
 }

@@ -25,11 +25,6 @@
 //!   attribution counters, runtime invariant checks (§6 bank
 //!   collisions, exact count reconciliation) and an optional JSONL event
 //!   stream.
-//! * [`window`] — windowed single-trace parallelism:
-//!   [`simulate_windowed`] splits one flat trace into contiguous windows
-//!   with warmup prefixes, drives them on worker threads, and splices
-//!   the tallies — bit-identical to serial at full warmup and with a
-//!   measured, convergent misprediction error otherwise.
 //! * [`sampling`] — SimPoint-style weighted phase sampling:
 //!   [`simulate_sampled`] profiles per-interval branch-behaviour
 //!   vectors in one streaming pass, clusters them with a deterministic
@@ -40,8 +35,10 @@
 //!   prediction server feeds record by record.
 //! * [`metrics`] — [`Tally`] and [`SimResult`] with misp/KI,
 //!   accuracy and counts.
-//! * [`sweep`] — parallel execution of simulation jobs over worker
-//!   threads (`std::thread::scope`).
+//! * [`sweep`] — the one job runner, [`sweep::run_parallel`]: jobs fan
+//!   out over `std::thread::scope` worker threads, results come back in
+//!   job order, and a panicking job re-raises its own payload after the
+//!   queue drains.
 //! * [`report`] — aligned text tables for experiment output.
 //! * [`experiments`] — one module per table/figure of the paper's
 //!   evaluation (Tables 1-3, Figures 5-10), each regenerating the paper's
@@ -71,7 +68,6 @@ pub mod sampling;
 pub mod session;
 pub mod simulator;
 pub mod sweep;
-pub mod window;
 
 pub use batch::{simulate_flat, simulate_gshare_sweep, simulate_many};
 pub use metrics::{SimResult, Tally};
@@ -81,4 +77,3 @@ pub use sampling::{
 };
 pub use session::{ProvenanceSummary, SessionSim, SessionSummary};
 pub use simulator::{drive, simulate, Hook, Plain, Source, StaleCommit};
-pub use window::{simulate_windowed, WindowPlan, WindowedRun};

@@ -29,10 +29,8 @@
 //!    [`SamplingConfig::tail_samples`] intervals, allocated across
 //!    phases proportionally to their tail population (every phase's
 //!    centroid-nearest representative is always among its picks), each
-//!    re-warmed over a short history window — the warm-then-measure
-//!    geometry of [`crate::window`]'s
-//!    [`WindowPlan`](crate::window::WindowPlan) with `window_len =
-//!    interval_len` — and everything between samples is skipped.
+//!    re-warmed over a short window of the records just before it, then
+//!    measured — and everything between samples is skipped.
 //!
 //!    A sampled interval at position `p` is measured by a predictor
 //!    that has only trained on `t_eff < p` records, so its rate reads

@@ -66,8 +66,8 @@ in_memory_sources! {
     &[BranchRecord] => |records, visit| records.iter().for_each(visit);
     &Trace => |trace, visit| trace.records().iter().for_each(visit);
     &FlatTrace => |trace, visit| trace.for_each(visit);
-    // A record-index range of a flat trace: the source windowed and
-    // sampled runs chain over one predictor.
+    // A record-index range of a flat trace: the source sampled runs
+    // chain over one predictor.
     (&FlatTrace, Range<usize>) => |(trace, range), visit| trace.for_each_in(range, visit);
 }
 

@@ -1,62 +1,16 @@
 //! Parallel execution of simulation jobs.
 //!
 //! Experiment figures run dozens of (predictor, benchmark) simulations;
-//! this module fans them out over `std::thread::scope` worker threads
-//! (results come back in job order).
-//!
-//! Two entry points share the fan-out model but differ in failure
-//! handling:
-//!
-//! * [`run_parallel`] — the original fail-fast runner: a panicking job's
-//!   payload is re-raised on the caller after the queue drains.
-//! * [`run_parallel_with`] — a policy-configurable runner for long
-//!   unattended sweeps (e.g. fault-injection campaigns): per-job watchdog
-//!   [timeout](RunPolicy::timeout), bounded
-//!   [retry](RunPolicy::max_retries) with exponential backoff and seeded
-//!   jitter ([`backoff_delay`]), and an optional
-//!   [degraded mode](FailureMode::Degraded) that returns the completed
-//!   results plus a per-job [`JobFailure`] report instead of unwinding.
+//! [`run_parallel`] fans them out over `std::thread::scope` worker
+//! threads and returns the results in job order. It is the one job
+//! runner in the tree: every worker is joined before it returns, and a
+//! panicking job's own payload is re-raised on the caller once the rest
+//! of the queue has drained.
 
-use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
-
-use ev8_util::rng::mix;
-
-/// Job threads abandoned by a watchdog since process start.
-static ABANDONED_JOBS: AtomicU64 = AtomicU64::new(0);
-/// Abandoned job threads later observed finishing (their late result
-/// arrived at a collector and was discarded).
-static ABANDONED_JOBS_FINISHED_LATE: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of job threads abandoned by a
-/// [`run_parallel_with`] watchdog.
-///
-/// Abandonment leaks the thread by design (a hung computation cannot be
-/// cancelled safely), which used to be *silent* — nothing distinguished
-/// a process carrying dozens of zombie simulation threads from a healthy
-/// one. Supervisors (the prediction server's stats endpoint, long
-/// campaign reports) surface this counter so operators can see the leak
-/// budget being spent. Monotonic; never reset.
-pub fn abandoned_jobs() -> u64 {
-    ABANDONED_JOBS.load(Ordering::Relaxed)
-}
-
-/// Process-wide count of abandoned job threads that were later seen
-/// completing: their result arrived after the watchdog had settled the
-/// job and was discarded.
-///
-/// `abandoned_jobs() - abandoned_jobs_finished_late()` bounds the number
-/// of abandoned threads that may still be running right now (an upper
-/// bound — a late thread that finishes after its collector returned is
-/// never observed). Monotonic; never reset.
-pub fn abandoned_jobs_finished_late() -> u64 {
-    ABANDONED_JOBS_FINISHED_LATE.load(Ordering::Relaxed)
-}
 
 /// Runs `jobs` on up to `workers` threads and returns the results in job
 /// order.
@@ -141,406 +95,6 @@ pub fn run_parallel<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>, workers: 
     })
 }
 
-/// What `run_parallel_with` does once a job has exhausted its attempts
-/// (or its watchdog expired).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FailureMode {
-    /// Match [`run_parallel`]: drain what can still complete, then
-    /// re-raise the first failure on the caller (a panic payload is
-    /// resumed verbatim; a timeout becomes a descriptive panic).
-    #[default]
-    FailFast,
-    /// Never unwind: return a [`RunOutcome`] carrying every completed
-    /// result plus a [`JobFailure`] per job that did not.
-    Degraded,
-}
-
-/// Failure policy for [`run_parallel_with`].
-///
-/// The default is indistinguishable from [`run_parallel`]: no watchdog,
-/// no retries, fail-fast.
-#[derive(Clone, Copy, Debug)]
-pub struct RunPolicy {
-    /// Per-job wall-clock budget covering *all* attempts (work plus
-    /// backoff sleeps). `None` disables the watchdog. A job that blows
-    /// the budget is abandoned: its thread is detached and any result it
-    /// produces later is discarded.
-    pub timeout: Option<Duration>,
-    /// How many times a panicking job is re-run after its first attempt.
-    /// `0` means one attempt, no retries.
-    pub max_retries: u32,
-    /// Base delay for [`backoff_delay`]; retry `k` sleeps
-    /// `base * 2^(k-1)` plus seeded jitter in `[0, base)`.
-    pub backoff_base: Duration,
-    /// Seed for the backoff jitter (and nothing else — jobs own their
-    /// own randomness).
-    pub seed: u64,
-    /// Fail-fast (default) or degraded-results mode.
-    pub mode: FailureMode,
-}
-
-impl Default for RunPolicy {
-    fn default() -> Self {
-        RunPolicy {
-            timeout: None,
-            max_retries: 0,
-            backoff_base: Duration::from_millis(100),
-            seed: 0,
-            mode: FailureMode::FailFast,
-        }
-    }
-}
-
-impl RunPolicy {
-    /// Returns the policy with a per-job watchdog timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
-
-    /// Returns the policy with up to `retries` re-runs per panicking job,
-    /// backed off from `base`.
-    pub fn with_retries(mut self, retries: u32, base: Duration) -> Self {
-        self.max_retries = retries;
-        self.backoff_base = base;
-        self
-    }
-
-    /// Returns the policy with the given backoff-jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Returns the policy in degraded-results mode.
-    pub fn degraded(mut self) -> Self {
-        self.mode = FailureMode::Degraded;
-        self
-    }
-}
-
-/// Why a job failed under [`run_parallel_with`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FailureCause {
-    /// Every attempt panicked; `message` is extracted from the final
-    /// payload (`&str`/`String` payloads verbatim, otherwise a
-    /// placeholder).
-    Panicked {
-        /// Attempts made (1 + retries taken).
-        attempts: u32,
-        /// The final panic message.
-        message: String,
-    },
-    /// The watchdog expired before the job produced a result; its thread
-    /// was abandoned.
-    TimedOut {
-        /// The configured budget that was exceeded.
-        after: Duration,
-    },
-}
-
-/// One failed job in a [`RunOutcome`] report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobFailure {
-    /// Index of the job in the submitted vector.
-    pub job: usize,
-    /// What went wrong.
-    pub cause: FailureCause,
-}
-
-impl std::fmt::Display for JobFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.cause {
-            FailureCause::Panicked { attempts, message } => {
-                write!(
-                    f,
-                    "job {} panicked after {attempts} attempt(s): {message}",
-                    self.job
-                )
-            }
-            FailureCause::TimedOut { after } => {
-                write!(f, "job {} timed out after {after:?}", self.job)
-            }
-        }
-    }
-}
-
-/// The result of a [`run_parallel_with`] run.
-#[derive(Debug)]
-pub struct RunOutcome<T> {
-    /// Per-job results in submission order; `None` where the job failed.
-    pub results: Vec<Option<T>>,
-    /// One entry per failed job, sorted by job index.
-    pub failures: Vec<JobFailure>,
-}
-
-impl<T> RunOutcome<T> {
-    /// Whether every job completed.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// How many jobs in this run were reaped by the watchdog (each one
-    /// also bumped the process-wide [`abandoned_jobs`] counter).
-    pub fn timed_out(&self) -> usize {
-        self.failures
-            .iter()
-            .filter(|f| matches!(f.cause, FailureCause::TimedOut { .. }))
-            .count()
-    }
-
-    /// Unwraps into the plain result vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics (listing the failures) if any job failed.
-    pub fn into_complete(self) -> Vec<T> {
-        assert!(
-            self.failures.is_empty(),
-            "{} job(s) failed: {}",
-            self.failures.len(),
-            self.failures
-                .iter()
-                .map(|f| f.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
-        );
-        self.results
-            .into_iter()
-            .map(|r| r.expect("no failures recorded, so every slot is filled"))
-            .collect()
-    }
-}
-
-/// The delay slept before retry `attempt` (1-based: the delay after the
-/// first failed attempt is `attempt = 1`) of job `job`.
-///
-/// Exponential with full-ratio seeded jitter:
-/// `base * 2^(attempt-1) + jitter`, `jitter ∈ [0, base)` drawn
-/// deterministically from `(seed, job, attempt)` via the SplitMix64
-/// mixer — so a fleet of retrying jobs staggers instead of
-/// thundering back in lockstep, yet every schedule is reproducible
-/// from the policy seed.
-pub fn backoff_delay(base: Duration, seed: u64, job: usize, attempt: u32) -> Duration {
-    let attempt = attempt.max(1);
-    // Cap the shift: past 2^20 the exponential term saturates anyway.
-    let factor = 1u32 << (attempt - 1).min(20);
-    let exp = base.saturating_mul(factor);
-    let base_nanos = base.as_nanos().min(u128::from(u64::MAX)) as u64;
-    if base_nanos == 0 {
-        return exp;
-    }
-    let jitter = mix(seed ^ mix(job as u64).wrapping_add(u64::from(attempt))) % base_nanos;
-    exp.saturating_add(Duration::from_nanos(jitter))
-}
-
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
-/// Spawns one detached job thread that retries per the policy and ships
-/// `(job, attempts, result)` back; the thread is *not* joined, so a hung
-/// job can be abandoned by the collector.
-fn spawn_job<T: Send + 'static>(
-    index: usize,
-    job: Box<dyn Fn() -> T + Send + 'static>,
-    tx: mpsc::Sender<(usize, u32, thread::Result<T>)>,
-    max_retries: u32,
-    backoff_base: Duration,
-    seed: u64,
-) {
-    thread::spawn(move || {
-        let mut attempt = 1u32;
-        loop {
-            match panic::catch_unwind(AssertUnwindSafe(&job)) {
-                Ok(v) => {
-                    let _ = tx.send((index, attempt, Ok(v)));
-                    return;
-                }
-                Err(payload) => {
-                    if attempt > max_retries {
-                        let _ = tx.send((index, attempt, Err(payload)));
-                        return;
-                    }
-                    thread::sleep(backoff_delay(backoff_base, seed, index, attempt));
-                    attempt += 1;
-                }
-            }
-        }
-    });
-}
-
-/// Runs `jobs` on up to `workers` detached threads under `policy` and
-/// returns a [`RunOutcome`] (results in job order).
-///
-/// Jobs are `Fn` rather than `FnOnce` so a panicking job can be retried
-/// in place; they must be `'static` because a job that outlives its
-/// watchdog budget is abandoned, not joined (the thread keeps running
-/// detached until it finishes or the process exits — deliberate: there
-/// is no safe way to cancel a hung computation, and leaking a thread is
-/// the price of returning at all).
-///
-/// # Panics
-///
-/// Panics if `workers == 0`. Under [`FailureMode::FailFast`] (the
-/// default) the first failure is re-raised after the drain, exactly like
-/// [`run_parallel`]; under [`FailureMode::Degraded`] failures are
-/// reported in the outcome instead.
-///
-/// # Example
-///
-/// ```
-/// use ev8_sim::sweep::{run_parallel_with, RunPolicy};
-///
-/// let jobs: Vec<Box<dyn Fn() -> u64 + Send>> =
-///     (0..8u64).map(|i| Box::new(move || i * i) as Box<dyn Fn() -> u64 + Send>).collect();
-/// let outcome = run_parallel_with(jobs, 4, &RunPolicy::default());
-/// assert_eq!(outcome.into_complete()[3], 9);
-/// ```
-pub fn run_parallel_with<T: Send + 'static>(
-    jobs: Vec<Box<dyn Fn() -> T + Send + 'static>>,
-    workers: usize,
-    policy: &RunPolicy,
-) -> RunOutcome<T> {
-    assert!(workers > 0, "need at least one worker");
-    let n = jobs.len();
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut failures: Vec<JobFailure> = Vec::new();
-    if n == 0 {
-        return RunOutcome { results, failures };
-    }
-    let workers = workers.min(n);
-
-    let (res_tx, res_rx) = mpsc::channel::<(usize, u32, thread::Result<T>)>();
-    let mut queue = jobs.into_iter().enumerate();
-    // Deadline per in-flight job (`None` = not running); a settled job
-    // ignores late results from its abandoned thread.
-    let mut deadlines: Vec<Option<Instant>> = (0..n).map(|_| None).collect();
-    let mut settled = vec![false; n];
-    let mut in_flight = 0usize;
-    let mut first_panic: Option<Box<dyn Any + Send>> = None;
-    let mut first_timeout: Option<JobFailure> = None;
-
-    let launch_next = |queue: &mut std::iter::Enumerate<std::vec::IntoIter<_>>,
-                       deadlines: &mut Vec<Option<Instant>>,
-                       in_flight: &mut usize| {
-        if let Some((i, job)) = queue.next() {
-            deadlines[i] = Some(match policy.timeout {
-                Some(t) => Instant::now() + t,
-                // Far-future sentinel keeps the deadline arithmetic
-                // uniform; it is never awaited because `wait` below is
-                // `None` when no watchdog is configured.
-                None => Instant::now() + Duration::from_secs(u32::MAX as u64),
-            });
-            *in_flight += 1;
-            spawn_job(
-                i,
-                job,
-                res_tx.clone(),
-                policy.max_retries,
-                policy.backoff_base,
-                policy.seed,
-            );
-        }
-    };
-
-    for _ in 0..workers {
-        launch_next(&mut queue, &mut deadlines, &mut in_flight);
-    }
-
-    while in_flight > 0 {
-        let received = match policy.timeout {
-            None => res_rx
-                .recv()
-                .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-            Some(_) => {
-                let nearest = deadlines
-                    .iter()
-                    .flatten()
-                    .min()
-                    .copied()
-                    .expect("in_flight > 0 implies a deadline");
-                res_rx.recv_timeout(nearest.saturating_duration_since(Instant::now()))
-            }
-        };
-        match received {
-            Ok((i, attempts, out)) => {
-                if settled[i] {
-                    // Late result from a thread abandoned by the
-                    // watchdog; the job already counts as failed, but
-                    // the leaked thread is now known to have finished.
-                    ABANDONED_JOBS_FINISHED_LATE.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                settled[i] = true;
-                deadlines[i] = None;
-                in_flight -= 1;
-                match out {
-                    Ok(v) => results[i] = Some(v),
-                    Err(payload) => {
-                        failures.push(JobFailure {
-                            job: i,
-                            cause: FailureCause::Panicked {
-                                attempts,
-                                message: panic_message(payload.as_ref()),
-                            },
-                        });
-                        if first_panic.is_none() {
-                            first_panic = Some(payload);
-                        }
-                    }
-                }
-                launch_next(&mut queue, &mut deadlines, &mut in_flight);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                let now = Instant::now();
-                let after = policy.timeout.expect("recv_timeout implies a watchdog");
-                for i in 0..n {
-                    if deadlines[i].is_some_and(|d| d <= now) {
-                        settled[i] = true;
-                        deadlines[i] = None;
-                        in_flight -= 1;
-                        ABANDONED_JOBS.fetch_add(1, Ordering::Relaxed);
-                        let failure = JobFailure {
-                            job: i,
-                            cause: FailureCause::TimedOut { after },
-                        };
-                        if first_timeout.is_none() {
-                            first_timeout = Some(failure.clone());
-                        }
-                        failures.push(failure);
-                        launch_next(&mut queue, &mut deadlines, &mut in_flight);
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                unreachable!("collector holds a live sender; the channel cannot disconnect")
-            }
-        }
-    }
-
-    if policy.mode == FailureMode::FailFast {
-        // Mirror `run_parallel`: the first failure (in completion order)
-        // wins, and a panic payload is re-raised verbatim.
-        if let Some(payload) = first_panic {
-            panic::resume_unwind(payload);
-        }
-        if let Some(failure) = first_timeout {
-            panic!("{failure}");
-        }
-    }
-
-    failures.sort_by_key(|f| f.job);
-    RunOutcome { results, failures }
-}
-
 /// A sensible default worker count: the number of available CPUs, at
 /// least 1, at most 8 (the experiments are memory-bandwidth heavy).
 pub fn default_workers() -> usize {
@@ -620,293 +174,6 @@ mod tests {
             .copied()
             .expect("payload is the panic message");
         assert_eq!(msg, "job exploded");
-    }
-
-    fn fn_jobs<T, F>(fns: Vec<F>) -> Vec<Box<dyn Fn() -> T + Send>>
-    where
-        F: Fn() -> T + Send + 'static,
-    {
-        fns.into_iter()
-            .map(|f| Box::new(f) as Box<dyn Fn() -> T + Send>)
-            .collect()
-    }
-
-    #[test]
-    fn policy_default_matches_run_parallel_semantics() {
-        let jobs: Vec<Box<dyn Fn() -> usize + Send>> = (0..16usize)
-            .map(|i| Box::new(move || i * 3) as Box<dyn Fn() -> usize + Send>)
-            .collect();
-        let outcome = run_parallel_with(jobs, 4, &RunPolicy::default());
-        assert!(outcome.is_complete());
-        assert_eq!(
-            outcome.into_complete(),
-            (0..16).map(|i| i * 3).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn policy_zero_jobs_is_empty_outcome() {
-        for policy in [RunPolicy::default(), RunPolicy::default().degraded()] {
-            let jobs: Vec<Box<dyn Fn() -> u8 + Send>> = Vec::new();
-            let outcome = run_parallel_with(jobs, 2, &policy);
-            assert!(outcome.results.is_empty());
-            assert!(outcome.failures.is_empty());
-            assert!(outcome.into_complete().is_empty());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one worker")]
-    fn policy_zero_workers_rejected() {
-        let jobs: Vec<Box<dyn Fn() -> u8 + Send>> = vec![Box::new(|| 1)];
-        run_parallel_with(jobs, 0, &RunPolicy::default());
-    }
-
-    #[test]
-    fn policy_multiple_panicking_jobs_first_payload_wins() {
-        // One worker makes completion order deterministic: job 0 panics
-        // first, and its payload — not job 2's — must reach the caller.
-        let jobs: Vec<Box<dyn Fn() -> u8 + Send>> = vec![
-            Box::new(|| panic!("first explosion")),
-            Box::new(|| 1),
-            Box::new(|| panic!("second explosion")),
-        ];
-        let err = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_parallel_with(jobs, 1, &RunPolicy::default())
-        }))
-        .expect_err("fail-fast must re-raise");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .expect("payload is the panic message");
-        assert_eq!(msg, "first explosion");
-    }
-
-    #[test]
-    fn policy_degraded_mode_collects_survivors_and_reports_failures() {
-        let jobs: Vec<Box<dyn Fn() -> u8 + Send>> = vec![
-            Box::new(|| 10),
-            Box::new(|| panic!("job 1 broke")),
-            Box::new(|| 30),
-            Box::new(|| panic!("job 3 broke")),
-        ];
-        let outcome = run_parallel_with(jobs, 2, &RunPolicy::default().degraded());
-        assert!(!outcome.is_complete());
-        assert_eq!(outcome.results[0], Some(10));
-        assert_eq!(outcome.results[1], None);
-        assert_eq!(outcome.results[2], Some(30));
-        assert_eq!(outcome.results[3], None);
-        assert_eq!(outcome.failures.len(), 2);
-        assert_eq!(outcome.failures[0].job, 1);
-        assert_eq!(
-            outcome.failures[0].cause,
-            FailureCause::Panicked {
-                attempts: 1,
-                message: "job 1 broke".to_string()
-            }
-        );
-        assert_eq!(outcome.failures[1].job, 3);
-        assert!(outcome.failures[1].to_string().contains("job 3 broke"));
-    }
-
-    #[test]
-    fn policy_timeout_fires_on_hung_job() {
-        let policy = RunPolicy::default()
-            .with_timeout(Duration::from_millis(100))
-            .degraded();
-        let jobs = fn_jobs(vec![
-            (|| 7u8) as fn() -> u8,
-            // Hung job: the watchdog must abandon it. The detached
-            // thread sleeps out the rest of the test process harmlessly.
-            (|| {
-                thread::sleep(Duration::from_secs(3600));
-                0
-            }) as fn() -> u8,
-            (|| 9u8) as fn() -> u8,
-        ]);
-        let start = Instant::now();
-        let outcome = run_parallel_with(jobs, 3, &policy);
-        // The timed-out job must not stall the caller anywhere near its
-        // own (hour-long) runtime.
-        assert!(start.elapsed() < Duration::from_secs(30));
-        assert_eq!(outcome.results[0], Some(7));
-        assert_eq!(outcome.results[1], None);
-        assert_eq!(outcome.results[2], Some(9));
-        assert_eq!(outcome.failures.len(), 1);
-        assert_eq!(outcome.failures[0].job, 1);
-        assert_eq!(
-            outcome.failures[0].cause,
-            FailureCause::TimedOut {
-                after: Duration::from_millis(100)
-            }
-        );
-    }
-
-    #[test]
-    fn watchdog_reaps_bump_the_abandonment_counter() {
-        // The counters are process-global and shared with every other
-        // test in this binary, so assert monotonic deltas, not values.
-        let before = abandoned_jobs();
-        let policy = RunPolicy::default()
-            .with_timeout(Duration::from_millis(80))
-            .degraded();
-        let jobs = fn_jobs(vec![
-            (|| 1u8) as fn() -> u8,
-            (|| {
-                thread::sleep(Duration::from_secs(3600));
-                0
-            }) as fn() -> u8,
-            (|| {
-                thread::sleep(Duration::from_secs(3600));
-                0
-            }) as fn() -> u8,
-        ]);
-        let outcome = run_parallel_with(jobs, 3, &policy);
-        assert_eq!(outcome.timed_out(), 2);
-        assert_eq!(outcome.failures.len(), 2);
-        let after = abandoned_jobs();
-        assert!(
-            after >= before + 2,
-            "expected at least 2 new abandonments, saw {before} -> {after}"
-        );
-    }
-
-    #[test]
-    fn clean_run_reports_zero_timed_out() {
-        let outcome = run_parallel_with(
-            fn_jobs(vec![(|| 1u8) as fn() -> u8, (|| 2u8) as fn() -> u8]),
-            2,
-            &RunPolicy::default().degraded(),
-        );
-        assert_eq!(outcome.timed_out(), 0);
-        assert!(outcome.is_complete());
-    }
-
-    #[test]
-    fn late_finishing_abandoned_thread_is_counted() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let before_late = abandoned_jobs_finished_late();
-        let reaped_job_done = Arc::new(AtomicBool::new(false));
-        let setter = Arc::clone(&reaped_job_done);
-        let waiter = Arc::clone(&reaped_job_done);
-        // One worker: job 0 outlives the watchdog and is abandoned at
-        // ~400 ms, which launches job 1. Job 1 holds the collector open
-        // until job 0's thread has finished (~600 ms), so the late result
-        // is still drained — and must be counted — before the run ends.
-        let jobs: Vec<Box<dyn Fn() -> u8 + Send>> = vec![
-            Box::new(move || {
-                thread::sleep(Duration::from_millis(600));
-                setter.store(true, Ordering::SeqCst);
-                0
-            }),
-            Box::new(move || {
-                while !waiter.load(Ordering::SeqCst) {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                // Slack for the late result to reach the collector first.
-                thread::sleep(Duration::from_millis(100));
-                1
-            }),
-        ];
-        let policy = RunPolicy::default()
-            .with_timeout(Duration::from_millis(400))
-            .degraded();
-        let outcome = run_parallel_with(jobs, 1, &policy);
-        assert_eq!(outcome.timed_out(), 1);
-        assert_eq!(outcome.results[1], Some(1));
-        let after_late = abandoned_jobs_finished_late();
-        assert!(
-            after_late > before_late,
-            "late finish not counted: {before_late} -> {after_late}"
-        );
-        // The process-wide bound stays consistent: threads seen finishing
-        // late can never outnumber threads abandoned.
-        assert!(abandoned_jobs_finished_late() <= abandoned_jobs());
-    }
-
-    #[test]
-    fn policy_timeout_in_fail_fast_panics_with_job_index() {
-        let policy = RunPolicy::default().with_timeout(Duration::from_millis(50));
-        let jobs = fn_jobs(vec![
-            (|| {
-                thread::sleep(Duration::from_secs(3600));
-                0u8
-            }) as fn() -> u8,
-        ]);
-        let err = panic::catch_unwind(AssertUnwindSafe(|| run_parallel_with(jobs, 1, &policy)))
-            .expect_err("timeout must fail fast");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("timeout panic carries a formatted message");
-        assert!(msg.contains("job 0 timed out"), "unexpected message: {msg}");
-    }
-
-    #[test]
-    fn policy_retry_then_succeed_with_deterministic_backoff() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let attempts = Arc::new(AtomicU32::new(0));
-        let job_attempts = Arc::clone(&attempts);
-        let jobs: Vec<Box<dyn Fn() -> u32 + Send>> = vec![Box::new(move || {
-            let n = job_attempts.fetch_add(1, Ordering::SeqCst) + 1;
-            if n < 3 {
-                panic!("transient failure {n}");
-            }
-            n
-        })];
-        let policy = RunPolicy::default()
-            .with_retries(3, Duration::from_millis(1))
-            .with_seed(9)
-            .degraded();
-        let outcome = run_parallel_with(jobs, 1, &policy);
-        assert!(outcome.is_complete());
-        assert_eq!(outcome.results[0], Some(3));
-        assert_eq!(attempts.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn policy_exhausted_retries_report_attempt_count() {
-        let policy = RunPolicy::default()
-            .with_retries(2, Duration::from_micros(100))
-            .degraded();
-        let jobs: Vec<Box<dyn Fn() -> u8 + Send>> = vec![Box::new(|| panic!("always broken"))];
-        let outcome = run_parallel_with(jobs, 1, &policy);
-        assert_eq!(
-            outcome.failures[0].cause,
-            FailureCause::Panicked {
-                attempts: 3,
-                message: "always broken".to_string()
-            }
-        );
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic_and_exponential() {
-        let base = Duration::from_millis(10);
-        for attempt in 1..=4u32 {
-            let d = backoff_delay(base, 9, 0, attempt);
-            // Same (seed, job, attempt) → identical delay, forever.
-            assert_eq!(d, backoff_delay(base, 9, 0, attempt));
-            // Exponential envelope with jitter in [0, base).
-            let floor = base * (1 << (attempt - 1));
-            assert!(d >= floor, "attempt {attempt}: {d:?} < {floor:?}");
-            assert!(
-                d < floor + base,
-                "attempt {attempt}: {d:?} >= {:?}",
-                floor + base
-            );
-        }
-        // Different jobs (and seeds) jitter differently — the whole point
-        // of seeding the schedule.
-        let spread: std::collections::HashSet<Duration> =
-            (0..16).map(|job| backoff_delay(base, 9, job, 1)).collect();
-        assert!(spread.len() > 1, "jitter collapsed to a single delay");
-        assert_ne!(backoff_delay(base, 1, 0, 1), backoff_delay(base, 2, 0, 1));
-        // Degenerate base: no jitter, no panic.
-        assert_eq!(backoff_delay(Duration::ZERO, 9, 0, 1), Duration::ZERO);
-        // Huge attempt numbers saturate instead of overflowing.
-        let huge = backoff_delay(base, 9, 0, 4_000_000);
-        assert!(huge >= base * (1 << 20));
     }
 
     #[test]

@@ -294,12 +294,12 @@ impl FlatTrace {
     }
 
     /// Walks the records in `range` (clamped to `0..len()`), invoking
-    /// `f` on each — the ranged form of [`FlatTrace::for_each`] that the
-    /// windowed simulation engine uses to warm up and measure one window
-    /// without touching the rest of the trace.
+    /// `f` on each — the ranged form of [`FlatTrace::for_each`] that
+    /// phase sampling uses to warm up and measure one interval without
+    /// touching the rest of the trace.
     ///
     /// Escape-free traces take the same chunked walk as `for_each`, with
-    /// the leading outcome word pre-shifted by `start & 63` so windows
+    /// the leading outcome word pre-shifted by `start & 63` so ranges
     /// that begin mid-word read the right bits. Traces with wide entries
     /// fall back to per-record reconstruction. Yields exactly the records
     /// `iter().skip(range.start).take(range.len())` yields (pinned by a

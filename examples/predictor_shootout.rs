@@ -1,23 +1,20 @@
-//! Shootout: every implemented prediction scheme over the whole
-//! synthetic SPECINT95 suite, misp/KI per benchmark — a miniature,
-//! extended version of the paper's Figure 5 including the schemes the
-//! paper discusses but does not plot (local, tournament, agree,
-//! perceptron).
+//! Shootout: every prediction scheme the experiments run, over the
+//! whole synthetic SPECINT95 suite, misp/KI per benchmark — a miniature,
+//! extended version of the paper's Figure 5 that adds e-gskew (the
+//! `aliasing` study), the perceptron (the §9 backup) and TAGE at the
+//! EV8 budget.
 //!
 //! ```text
 //! cargo run --release --example predictor_shootout [scale]
 //! ```
 
 use ev8_core::Ev8Predictor;
-use ev8_predictors::agree::Agree;
 use ev8_predictors::bimodal::Bimodal;
 use ev8_predictors::bimode::Bimode;
 use ev8_predictors::egskew::EGskew;
 use ev8_predictors::gshare::Gshare;
-use ev8_predictors::local::LocalPredictor;
 use ev8_predictors::perceptron::Perceptron;
 use ev8_predictors::tage::{Tage, TageConfig};
-use ev8_predictors::tournament::Tournament;
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 use ev8_predictors::yags::Yags;
 use ev8_sim::experiments::{factory, mean_mispki, run_grid, suite_flat_traces, Factory};
@@ -28,13 +25,7 @@ fn roster() -> Vec<(String, Factory)> {
     vec![
         ("bimodal 32Kb".into(), factory(|| Bimodal::new(14))),
         ("gshare 128Kb".into(), factory(|| Gshare::new(16, 16))),
-        ("local 13Kb".into(), factory(|| LocalPredictor::new(10, 10))),
-        (
-            "tournament (21264)".into(),
-            factory(Tournament::alpha_21264),
-        ),
         ("e-gskew 384Kb".into(), factory(|| EGskew::new(16, 16))),
-        ("agree 36Kb".into(), factory(|| Agree::new(12, 14, 12))),
         ("bimode 544Kb".into(), factory(Bimode::paper_544k)),
         ("YAGS 288Kb".into(), factory(Yags::paper_288k)),
         (

@@ -108,9 +108,9 @@ observe_elapsed=$(stage_seconds "$observe_start" golden_misp)
 check_budget "observability smoke" "$OBSERVE_BUDGET" "$observe_elapsed"
 
 # Sweep-engine smoke, budgeted: the batched-vs-serial equivalence suite
-# (drive over every record source and identity hook, simulate_many,
-# simulate_gshare_sweep and windowed splices, bit-identical to serial
-# over generated traces, including predictor write-accounting state)
+# (drive over every record source and identity hook, simulate_many and
+# simulate_gshare_sweep, bit-identical to serial over generated traces,
+# including predictor write-accounting state)
 # must stay cheap —
 # it guards the sweep engine every experiment run leans on, so a budget
 # blowout here means trace memoization or the batched hot loop regressed.

@@ -32,10 +32,9 @@ use ev8_predictors::yags::Yags;
 use ev8_predictors::BranchPredictor;
 use ev8_sim::observe::NullObserver;
 use ev8_sim::session::SessionSim;
-use ev8_sim::sweep::RunPolicy;
 use ev8_sim::{
-    drive, simulate, simulate_flat, simulate_gshare_sweep, simulate_many, simulate_windowed, Plain,
-    SimResult, StaleCommit, Tally, WindowPlan,
+    drive, simulate, simulate_flat, simulate_gshare_sweep, simulate_many, Plain, SimResult,
+    StaleCommit, Tally,
 };
 use ev8_trace::corpus::{write_corpus_chunked, CorpusReader};
 use ev8_trace::{BranchKind, BranchRecord, FlatTrace, Outcome, Pc, Trace, TraceBuilder};
@@ -393,131 +392,6 @@ fn gshare_sweep_matches_serial_on_arbitrary_traces() {
             Ok(())
         },
     );
-}
-
-#[test]
-fn windowed_splice_converges_to_serial_as_warmup_grows() {
-    // The windowed engine's accuracy contract: at full warmup the splice
-    // is *bit-identical* to serial (delta exactly zero), and
-    // conditional-branch accounting is exact at *every* warmup — only
-    // the misprediction count can drift, and per-window sums must
-    // reconcile with the spliced total.
-    check(
-        "windowed_splice_converges_to_serial_as_warmup_grows",
-        CASES / 2,
-        |g| {
-            let trace = arb_trace(g);
-            let flat = std::sync::Arc::new(FlatTrace::from_trace(&trace));
-            let bits = g.range(4u32..10);
-            let hist = g.range(0u32..10);
-            let factory = move || Gshare::new(bits, hist);
-            let serial = simulate_flat(factory(), &flat);
-            let window_len = g.range(1u32..130) as usize;
-            let policy = RunPolicy::default();
-            let mut deltas = Vec::new();
-            for warmup in [0usize, 32, 128, flat.len()] {
-                let plan = WindowPlan::new(window_len, warmup);
-                let run = simulate_windowed(factory, &flat, plan, 3, &policy);
-                prop_assert_eq!(run.result.conditional_branches, serial.conditional_branches);
-                let spliced: u64 = run.per_window.iter().map(|w| w.mispredictions).sum();
-                prop_assert_eq!(spliced, run.result.mispredictions);
-                deltas.push(run.result.mispredictions.abs_diff(serial.mispredictions));
-                if plan.is_exact_for(flat.len()) {
-                    prop_assert_eq!(run.result.clone(), serial.clone());
-                }
-            }
-            // Full warmup is always exact.
-            prop_assert_eq!(*deltas.last().unwrap(), 0u64);
-            Ok(())
-        },
-    );
-}
-
-/// The CI windowed smoke: real generated benchmarks, bit-accounted —
-/// the spliced totals at a practical warmup are compared against the
-/// serial golden counts, and a full-warmup splice must be exact.
-#[test]
-fn windowed_splice_is_bit_accounted_on_real_benchmarks() {
-    let policy = RunPolicy::default();
-    for name in ["compress", "m88ksim"] {
-        let flat = spec95::cached_flat(name, 0.002).unwrap();
-        // A 256-entry table: the 2048-record warmup below cycles the
-        // whole working set several times, so the residual window error
-        // is genuinely cold-start history, not an under-warmed table.
-        let factory = || Gshare::new(8, 6);
-        let serial = simulate_flat(factory(), &flat);
-        let exact = simulate_windowed(
-            factory,
-            &flat,
-            WindowPlan::new(4096, flat.len()),
-            4,
-            &policy,
-        );
-        assert_eq!(exact.result, serial, "{name}: full-warmup splice");
-        // Warmup-error account, the numbers DESIGN.md §14 quotes: the
-        // misprediction delta vs serial must shrink as warmup grows
-        // (this host's generated traces: compress 284 -> 87 -> 17,
-        // m88ksim 138 -> 43 -> 0) and land within 2% of the golden
-        // count at the longest warmup.
-        let mut deltas = Vec::new();
-        for warmup in [512usize, 2048, 8192] {
-            let windowed =
-                simulate_windowed(factory, &flat, WindowPlan::new(4096, warmup), 4, &policy);
-            assert_eq!(
-                windowed.result.conditional_branches, serial.conditional_branches,
-                "{name}: windowed branch accounting at warmup {warmup}"
-            );
-            deltas.push(
-                windowed
-                    .result
-                    .mispredictions
-                    .abs_diff(serial.mispredictions),
-            );
-        }
-        assert!(
-            deltas.windows(2).all(|w| w[1] <= w[0]),
-            "{name}: warmup error must shrink as warmup grows, got {deltas:?}"
-        );
-        assert!(
-            *deltas.last().unwrap() <= serial.mispredictions / 50,
-            "{name}: residual delta {} of {} at 8192-record warmup",
-            deltas.last().unwrap(),
-            serial.mispredictions
-        );
-    }
-}
-
-/// The windowed front door is family-agnostic: batched≡serial at full
-/// warmup for *every* predictor family behind the type-erased
-/// experiment [`Factory`] — bimodal, gshare, 2Bc-gskew, the full EV8
-/// and TAGE — not just the gshare shape the engine grew up on.
-#[test]
-fn windowed_splice_is_exact_at_full_warmup_for_every_family() {
-    use ev8_sim::experiments::{factory, Factory};
-    let policy = RunPolicy::default();
-    let families: Vec<(&str, Factory)> = vec![
-        ("bimodal", factory(|| Bimodal::new(12))),
-        ("gshare", factory(|| Gshare::new(12, 12))),
-        (
-            "2bcgskew",
-            factory(|| TwoBcGskew::new(TwoBcGskewConfig::ev8_size())),
-        ),
-        ("ev8", factory(Ev8Predictor::ev8)),
-        ("tage", factory(|| Tage::new(TageConfig::ev8_budget()))),
-    ];
-    for name in ["compress", "go"] {
-        let flat = spec95::cached_flat(name, 0.001).unwrap();
-        let plan = WindowPlan::new(2048, flat.len());
-        assert!(plan.is_exact_for(flat.len()));
-        for (family, fac) in &families {
-            let serial = simulate_flat(fac(), &flat);
-            let fac = std::sync::Arc::clone(fac);
-            let run = simulate_windowed(move || fac(), &flat, plan, 4, &policy);
-            assert_eq!(run.result, serial, "{name}/{family}: full-warmup splice");
-            let spliced: u64 = run.per_window.iter().map(|w| w.mispredictions).sum();
-            assert_eq!(spliced, serial.mispredictions, "{name}/{family}");
-        }
-    }
 }
 
 /// The CI sweep smoke (`scripts/ci.sh`, `EV8_SWEEP_BUDGET`): one batched

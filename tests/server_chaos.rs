@@ -24,7 +24,6 @@ use ev8_faults::fuzz;
 use ev8_server::proto::{self, kind, Hello, PredictorSpec};
 use ev8_server::{Client, Server, ServerConfig, ServerError, ServerHandle};
 use ev8_sim::simulate;
-use ev8_sim::sweep::RunPolicy;
 use ev8_trace::frame::write_frame;
 use ev8_trace::{codec, BranchRecord, Pc, Trace, TraceBuilder};
 
@@ -207,10 +206,7 @@ fn chaos_healthy_clients_survive_adversaries() {
         max_sessions: 8, // force RETRY_AFTER traffic under 16+ clients
         stall_timeout: Duration::from_millis(800),
         drain_timeout: Duration::from_secs(2),
-        supervision: RunPolicy {
-            backoff_base: Duration::from_millis(20),
-            ..RunPolicy::default()
-        },
+        retry_backoff: Duration::from_millis(20),
         ..ServerConfig::default()
     });
     server.bind_unix(&path).unwrap();
@@ -336,10 +332,7 @@ fn overload_rejects_with_retry_after() {
     let mut server = Server::new(ServerConfig {
         workers: 1,
         max_sessions: 1,
-        supervision: RunPolicy {
-            backoff_base: Duration::from_millis(10),
-            ..RunPolicy::default()
-        },
+        retry_backoff: Duration::from_millis(10),
         ..ServerConfig::default()
     });
     server.bind_unix(&path).unwrap();
