@@ -1,6 +1,7 @@
-//! Cost of index computation: the EV8's engineered bit equations versus
-//! the skewing-family complete hash, and the primitive `H` transform /
-//! XOR fold.
+//! Cost of index computation: the EV8's engineered bit equations, bit by
+//! bit and as the tabulated linear map the predictor runs, versus the
+//! skewing-family complete hash, and the primitive `H` transform / XOR
+//! fold.
 
 use ev8_util::bench::{black_box, Harness};
 
@@ -8,6 +9,17 @@ use ev8_core::config::WordlineMode;
 use ev8_core::index::IndexInputs;
 use ev8_predictors::skew::{h_transform, skew_index, xor_fold, InfoVector};
 use ev8_trace::Pc;
+
+/// The `i`-th of the 1024 index inputs both EV8 benches evaluate.
+fn ev8_inputs(i: u64) -> IndexInputs {
+    IndexInputs {
+        pc: Pc::new(0x1_0000 + i * 4),
+        history: i.wrapping_mul(0x9E37_79B9),
+        z: Pc::new(0x2_0000 + (i % 64) * 32),
+        bank: (i % 4) as u8,
+        wordline: WordlineMode::HistoryAndAddress,
+    }
+}
 
 fn main() {
     let mut h = Harness::from_env();
@@ -18,14 +30,19 @@ fn main() {
         b.iter(|| {
             let mut acc = 0usize;
             for i in 0..1024u64 {
-                let inputs = IndexInputs {
-                    pc: Pc::new(0x1_0000 + i * 4),
-                    history: i.wrapping_mul(0x9E37_79B9),
-                    z: Pc::new(0x2_0000 + (i % 64) * 32),
-                    bank: (i % 4) as u8,
-                    wordline: WordlineMode::HistoryAndAddress,
-                };
+                let inputs = ev8_inputs(i);
                 acc ^= inputs.bim() ^ inputs.g0() ^ inputs.g1() ^ inputs.meta();
+            }
+            black_box(acc)
+        })
+    });
+
+    group.bench("ev8_linear_all_four_tables", |b| {
+        b.iter(|| {
+            let mut acc = 0usize;
+            for i in 0..1024u64 {
+                let idx = ev8_inputs(i).indices();
+                acc ^= idx.bim ^ idx.g0 ^ idx.g1 ^ idx.meta;
             }
             black_box(acc)
         })

@@ -12,6 +12,10 @@
 //! continue exactly where the previous record left off extend the current
 //! block; discontinuities (trace imperfections or pipeline redirects)
 //! start a fresh block.
+//!
+//! Addresses are circular, as in the wire codec's wrapping deltas: a run
+//! may wrap below 0, and the region after the last aligned 32-byte region
+//! of the 64-bit space is the one at 0.
 
 use ev8_trace::{BranchRecord, Outcome, Pc, Trace};
 
@@ -65,12 +69,13 @@ struct CurrentBlock {
 }
 
 impl CurrentBlock {
-    fn region_end(&self) -> u64 {
-        self.start.fetch_block_base().as_u64() + 32
+    /// The first address of the next aligned region.
+    fn region_end(&self) -> Pc {
+        Pc::new(self.start.fetch_block_base().as_u64().wrapping_add(32))
     }
 
     fn finish(self, last_pc: Pc, ended_by: BlockEnd) -> FetchBlock {
-        let instructions = ((last_pc.as_u64() - self.start.as_u64()) / 4 + 1) as u32;
+        let instructions = (last_pc.as_u64().wrapping_sub(self.start.as_u64()) / 4 + 1) as u32;
         debug_assert!((1..=8).contains(&instructions));
         FetchBlock {
             start: self.start,
@@ -133,20 +138,20 @@ impl FetchState {
     /// the in-progress block is the one that will contain the branch —
     /// i.e. the context in which the EV8 pipeline predicts it.
     pub fn feed_run<F: FnMut(FetchBlock)>(&mut self, record: &BranchRecord, mut on_block: F) {
-        let run_start = Pc::new(record.pc.as_u64() - 4 * record.gap as u64);
+        let run_start = Pc::new(record.pc.as_u64().wrapping_sub(4 * record.gap as u64));
 
         // Discontinuity: the run does not continue where we expected.
         if self.expected_ip != Some(run_start) || self.current.is_none() {
             if let Some(cur) = self.current.take() {
                 // The block ended at the last instruction we actually saw
-                // (expected_ip - 4, i.e. right before the jump-away).
-                let last = Pc::new(
-                    self.expected_ip
-                        .unwrap_or(cur.start)
-                        .as_u64()
-                        .max(cur.start.as_u64() + 4)
-                        - 4,
-                );
+                // (expected_ip - 4, i.e. right before the jump-away), or at
+                // its start if it saw none.
+                let next = self.expected_ip.unwrap_or(cur.start);
+                let last = if next == cur.start {
+                    cur.start
+                } else {
+                    Pc::new(next.as_u64().wrapping_sub(4))
+                };
                 on_block(cur.finish(last, BlockEnd::Discontinuity));
             }
             self.start_block(run_start);
@@ -157,14 +162,14 @@ impl FetchState {
         // the region boundary.
         loop {
             let cur = self.current.as_ref().expect("block in progress");
-            let region_end = cur.region_end();
-            if record.pc.as_u64() < region_end {
+            if cur.start.fetch_block_base() == record.pc.fetch_block_base() {
                 break;
             }
+            let region_end = cur.region_end();
             let cur = self.current.take().expect("block in progress");
-            let last = Pc::new(region_end - 4);
+            let last = Pc::new(region_end.as_u64().wrapping_sub(4));
             on_block(cur.finish(last, BlockEnd::AlignedBoundary));
-            self.start_block(Pc::new(region_end));
+            self.start_block(region_end);
         }
     }
 
@@ -186,11 +191,11 @@ impl FetchState {
             self.start_block(record.target);
             self.expected_ip = Some(record.target);
         } else {
-            let fallthrough = record.pc.next();
+            let fallthrough = Pc::new(record.pc.as_u64().wrapping_add(4));
             self.expected_ip = Some(fallthrough);
             // A not-taken branch in the last slot still ends the block at
             // the aligned boundary.
-            if fallthrough.as_u64() >= self.current.as_ref().expect("block").region_end() {
+            if record.pc.is_last_in_fetch_block() {
                 let cur = self.current.take().expect("block in progress");
                 on_block(cur.finish(record.pc, BlockEnd::AlignedBoundary));
                 self.start_block(fallthrough);
@@ -212,8 +217,8 @@ impl FetchState {
             // Only emit if the block saw at least one instruction worth of
             // progress (a just-started empty block is not a real block).
             if let Some(ip) = self.expected_ip {
-                if ip.as_u64() > cur.start.as_u64() {
-                    on_block(cur.finish(Pc::new(ip.as_u64() - 4), BlockEnd::Flush));
+                if ip != cur.start {
+                    on_block(cur.finish(Pc::new(ip.as_u64().wrapping_sub(4)), BlockEnd::Flush));
                 }
             }
         }
@@ -390,6 +395,50 @@ mod tests {
         assert_eq!(blocks[0].ended_by, BlockEnd::Discontinuity);
         assert_eq!(blocks[0].instructions, 1);
         assert_eq!(blocks[1].start, Pc::new(0x5000));
+    }
+
+    #[test]
+    fn blocks_form_across_the_top_of_the_address_space() {
+        // The last aligned 32-byte region of the 64-bit space.
+        const TOP: u64 = 0xFFFF_FFFF_FFFF_FFE0;
+        let blocks = feed_all(&[
+            // Not taken mid-region, then not taken in the last slot: the
+            // block ends at the boundary and the fall-through wraps to 0.
+            BranchRecord::conditional(Pc::new(TOP + 0x10), Pc::new(0x1000), false).with_gap(4),
+            BranchRecord::conditional(Pc::new(TOP + 0x1c), Pc::new(0x1000), false).with_gap(2),
+            // The run continues at 0; taken back into the last region.
+            BranchRecord::conditional(Pc::new(0x8), Pc::new(TOP + 0x4), true).with_gap(2),
+            // Taken in the last region.
+            BranchRecord::conditional(Pc::new(TOP + 0xc), Pc::new(0x2000), true).with_gap(2),
+            // A run that wraps below 0: it starts at TOP + 0x10.
+            BranchRecord::conditional(Pc::new(0x8), Pc::new(0x3000), true).with_gap(6),
+        ]);
+        let got: Vec<(u64, u32, u32, BlockEnd)> = blocks
+            .iter()
+            .map(|b| {
+                (
+                    b.start.as_u64(),
+                    b.instructions,
+                    b.conditional_count,
+                    b.ended_by,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (TOP, 8, 2, BlockEnd::AlignedBoundary),
+                (0x0, 3, 1, BlockEnd::TakenBranch),
+                (TOP + 0x4, 3, 1, BlockEnd::TakenBranch),
+                (0x2000, 1, 0, BlockEnd::Discontinuity),
+                (TOP + 0x10, 4, 0, BlockEnd::AlignedBoundary),
+                (0x0, 3, 1, BlockEnd::TakenBranch),
+            ]
+        );
+        assert_eq!(
+            blocks[0].last_conditional,
+            Some((Pc::new(TOP + 0x1c), Outcome::NotTaken))
+        );
     }
 
     #[test]

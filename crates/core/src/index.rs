@@ -26,7 +26,15 @@
 //! block's address, `I = (i15..i0)` the table index with `(i1,i0)` the
 //! bank, `(i4,i3,i2)` the offset in the 8-bit word, `(i10..i5)` the
 //! wordline and the highest bits the column.
+//!
+//! [`IndexInputs`] is the one place the equations are written, and the
+//! reference. The predictor evaluates all four at once through
+//! [`IndexInputs::indices`], a table of their images derived from the
+//! equations themselves.
 
+use std::sync::OnceLock;
+
+use ev8_predictors::twobcgskew::Indices;
 use ev8_trace::Pc;
 
 use crate::banks::BankId;
@@ -215,6 +223,119 @@ impl IndexInputs {
             ^ self.z(6);
         self.assemble(column, (i4 << 2) | (i3 << 1) | i2, 5)
     }
+
+    /// All four indices at once: exactly `bim()`, `g0()`, `g1()` and
+    /// `meta()`, evaluated as one tabulated linear map of these same
+    /// equations (six table lookups XORed together). The predictor
+    /// indexes through this; the four methods above are the reference it
+    /// is pinned against.
+    #[inline]
+    pub fn indices(&self) -> Indices {
+        let packed = LinearIndex::shared(self.wordline).packed(self);
+        Indices {
+            bim: (packed & 0xFFFF) as usize,
+            g0: (packed >> 16 & 0xFFFF) as usize,
+            g1: (packed >> 32 & 0xFFFF) as usize,
+            meta: (packed >> 48) as usize,
+        }
+    }
+}
+
+/// Lowest PC bit of the slot table's input (`a2..a4`).
+const SLOT_LO: u32 = 2;
+/// Lowest PC bit of the address table's input (`a5..a14`).
+const ADDRESS_LO: u32 = 5;
+/// Width of the address table's input.
+const ADDRESS_BITS: u32 = 10;
+/// Lowest `Z` bit the equations read (`z5, z6`).
+const Z_LO: u32 = 5;
+
+/// The four §7 indices as one tabulated GF(2)-linear map.
+///
+/// Every index bit of [`IndexInputs`] is an XOR of PC, history and `Z`
+/// bits, and `assemble` ORs disjoint fields with the bank alone in bits
+/// 1..0. So the four indices, packed as 16-bit lanes of one `u64` (BIM,
+/// G0, G1, Meta from the low lane up), are the XOR of the packed images
+/// of the input bits that are set. The equations read no input bits but
+/// `h0..h20`, `a2..a14`, `z5, z6` and the bank, so six tables hold every
+/// image: three history bytes, the block-address bits `a5..a14`, the
+/// path bits with the bank, and the 8-entry slot table `a2..a4`. Each
+/// entry is [`IndexInputs`] evaluated on unit vectors, so the equations
+/// stay written once.
+struct LinearIndex {
+    /// Images of `h0..h7`, `h8..h15` and `h16..h23`, one table per byte.
+    history: [[u64; 256]; 3],
+    /// Images of `a5..a14`.
+    address: [u64; 1 << ADDRESS_BITS],
+    /// Images of `(z6, z5, bank)`, indexed `z6 z5 b1 b0`.
+    path_bank: [u64; 16],
+    /// Images of the slot bits `a2..a4`.
+    slot: [u64; 8],
+}
+
+impl LinearIndex {
+    /// Tabulates the equations of [`IndexInputs`] under `wordline`.
+    fn new(wordline: WordlineMode) -> Self {
+        let image = |pc: u64, history: u64, z: u64, bank: BankId| {
+            let inputs = IndexInputs {
+                pc: Pc::new(pc),
+                history,
+                z: Pc::new(z),
+                bank,
+                wordline,
+            };
+            inputs.bim() as u64
+                | (inputs.g0() as u64) << 16
+                | (inputs.g1() as u64) << 32
+                | (inputs.meta() as u64) << 48
+        };
+        LinearIndex {
+            history: std::array::from_fn(|byte| {
+                span(|bit| image(0, 1 << (8 * byte as u32 + bit), 0, 0))
+            }),
+            address: span(|bit| image(1 << (ADDRESS_LO + bit), 0, 0, 0)),
+            path_bank: span(|bit| match bit {
+                0 | 1 => image(0, 0, 0, 1 << bit),
+                _ => image(0, 0, 1 << (Z_LO + bit - 2), 0),
+            }),
+            slot: span(|bit| image(1 << (SLOT_LO + bit), 0, 0, 0)),
+        }
+    }
+
+    /// The tables for `wordline`, built on first use and shared by every
+    /// front end in the process (about 14.5 KB each).
+    fn shared(wordline: WordlineMode) -> &'static LinearIndex {
+        static HISTORY_AND_ADDRESS: OnceLock<LinearIndex> = OnceLock::new();
+        static ADDRESS_ONLY: OnceLock<LinearIndex> = OnceLock::new();
+        let cell = match wordline {
+            WordlineMode::HistoryAndAddress => &HISTORY_AND_ADDRESS,
+            WordlineMode::AddressOnly => &ADDRESS_ONLY,
+        };
+        cell.get_or_init(|| LinearIndex::new(wordline))
+    }
+
+    /// The packed indices of `inputs`: six lookups XORed together.
+    #[inline]
+    fn packed(&self, inputs: &IndexInputs) -> u64 {
+        let (pc, history, z) = (inputs.pc.as_u64(), inputs.history, inputs.z.as_u64());
+        self.history[0][(history & 0xFF) as usize]
+            ^ self.history[1][(history >> 8 & 0xFF) as usize]
+            ^ self.history[2][(history >> 16 & 0xFF) as usize]
+            ^ self.address[(pc >> ADDRESS_LO) as usize & ((1 << ADDRESS_BITS) - 1)]
+            ^ self.path_bank[((z >> Z_LO & 0b11) << 2 | u64::from(inputs.bank & 0b11)) as usize]
+            ^ self.slot[(pc >> SLOT_LO & 0b111) as usize]
+    }
+}
+
+/// The table over `log2(N)` input bits whose entry `v` XORs the images
+/// `unit(i)` of the bits `i` set in `v`. Entry 0 is the image of zero,
+/// which is zero: the equations have no constant term.
+fn span<const N: usize>(unit: impl Fn(u32) -> u64) -> [u64; N] {
+    let mut table = [0; N];
+    for v in 1..N {
+        table[v] = table[v & (v - 1)] ^ unit(v.trailing_zeros());
+    }
+    table
 }
 
 #[cfg(test)]

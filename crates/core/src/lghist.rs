@@ -14,8 +14,9 @@
 //! the delay, and additionally tracks the addresses of the last three
 //! fetch blocks, whose *path information* the EV8 mixes into the index to
 //! recover most of the delayed-history loss (§5.2).
-
-use std::collections::VecDeque;
+//!
+//! Neither window ever holds more than [`HISTORY_DELAY_BLOCKS`] entries,
+//! so both are fixed arrays shifted one position per block.
 
 use ev8_trace::{Outcome, Pc};
 
@@ -53,12 +54,15 @@ pub struct DelayedLghist {
     /// Committed (visible) history; bit 0 = most recent *visible* block.
     committed: u64,
     length: u32,
-    /// One pending entry per in-flight fetch block (None when the block
-    /// had no conditional branch and thus inserts no bit).
-    pending: VecDeque<Option<u64>>,
-    /// Addresses of the most recent `HISTORY_DELAY_BLOCKS` fetch blocks,
-    /// newest first.
-    recent_addresses: VecDeque<Pc>,
+    /// The delay pipe, one position per in-flight fetch block, newest
+    /// first: the bit the block inserts, or `None` when it had no
+    /// conditional branch (or no block is there yet). The bit leaving the
+    /// last position commits.
+    pending: [Option<u64>; HISTORY_DELAY_BLOCKS],
+    /// Addresses of the most recent fetch blocks, newest first; the first
+    /// `recent_live` are real blocks.
+    recent_addresses: [Pc; HISTORY_DELAY_BLOCKS],
+    recent_live: usize,
     path_bit: bool,
     delayed: bool,
 }
@@ -80,8 +84,9 @@ impl DelayedLghist {
         DelayedLghist {
             committed: 0,
             length,
-            pending: VecDeque::with_capacity(HISTORY_DELAY_BLOCKS + 1),
-            recent_addresses: VecDeque::with_capacity(HISTORY_DELAY_BLOCKS + 1),
+            pending: [None; HISTORY_DELAY_BLOCKS],
+            recent_addresses: [Pc::new(0); HISTORY_DELAY_BLOCKS],
+            recent_live: 0,
             path_bit,
             delayed,
         }
@@ -103,15 +108,16 @@ impl DelayedLghist {
     /// Records a completed fetch block.
     pub fn push_block(&mut self, summary: BlockSummary) {
         let bit = self.bit_for(&summary);
-        self.recent_addresses.push_front(summary.address);
-        self.recent_addresses.truncate(HISTORY_DELAY_BLOCKS);
+        self.recent_addresses
+            .copy_within(..HISTORY_DELAY_BLOCKS - 1, 1);
+        self.recent_addresses[0] = summary.address;
+        self.recent_live = (self.recent_live + 1).min(HISTORY_DELAY_BLOCKS);
         if self.delayed {
-            self.pending.push_back(bit);
-            while self.pending.len() > HISTORY_DELAY_BLOCKS {
-                if let Some(Some(b)) = self.pending.pop_front() {
-                    self.commit_bit(b);
-                }
+            if let Some(b) = self.pending[HISTORY_DELAY_BLOCKS - 1] {
+                self.commit_bit(b);
             }
+            self.pending.copy_within(..HISTORY_DELAY_BLOCKS - 1, 1);
+            self.pending[0] = bit;
         } else if let Some(b) = bit {
             self.commit_bit(b);
         }
@@ -143,20 +149,20 @@ impl DelayedLghist {
     /// The address of the previous fetch block (`Z` in §7's notation), if
     /// any block has completed yet.
     pub fn z_address(&self) -> Option<Pc> {
-        self.recent_addresses.front().copied()
+        (self.recent_live > 0).then_some(self.recent_addresses[0])
     }
 
     /// Addresses of the last three fetch blocks, newest first (`Z`, `Y`,
-    /// and the one before).
+    /// and the one before); fewer until three blocks have completed.
     pub fn recent_addresses(&self) -> impl Iterator<Item = Pc> + '_ {
-        self.recent_addresses.iter().copied()
+        self.recent_addresses[..self.recent_live].iter().copied()
     }
 
     /// Resets all state (pipeline flush / thread start).
     pub fn clear(&mut self) {
         self.committed = 0;
-        self.pending.clear();
-        self.recent_addresses.clear();
+        self.pending = [None; HISTORY_DELAY_BLOCKS];
+        self.recent_live = 0;
     }
 }
 

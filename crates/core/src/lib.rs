@@ -16,8 +16,9 @@
 //!   fetch blocks never touch the same single-ported bank (§6).
 //! * [`index`] — the engineered index functions: 8 shared unhashed bits
 //!   (bank + wordline), single-XOR column bits, and the wide-XOR
-//!   "unshuffle" permutation, exactly as §7 specifies, plus the
-//!   address-only / no-path / complete-hash variants of Fig 9.
+//!   "unshuffle" permutation, exactly as §7 specifies (the predictor
+//!   evaluates all four as one tabulated XOR map of those equations),
+//!   plus the address-only / no-path / complete-hash variants of Fig 9.
 //! * [`predictor`] — the assembled [`Ev8Predictor`]: Table 1 geometry
 //!   (BIM 16K/16K h4, G0 64K/32K h13, G1 64K/64K h21, Meta 64K/32K h15 —
 //!   352 Kbits), the §4.2 partial update policy, and configurable

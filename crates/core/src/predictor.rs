@@ -41,14 +41,39 @@ use crate::lghist::DelayedLghist;
 /// (§3) and the index dispatch that turns it into table indices.
 #[derive(Clone, Debug)]
 pub(crate) struct FrontEnd {
-    lghist: DelayedLghist,
-    ghist: GlobalHistory,
     fetch: FetchState,
+    pub(crate) context: FetchContext,
+    ghist: GlobalHistory,
+}
+
+/// The fetch context a branch is predicted in: what completed fetch
+/// blocks drive (lghist and the path window, §5) and the §6 bank of the
+/// block in progress.
+#[derive(Clone, Debug)]
+pub(crate) struct FetchContext {
+    lghist: DelayedLghist,
     banks: BankSequencer,
     current_bank: BankId,
     pub(crate) last_block_start: Option<Pc>,
-    /// Scratch buffer of blocks completed during the current feed.
-    completed: Vec<FetchBlock>,
+}
+
+impl FetchContext {
+    /// Assigns a bank when a new fetch block starts at `start`.
+    #[inline(always)]
+    fn enter(&mut self, start: Pc) {
+        if self.last_block_start != Some(start) {
+            self.current_bank = self.banks.next_bank(start);
+            self.last_block_start = Some(start);
+        }
+    }
+
+    /// Takes in one block the fetch state completed: its bank, if it
+    /// starts here, then its history bit.
+    #[inline(always)]
+    fn complete(&mut self, block: FetchBlock) {
+        self.enter(block.start);
+        self.lghist.push_block(block.summary());
+    }
 }
 
 impl FrontEnd {
@@ -81,20 +106,21 @@ impl FrontEnd {
             } => (path_bit, three_blocks_old),
         };
         FrontEnd {
-            lghist: DelayedLghist::new(config.max_history().min(64), path_bit, delayed),
-            ghist: GlobalHistory::new(config.max_history().min(64)),
             fetch: FetchState::new(),
-            banks: BankSequencer::new(),
-            current_bank: 0,
-            last_block_start: None,
-            completed: Vec::with_capacity(8),
+            context: FetchContext {
+                lghist: DelayedLghist::new(config.max_history().min(64), path_bit, delayed),
+                banks: BankSequencer::new(),
+                current_bank: 0,
+                last_block_start: None,
+            },
+            ghist: GlobalHistory::new(config.max_history().min(64)),
         }
     }
 
     fn visible_history(&self, config: &Ev8Config) -> u64 {
         match config.history {
             HistoryMode::Ghist => self.ghist.bits(),
-            HistoryMode::Lghist { .. } => self.lghist.visible_bits(),
+            HistoryMode::Lghist { .. } => self.context.lghist.visible_bits(),
         }
     }
 
@@ -107,16 +133,11 @@ impl FrontEnd {
                 let inputs = IndexInputs {
                     pc,
                     history,
-                    z: self.lghist.z_address().unwrap_or(Pc::new(0)),
-                    bank: self.current_bank,
+                    z: self.context.lghist.z_address().unwrap_or(Pc::new(0)),
+                    bank: self.context.current_bank,
                     wordline,
                 };
-                Indices {
-                    bim: inputs.bim(),
-                    g0: inputs.g0(),
-                    g1: inputs.g1(),
-                    meta: inputs.meta(),
-                }
+                inputs.indices()
             }
             IndexScheme::CompleteHash => {
                 // The §5.2 path patch: a hash of the last three fetch-block
@@ -125,6 +146,7 @@ impl FrontEnd {
                     HistoryMode::Lghist {
                         path_patch: true, ..
                     } => self
+                        .context
                         .lghist
                         .recent_addresses()
                         .fold(0u64, |acc, addr| acc.rotate_left(9) ^ (addr.as_u64() >> 2)),
@@ -148,25 +170,6 @@ impl FrontEnd {
         }
     }
 
-    /// Absorbs the blocks the fetch state completed: pushes their history
-    /// bits and assigns a bank to each block that starts.
-    fn absorb_blocks(&mut self) {
-        for b in &self.completed {
-            if self.last_block_start != Some(b.start) {
-                self.current_bank = self.banks.next_bank(b.start);
-                self.last_block_start = Some(b.start);
-            }
-            self.lghist.push_block(b.summary());
-        }
-        self.completed.clear();
-        if let Some(s) = self.fetch.current_start() {
-            if self.last_block_start != Some(s) {
-                self.current_bank = self.banks.next_bank(s);
-                self.last_block_start = Some(s);
-            }
-        }
-    }
-
     /// One record through this front end and `tables`: advance through
     /// the record's straight-line gap so the context is the fetch block
     /// holding the branch; for a conditional branch, index, read and
@@ -181,9 +184,11 @@ impl FrontEnd {
         tables: &mut Tables,
         record: &BranchRecord,
     ) -> Option<Provenance> {
-        let completed = &mut self.completed;
-        self.fetch.feed_run(record, |b| completed.push(b));
-        self.absorb_blocks();
+        let context = &mut self.context;
+        self.fetch.feed_run(record, |b| context.complete(b));
+        if let Some(start) = self.fetch.current_start() {
+            self.context.enter(start);
+        }
         let provenance = if record.kind.is_conditional() {
             let idx = self.indices(config, record.pc);
             let d = tables.read(idx);
@@ -199,14 +204,16 @@ impl FrontEnd {
                 overall: d.overall,
                 action,
                 meta_trained,
-                bank: Some(self.current_bank),
+                bank: Some(self.context.current_bank),
             })
         } else {
             None
         };
-        let completed = &mut self.completed;
-        self.fetch.feed_branch(record, |b| completed.push(b));
-        self.absorb_blocks();
+        let context = &mut self.context;
+        self.fetch.feed_branch(record, |b| context.complete(b));
+        if let Some(start) = self.fetch.current_start() {
+            self.context.enter(start);
+        }
         if record.kind.is_conditional() {
             if let HistoryMode::Ghist = config.history {
                 self.ghist.push(record.outcome);
@@ -286,14 +293,14 @@ impl Ev8Predictor {
 
     /// The bank the current fetch block reads from.
     pub fn current_bank(&self) -> BankId {
-        self.front.current_bank
+        self.front.context.current_bank
     }
 
     /// Successive-fetch-block bank collisions observed by the §6 bank
     /// sequencer — always 0 by construction (the observability layer
     /// asserts this).
     pub fn bank_collisions(&self) -> u64 {
-        self.front.banks.collisions()
+        self.front.context.banks.collisions()
     }
 
     /// Opt-in observed step: performs exactly the state transition of
@@ -536,7 +543,7 @@ mod tests {
         let mut p = Ev8Predictor::ev8();
         // Three NT branches inside one aligned region, then a taken one:
         // exactly one block completes, inserting exactly one lghist bit.
-        let cfg_hist_before = p.front.lghist.visible_bits();
+        let cfg_hist_before = p.front.context.lghist.visible_bits();
         p.predict_and_update(&not_taken(0x3_0000));
         p.predict_and_update(&not_taken(0x3_0004));
         p.predict_and_update(&not_taken(0x3_0008));
@@ -546,7 +553,7 @@ mod tests {
         for i in 1..=3u64 {
             p.predict_and_update(&taken(0x4_0000 * i, 0x4_0000 * (i + 1)));
         }
-        let h = p.front.lghist.visible_bits();
+        let h = p.front.context.lghist.visible_bits();
         // Exactly one bit committed, from the first block: its last
         // conditional branch was the taken one at 0x3_000c (pc bit 4 = 0,
         // outcome 1 -> lghist bit 1). Had the NT branches ended blocks,

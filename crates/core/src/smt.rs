@@ -105,8 +105,11 @@ mod tests {
         for _ in 0..20 {
             p.predict_and_update(0, &taken(0x1010, 0x1000));
         }
-        assert_ne!(p.threads[0].last_block_start, p.threads[1].last_block_start);
-        assert_eq!(p.threads[1].last_block_start, None);
+        assert_ne!(
+            p.threads[0].context.last_block_start,
+            p.threads[1].context.last_block_start
+        );
+        assert_eq!(p.threads[1].context.last_block_start, None);
     }
 
     #[test]

@@ -204,6 +204,12 @@ if [ "$QUICK" -eq 0 ]; then
     # 48 cells checked exactly against the benchmark's reference.tsv.
     run cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
         fig5_grid --seed 0 --seconds 1
+    # And one pass of its EV8 workload: the shipping predictor streamed
+    # from an on-disk corpus at scale 0.2, all 8 cells checked against
+    # reference.tsv and every benchmark checked for zero §6 bank
+    # collisions (the goldens pin the EV8 only at scale 0.002).
+    run cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+        ev8_corpus --seed 0 --seconds 1
 fi
 
 run cargo clippy --all-targets --offline -- -D warnings
