@@ -1,10 +1,10 @@
 //! Synthetic workload generation throughput: instructions generated per
 //! second for a small-footprint (compress-like) and a large-footprint
-//! (gcc-like) benchmark, plus binary trace codec round-trip speed.
+//! (gcc-like) benchmark. Trace encode and decode speed is the `corpus/*`
+//! group of the `corpus` bench.
 
 use ev8_util::bench::Harness;
 
-use ev8_trace::codec;
 use ev8_workloads::spec95;
 
 fn generation(h: &mut Harness) {
@@ -19,31 +19,7 @@ fn generation(h: &mut Harness) {
     group.finish();
 }
 
-fn codec_roundtrip(h: &mut Harness) {
-    // This bench measures the codec, not generation, so the probe trace
-    // can come from the cache. `generation` above deliberately keeps
-    // calling `generate_scaled` — regeneration is the thing it times.
-    let trace = spec95::cached("li", 0.002).expect("known benchmark");
-    let mut encoded = Vec::new();
-    codec::write_trace(&mut encoded, &trace).expect("encode");
-    let mut group = h.group("trace_codec");
-    group.throughput(trace.len() as u64);
-    group.sample_size(20);
-    group.bench("encode", |b| {
-        b.iter(|| {
-            let mut buf = Vec::with_capacity(encoded.len());
-            codec::write_trace(&mut buf, &trace).expect("encode");
-            buf
-        })
-    });
-    group.bench("decode", |b| {
-        b.iter(|| codec::read_trace(&mut encoded.as_slice()).expect("decode"))
-    });
-    group.finish();
-}
-
 fn main() {
     let mut h = Harness::from_env();
     generation(&mut h);
-    codec_roundtrip(&mut h);
 }

@@ -13,9 +13,9 @@
 //! block; discontinuities (trace imperfections or pipeline redirects)
 //! start a fresh block.
 //!
-//! Addresses are circular, as in the wire codec's wrapping deltas: a run
-//! may wrap below 0, and the region after the last aligned 32-byte region
-//! of the 64-bit space is the one at 0.
+//! Addresses are circular, as in [`Pc::next`] and the wire encoding's
+//! wrapping deltas: a run may wrap below 0, and the region after the last
+//! aligned 32-byte region of the 64-bit space is the one at 0.
 
 use ev8_trace::{BranchRecord, Outcome, Pc, Trace};
 

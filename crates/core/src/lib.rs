@@ -26,15 +26,14 @@
 //!   tables, their read and the §4.2 update are
 //!   `ev8_predictors::twobcgskew::Tables`, the same body the scheme-level
 //!   2Bc-gskew runs; this crate adds the per-thread front end that
-//!   indexes them.
+//!   indexes them. `Tables` is the one model of the predictor's storage
+//!   (its split arrays sum to 352 Kbit; the §7.1 word-line layout is not
+//!   modelled apart from it), and [`Ev8Predictor::bank_collisions`]
+//!   checks the §6 single-port guarantee on every run.
 //! * [`line_predictor`] — the simple line predictor that feeds the PC
 //!   address generator (§2), as a front-end substrate.
 //! * [`ras`] — the return-address stack and indirect-jump predictor that
 //!   complete the §2 PC address generator.
-//! * [`arrays`] — the eight physical memory arrays (§7.1) with the
-//!   single-ported access discipline audited.
-//! * [`pipeline`] — the cycle-level two-blocks-per-cycle fetch pipeline
-//!   of Figs 1 and 3.
 //! * [`smt`] — simultaneous multithreading support: one shared table set
 //!   and one [`Ev8Predictor`] front end per thread context (§3).
 //! * [`observe`] — the EV8 predictor's side of the opt-in
@@ -66,7 +65,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arrays;
 pub mod backup;
 pub mod banks;
 pub mod config;
@@ -75,7 +73,6 @@ pub mod index;
 pub mod lghist;
 pub mod line_predictor;
 pub mod observe;
-pub mod pipeline;
 pub mod predictor;
 pub mod ras;
 pub mod smt;

@@ -378,7 +378,7 @@ impl BranchPredictor for Ev8Predictor {
     }
 }
 
-/// Fault-array names for the four physical tables (§7.1): prediction and
+/// Fault-array names for the four logical tables: prediction and
 /// hysteresis arrays per table, in BIM/G0/G1/Meta order to match the
 /// 2Bc-gskew scheme-level layout.
 const EV8_FAULT_NAMES: [&str; 8] = [
@@ -393,11 +393,13 @@ const EV8_FAULT_NAMES: [&str; 8] = [
 ];
 
 impl FaultTarget for Ev8Predictor {
-    /// The eight single-ported memory arrays of §7.1, named
+    /// The eight split arrays of the four tables, named
     /// `ev8.{bim,g0,g1,meta}.{prediction,hysteresis}`. Bit sizes sum to
     /// the configured storage budget (352 Kbit for the Table 1 design),
     /// so SEU campaigns target the full implementation-constrained
-    /// predictor, not just the scheme-level model.
+    /// predictor, not just the scheme-level model. (The hardware's eight
+    /// arrays of §7.1 are per bank, each word line holding all four
+    /// tables; the bit total is the same.)
     fn fault_arrays(&self) -> Vec<ArrayInfo> {
         self.tables
             .fault_arrays()

@@ -1,15 +1,17 @@
-//! Seeded trace-corruption fuzzing.
+//! Seeded corruption fuzzing of the wire record parser.
 //!
 //! [`corrupt`] applies a deterministic mutation (bit flips, truncation,
-//! garbage splice, garbage overwrite) to an encoded trace;
-//! [`decode_check`] feeds the result to *both* binary trace decoders and
+//! garbage splice, garbage overwrite) to encoded bytes; [`decode_check`]
+//! feeds the result to [`frame::decode_records`], the one decoder that
+//! parses wire records with no CRC in front of them (a corpus chunk's
+//! CRC rejects a mutated body before its records are parsed), and
 //! asserts the robustness contract: every outcome is `Ok` or a
 //! structured [`TraceError`] — never a panic, never an allocation driven
 //! by a corrupt length field. Everything is a pure function of the seed,
 //! so any finding replays from one `u64`.
 
-use ev8_trace::stream::TraceReader;
-use ev8_trace::{codec, TraceError};
+use ev8_trace::frame;
+use ev8_trace::{Pc, SessionBudget, TraceError};
 use ev8_util::rng::{mix, DefaultRng, Rng};
 
 /// How many decoded records a `len`-byte input can possibly contain: the
@@ -22,7 +24,8 @@ pub fn max_plausible_records(len: usize) -> usize {
 
 /// Applies one seeded mutation to `bytes` and returns the corrupted copy.
 ///
-/// The mutation menu mirrors how trace files break in practice:
+/// The mutation menu mirrors how stored or transmitted bytes break in
+/// practice:
 ///
 /// * **bit flips** — 1..=8 single-bit upsets anywhere in the file
 ///   (storage/transfer corruption),
@@ -75,67 +78,55 @@ pub fn corrupt(bytes: &[u8], seed: u64) -> Vec<u8> {
     out
 }
 
-/// Decodes `bytes` with the whole-trace reader and the streaming reader,
-/// asserting the structural allocation bound on both, and returns the
-/// whole-trace outcome (record count on success).
+/// Decodes `bytes` as one session `RECORDS` payload with
+/// [`frame::decode_records`] (fresh delta cursor, unlimited budget,
+/// offsets from 0), asserting the structural allocation bound, and
+/// returns the decoded record count.
 ///
 /// # Panics
 ///
-/// Panics if either decoder reports more records than
-/// [`max_plausible_records`] — the signature of a decoder trusting a
-/// corrupt count field. (The decoders themselves must never panic; a
-/// panic escaping this function is a fuzzing finding.)
+/// Panics if the decoder yields more records than
+/// [`max_plausible_records`], before or at its error — the signature of
+/// a decoder trusting a corrupt count field. (The decoder itself must
+/// never panic; a panic escaping this function is a fuzzing finding.)
 pub fn decode_check(bytes: &[u8]) -> Result<usize, TraceError> {
-    let bound = max_plausible_records(bytes.len());
-
-    // Streaming decode: iterate to completion or first error. (A header
-    // that fails to parse is itself a structured-error outcome.)
-    if let Ok(reader) = TraceReader::new(bytes) {
-        let mut n = 0usize;
-        for rec in reader {
-            match rec {
-                Ok(_) => n += 1,
-                Err(_) => break,
-            }
-        }
-        assert!(
-            n <= bound,
-            "stream decoder produced {n} records from {} bytes",
-            bytes.len()
-        );
-    }
-
-    // Whole-trace decode.
-    let result = codec::read_trace(bytes);
-    if let Ok(trace) = &result {
-        assert!(
-            trace.len() <= bound,
-            "codec decoder produced {} records from {} bytes",
-            trace.len(),
-            bytes.len()
-        );
-    }
-    result.map(|t| t.len())
+    let mut records = Vec::new();
+    let result = frame::decode_records(
+        bytes,
+        &mut Pc::default(),
+        &mut SessionBudget::unlimited(),
+        0,
+        &mut records,
+    );
+    assert!(
+        records.len() <= max_plausible_records(bytes.len()),
+        "RECORDS decoder produced {} records from {} bytes",
+        records.len(),
+        bytes.len()
+    );
+    result.map(|()| records.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev8_trace::{BranchRecord, Pc, TraceBuilder};
+    use ev8_trace::BranchRecord;
+    use ev8_util::bytebuf::ByteBuf;
 
     fn encoded_sample() -> Vec<u8> {
-        let mut b = TraceBuilder::new("fuzz-sample");
-        for i in 0..200u64 {
-            b.run(i % 5);
-            b.branch(BranchRecord::conditional(
-                Pc::new(0x1000 + i * 12),
-                Pc::new(0x4000 + (i % 17) * 8),
-                i % 3 != 0,
-            ));
-        }
-        let mut buf = Vec::new();
-        codec::write_trace(&mut buf, &b.finish()).expect("encode");
-        buf
+        let records: Vec<BranchRecord> = (0..200u64)
+            .map(|i| {
+                BranchRecord::conditional(
+                    Pc::new(0x1000 + i * 12),
+                    Pc::new(0x4000 + (i % 17) * 8),
+                    i % 3 != 0,
+                )
+                .with_gap((i % 5) as u32)
+            })
+            .collect();
+        let mut buf = ByteBuf::new();
+        frame::encode_records(&mut buf, &records, &mut Pc::default());
+        buf.into_vec()
     }
 
     #[test]
@@ -184,8 +175,8 @@ mod tests {
             }
         }
         // Both outcomes must actually occur (benign mutations like a
-        // flipped bit inside a gap varint still decode; header damage
-        // does not).
+        // flipped taken bit or gap bit still decode; a cut payload does
+        // not).
         assert!(ok > 0, "no mutation decoded cleanly");
         assert!(
             err > ok,

@@ -17,10 +17,11 @@
 //!   [`FaultTarget`](ev8_predictors::introspect::FaultTarget) and injects
 //!   faults deterministically from the in-tree xoshiro256\*\* stream,
 //!   keeping a per-array [`FaultLog`].
-//! * [`fuzz`] — a seeded trace-corruption fuzzer ([`fuzz::corrupt`]) and
-//!   a decode harness ([`fuzz::decode_check`]) asserting the binary trace
-//!   readers turn arbitrary mutations into structured `TraceError`s —
-//!   never panics, never count-field-driven allocations.
+//! * [`fuzz`] — a seeded byte-corruption fuzzer ([`fuzz::corrupt`]) and
+//!   a decode harness ([`fuzz::decode_check`]) asserting the session
+//!   `RECORDS` decoder, the one record parser with no CRC in front of
+//!   it, turns arbitrary mutations into structured `TraceError`s — never
+//!   panics, never count-field-driven allocations.
 //!
 //! Everything is a pure function of its seed: a failing fault sweep or
 //! fuzz case replays from one `u64`.

@@ -1,4 +1,5 @@
-//! Chunked, compressed, checksummed on-disk trace corpus format.
+//! Chunked, compressed, checksummed on-disk trace corpus format — the
+//! one file format traces are stored in.
 //!
 //! The paper's Table 2 methodology assumes SPEC-sized, many-seed trace
 //! corpora; regenerating traces per run or holding them in RAM via the
@@ -21,15 +22,16 @@
 //! ```
 //!
 //! Each chunk holds up to `chunk_len` records in the delta/varint wire
-//! encoding of [`crate::codec`], with the PC-delta cursor **reset at
-//! every chunk boundary** so chunks decode independently. A chunk's
-//! stored payload is either the raw wire bytes (`method` 0) or an
-//! in-tree LZ77 token stream (`method` 1, see [`crate::lz`]) — whichever
-//! is smaller. `crc` is the CRC-32 of the *stored* payload, so every
-//! storage-level mutation of a chunk body is caught before decompression
-//! or record decode runs; the prologue CRC does the same for the header
-//! and index. The index precedes the payloads, so a [`CorpusReader`]
-//! needs only sequential [`Read`] — no seeking.
+//! encoding that session `RECORDS` payloads also use ([`crate::frame`]),
+//! with the PC-delta cursor **reset at every chunk boundary** so chunks
+//! decode independently. A chunk's stored payload is either the raw wire
+//! bytes (`method` 0) or an in-tree LZ77 token stream (`method` 1, see
+//! [`crate::lz`]) — whichever is smaller. `crc` is the CRC-32 of the
+//! *stored* payload, so every storage-level mutation of a chunk body is
+//! caught before decompression or record decode runs; the prologue CRC
+//! does the same for the header and index. The index precedes the
+//! payloads, so a [`CorpusReader`] needs only sequential [`Read`] — no
+//! seeking.
 //!
 //! # Hardening
 //!
@@ -72,8 +74,7 @@ use crate::trace::Trace;
 use crate::types::{BranchRecord, Pc};
 use crate::wire::{self, CountingReader};
 
-/// Magic bytes identifying a corpus file (`EV8T` is the flat trace
-/// format; `EV8C` is the chunked corpus container).
+/// Magic bytes identifying a corpus file.
 pub const CORPUS_MAGIC: [u8; 4] = *b"EV8C";
 
 /// Current corpus format version. Readers reject any other value —

@@ -16,7 +16,7 @@ use std::io;
 pub enum TraceError {
     /// An underlying I/O failure.
     Io(io::Error),
-    /// The input does not start with the trace-format magic bytes
+    /// The input does not start with the corpus magic bytes `EV8C`
     /// (detected at offset 0).
     BadMagic {
         /// The bytes that were found instead.
@@ -45,7 +45,7 @@ pub enum TraceError {
     ///
     /// Streaming sessions must never buffer unbounded client input: a
     /// forged length field is rejected *before* any payload allocation,
-    /// mirroring the header-prealloc hardening of the whole-trace codec.
+    /// mirroring the length-field hardening of the corpus decoder.
     FrameTooLarge {
         /// The declared payload length.
         len: u64,

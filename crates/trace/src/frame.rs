@@ -12,8 +12,8 @@
 //!
 //! Frame *kinds* are opaque to this module (the server's protocol module
 //! assigns meanings); what lives here is the hostile-input hardening,
-//! built on the same [`CountingReader`] offset discipline as the trace
-//! decoders:
+//! built on the same [`CountingReader`] offset discipline as the corpus
+//! decoder:
 //!
 //! * a declared payload length is validated against the per-frame cap
 //!   **before** any allocation ([`TraceError::FrameTooLarge`]);
@@ -25,10 +25,11 @@
 //!   a configuration constant, not a function of client behaviour.
 //!
 //! [`encode_records`] / [`decode_records`] carry branch records *inside*
-//! frame payloads using the existing wire record encoding (same varint
-//! deltas as [`crate::codec`] and [`crate::stream`]), with the delta
-//! chain continuing across frames through a caller-held `prev_next`
-//! cursor.
+//! frame payloads using the wire record encoding of corpus chunks (same
+//! varint deltas as [`crate::corpus`]), with the delta chain continuing
+//! across frames through a caller-held `prev_next` cursor. Unlike a
+//! corpus chunk, a payload has no CRC in front of it, so every byte a
+//! client sends reaches [`decode_records`] as it arrived.
 
 use std::io::{Read, Write};
 
@@ -174,8 +175,8 @@ pub fn encode_records(payload: &mut ByteBuf, records: &[BranchRecord], prev_next
 ///
 /// The declared count is validated against the structural bound of the
 /// wire format (a record encodes to at least 4 bytes) *before* any
-/// preallocation — the same forged-count hardening as the whole-trace
-/// codec — and against the remaining record budget.
+/// preallocation — the same forged-count hardening as the corpus
+/// decoder — and against the remaining record budget.
 ///
 /// # Errors
 ///
@@ -304,6 +305,65 @@ mod tests {
         }
         assert_eq!(out, records);
         assert_eq!(budget.records_used(), 100);
+    }
+
+    #[test]
+    fn top_slot_fall_through_wraps_the_cursor() {
+        // count 1 | tag 0 (conditional, not taken) | pc delta zigzag(-4)
+        // | target delta 0 | gap 0: a record in the top instruction slot
+        // whose fall-through is address 0.
+        let payload = [1u8, 0, 7, 0, 0];
+        let top = Pc::new(u64::MAX - 3);
+        let rec = BranchRecord::conditional(top, top, false);
+        let mut cursor = Pc::default();
+        let mut out = Vec::new();
+        decode_records(
+            &payload,
+            &mut cursor,
+            &mut SessionBudget::unlimited(),
+            0,
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(out, [rec]);
+        assert_eq!(cursor, Pc::new(0));
+
+        let mut encoded = ByteBuf::new();
+        let mut enc_cursor = Pc::default();
+        encode_records(&mut encoded, &out, &mut enc_cursor);
+        assert_eq!(encoded.as_slice(), payload);
+        assert_eq!(enc_cursor, Pc::new(0));
+    }
+
+    #[test]
+    fn corrupt_kind_tag_reports_offset() {
+        // A payload at session offset 40: the count varint, then the
+        // first record's tag byte at offset 41.
+        let decode = |payload: &[u8]| {
+            decode_records(
+                payload,
+                &mut Pc::default(),
+                &mut SessionBudget::unlimited(),
+                40,
+                &mut Vec::new(),
+            )
+        };
+        for (tag, expected) in [
+            (0x07, "unknown branch kind tag"),
+            (0x01, "non-conditional branch marked not-taken"),
+        ] {
+            match decode(&[1, tag, 0, 0, 0]) {
+                Err(TraceError::Corrupt { what, offset }) => {
+                    assert_eq!(what, expected);
+                    assert_eq!(offset, 41);
+                }
+                other => panic!("expected corrupt tag {tag:#x}, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            decode(&[]),
+            Err(TraceError::UnexpectedEof { offset: 40 })
+        ));
     }
 
     #[test]

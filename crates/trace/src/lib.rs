@@ -12,20 +12,19 @@
 //!   instruction count (needed for the paper's misp/KI metric).
 //! * [`FlatTrace`] — a packed structure-of-arrays view of a [`Trace`] for
 //!   cache-dense simulation sweeps (see the [`flat`](FlatTrace) module).
-//! * [`codec`] — a compact binary on-disk trace format (whole-trace
-//!   read/write).
-//! * [`stream`] — incremental [`stream::TraceReader`] /
-//!   [`stream::TraceWriter`] over the same format, for traces too large
-//!   to materialize.
 //! * [`stats`] — trace statistics (static/dynamic branch counts, bias
 //!   profiles) used to regenerate Table 2 of the paper.
 //! * [`frame`] — length-prefixed session framing with per-frame size
 //!   caps and cumulative per-session [`SessionBudget`]s, the hardened
 //!   substrate of the prediction-as-a-service protocol.
-//! * [`corpus`] — a chunked, compressed, checksummed on-disk corpus
-//!   container whose [`corpus::CorpusReader`] streams chunk-by-chunk
-//!   into packed [`FlatTrace`] blocks, never materializing the AoS
-//!   representation.
+//! * [`corpus`] — the on-disk trace format: a chunked, compressed,
+//!   checksummed container whose [`corpus::CorpusReader`] streams
+//!   chunk-by-chunk into packed [`FlatTrace`] blocks, never
+//!   materializing the AoS representation.
+//!
+//! Corpus chunks and session `RECORDS` payloads carry records in one
+//! delta/varint wire encoding, so a trace has one file format and one
+//! record parser.
 //!
 //! # Example
 //!
@@ -44,14 +43,12 @@
 #![warn(missing_docs)]
 
 mod builder;
-pub mod codec;
 pub mod corpus;
 mod error;
 mod flat;
 pub mod frame;
 mod lz;
 pub mod stats;
-pub mod stream;
 mod trace;
 mod types;
 mod wire;

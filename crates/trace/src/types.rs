@@ -64,16 +64,18 @@ impl Pc {
         }
     }
 
-    /// The address of the sequentially following instruction.
+    /// The address of the sequentially following instruction. Addresses
+    /// are circular: the slot after the top one is address 0.
     #[inline]
     pub const fn next(self) -> Self {
-        Pc(self.0 + Self::INSTRUCTION_BYTES)
+        Pc(self.0.wrapping_add(Self::INSTRUCTION_BYTES))
     }
 
-    /// The address `n` instructions later in sequential order.
+    /// The address `n` instructions later in sequential order, wrapping
+    /// like [`Pc::next`].
     #[inline]
     pub const fn advance(self, n: u64) -> Self {
-        Pc(self.0 + n * Self::INSTRUCTION_BYTES)
+        Pc(self.0.wrapping_add(n.wrapping_mul(Self::INSTRUCTION_BYTES)))
     }
 
     /// Index of this instruction within its aligned 8-instruction fetch
@@ -244,8 +246,8 @@ impl BranchKind {
         !self.is_conditional()
     }
 
-    /// All branch kinds, in a stable order (used by the trace codec and by
-    /// statistics tables).
+    /// All branch kinds, in a stable order (the packed kind index of
+    /// [`FlatTrace`](crate::FlatTrace) is a position in it).
     pub const ALL: [BranchKind; 5] = [
         BranchKind::Conditional,
         BranchKind::Unconditional,

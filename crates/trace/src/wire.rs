@@ -1,10 +1,10 @@
-//! Shared wire-format primitives for the binary trace codec.
+//! Shared wire-format primitives for branch records.
 //!
-//! [`crate::codec`] (whole-trace) and [`crate::stream`] (incremental)
-//! speak the same byte format; this module holds the single copy of the
-//! varint/zigzag/tag encoding, the header layout, and the record
-//! encode/decode logic, so hardening against corrupt inputs lands in one
-//! place.
+//! Corpus chunks ([`crate::corpus`]) and session `RECORDS` payloads
+//! ([`crate::frame`]) carry records in one delta/varint encoding; this
+//! module holds the single copy of the varint/zigzag/tag encoding and
+//! the record encode/decode logic, so hardening against corrupt inputs
+//! lands in one place.
 //!
 //! All decoding goes through [`CountingReader`], which tracks the byte
 //! offset consumed so far: every corrupt-path [`TraceError`] reports
@@ -17,12 +17,6 @@ use ev8_util::bytebuf::ByteBuf;
 
 use crate::error::TraceError;
 use crate::types::{BranchKind, BranchRecord, Outcome, Pc};
-
-/// Magic bytes identifying a trace file.
-pub const MAGIC: [u8; 4] = *b"EV8T";
-
-/// Current format version.
-pub const VERSION: u16 = 1;
 
 /// Trace names longer than this are rejected as corrupt rather than
 /// allocated: a flipped bit in the name-length varint must not buy a
@@ -143,7 +137,7 @@ impl<R: Read> CountingReader<R> {
     }
 
     /// Reads one byte, returning `Ok(None)` on clean end-of-stream — the
-    /// record-boundary probe streamed traces use to detect their end.
+    /// frame-boundary probe a session stream uses to detect its end.
     pub(crate) fn try_read_u8(&mut self) -> Result<Option<u8>, TraceError> {
         let mut byte = [0u8; 1];
         match self.inner.read_exact(&mut byte) {
@@ -298,61 +292,6 @@ impl SessionBudget {
     }
 }
 
-/// Decoded trace-file header.
-pub(crate) struct Header {
-    pub(crate) name: String,
-    /// Record count declared by the header (0 for streamed traces).
-    pub(crate) count: u64,
-    pub(crate) instruction_count: u64,
-}
-
-/// Encodes the header. Streamed writers pass zero counts.
-pub(crate) fn put_header(buf: &mut ByteBuf, name: &str, count: u64, instruction_count: u64) {
-    buf.put_slice(&MAGIC);
-    buf.put_u16_le(VERSION);
-    put_varint(buf, name.len() as u64);
-    buf.put_slice(name.as_bytes());
-    put_varint(buf, count);
-    put_varint(buf, instruction_count);
-}
-
-/// Decodes and validates the header: magic, version, bounded name.
-pub(crate) fn read_header<R: Read>(r: &mut CountingReader<R>) -> Result<Header, TraceError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(TraceError::BadMagic { found: magic });
-    }
-    let mut ver = [0u8; 2];
-    r.read_exact(&mut ver)?;
-    let version = u16::from_le_bytes(ver);
-    if version != VERSION {
-        return Err(TraceError::UnsupportedVersion { found: version });
-    }
-    let len_at = r.offset();
-    let name_len = r.read_varint()? as usize;
-    if name_len > MAX_NAME_LEN {
-        return Err(TraceError::Corrupt {
-            what: "unreasonable name length",
-            offset: len_at,
-        });
-    }
-    let mut name_bytes = vec![0u8; name_len];
-    let name_at = r.offset();
-    r.read_exact(&mut name_bytes)?;
-    let name = String::from_utf8(name_bytes).map_err(|_| TraceError::Corrupt {
-        what: "trace name is not utf-8",
-        offset: name_at,
-    })?;
-    let count = r.read_varint()?;
-    let instruction_count = r.read_varint()?;
-    Ok(Header {
-        name,
-        count,
-        instruction_count,
-    })
-}
-
 /// Encodes one record given the previous record's fall-through PC.
 pub(crate) fn put_record(buf: &mut ByteBuf, rec: &BranchRecord, prev_next: Pc) {
     let mut tag = kind_to_tag(rec.kind);
@@ -371,8 +310,8 @@ pub(crate) fn put_record(buf: &mut ByteBuf, rec: &BranchRecord, prev_next: Pc) {
 }
 
 /// Decodes the body of one record, `tag` having already been read at
-/// offset `tag_at`. Shared by the whole-trace and streaming readers (the
-/// stream reader must probe the tag byte itself to detect clean EOS).
+/// offset `tag_at`. Shared by the corpus chunk decoder and
+/// [`crate::frame::decode_records`].
 pub(crate) fn read_record_body<R: Read>(
     r: &mut CountingReader<R>,
     tag: u8,

@@ -1,6 +1,7 @@
 //! Property suite for the on-disk corpus container: arbitrary traces —
-//! empty, single-record, saturated gaps, wide-PC escapes, sizes
-//! straddling chunk boundaries — must encode→decode bit-identically,
+//! empty, single-record, saturated gaps, wide-PC escapes, the top
+//! address slot, names up to the 64 KiB limit, sizes straddling chunk
+//! boundaries — must encode→decode bit-identically,
 //! both as a whole [`Trace`] and block-by-block against the packed
 //! [`FlatTrace`] the streaming path hands to simulation. (The
 //! differential pin of streaming decode against the in-RAM `TraceCache`
@@ -11,9 +12,11 @@
 use ev8_trace::corpus::{
     write_corpus, write_corpus_chunked, CorpusReader, CorpusWriter, DEFAULT_CHUNK_RECORDS,
 };
-use ev8_trace::{BranchKind, BranchRecord, FlatTrace, Outcome, Pc, Trace, TraceBuilder};
+use ev8_trace::{
+    BranchKind, BranchRecord, FlatTrace, Outcome, Pc, Trace, TraceBuilder, TraceError,
+};
 use ev8_util::prop::{check, Gen};
-use ev8_util::{prop_assert, prop_assert_eq};
+use ev8_util::prop_assert_eq;
 
 const CASES: u64 = 128;
 
@@ -156,15 +159,45 @@ fn encoding_is_deterministic() {
     });
 }
 
+/// The reader's name limit (`wire::MAX_NAME_LEN`): 64 KiB.
+const MAX_NAME_LEN: usize = 1 << 16;
+
 #[test]
 fn empty_trace_roundtrips_at_every_chunk_size() {
-    let trace = TraceBuilder::new("empty").finish();
-    for chunk_len in [1, 7, DEFAULT_CHUNK_RECORDS] {
-        let bytes = encode_chunked(&trace, chunk_len);
-        let reader = CorpusReader::new(bytes.as_slice()).expect("header");
-        assert_eq!(reader.record_count(), 0);
-        assert_eq!(reader.chunk_count(), 0);
-        assert_eq!(decode(&bytes), trace);
+    // Names ride in the header: an empty one, a non-ASCII one and one of
+    // exactly the 64 KiB the reader accepts round-trip like any other.
+    for name in [
+        "empty".to_string(),
+        String::new(),
+        "go-go-go — 囲碁 ♟".to_string(),
+        "n".repeat(MAX_NAME_LEN),
+    ] {
+        let trace = TraceBuilder::new(name.clone()).finish();
+        for chunk_len in [1, 7, DEFAULT_CHUNK_RECORDS] {
+            let bytes = encode_chunked(&trace, chunk_len);
+            let reader = CorpusReader::new(bytes.as_slice()).expect("header");
+            assert_eq!(reader.name(), name);
+            assert_eq!(reader.record_count(), 0);
+            assert_eq!(reader.chunk_count(), 0);
+            assert_eq!(decode(&bytes), trace);
+        }
+    }
+}
+
+#[test]
+fn name_one_byte_over_the_limit_is_corrupt() {
+    // The writer stores any name; the reader refuses one byte past
+    // 64 KiB at the name-length varint (after 4 magic + 2 version
+    // bytes), before it allocates the name.
+    let trace = TraceBuilder::new("x".repeat(MAX_NAME_LEN + 1)).finish();
+    let bytes = encode_chunked(&trace, 1);
+    match CorpusReader::new(bytes.as_slice()) {
+        Err(TraceError::Corrupt { what, offset }) => {
+            assert_eq!(what, "unreasonable name length");
+            assert_eq!(offset, 6);
+        }
+        Err(other) => panic!("oversized name must be Corrupt, got {other:?}"),
+        Ok(_) => panic!("oversized name must be rejected"),
     }
 }
 
@@ -200,7 +233,9 @@ fn saturated_gap_roundtrips() {
 #[test]
 fn wide_pcs_roundtrip_through_the_escape_channel() {
     // PCs whose word index exceeds u32 take the wide-PC side channel in
-    // FlatTrace blocks and large zigzag deltas on the wire.
+    // FlatTrace blocks and large zigzag deltas on the wire. The last
+    // record sits in the top instruction slot and falls through, so the
+    // delta cursor wraps to address 0 on both encode and decode.
     let hi = 0xFFFF_FFFF_FFFF_FF00u64;
     let mut b = TraceBuilder::new("wide");
     b.branch(BranchRecord::conditional(Pc::new(hi), Pc::new(0x40), true));
@@ -209,6 +244,11 @@ fn wide_pcs_roundtrip_through_the_escape_channel() {
         Pc::new(hi - 0x1000),
         Pc::new(hi),
         true,
+    ));
+    b.branch(BranchRecord::conditional(
+        Pc::new(u64::MAX - 3),
+        Pc::new(0x40),
+        false,
     ));
     let trace = b.finish();
     for chunk_len in [1, 2, 3, 8] {

@@ -1,25 +1,20 @@
-//! A growable little-endian byte writer and a cursor reader.
+//! A growable little-endian byte writer.
 //!
-//! The trace codec needs exactly two things from a byte-buffer library:
-//! appending primitive values to a growable buffer, and reading them back
-//! from a slice with position tracking. [`ByteBuf`] and [`ByteCursor`]
-//! provide those on top of `Vec<u8>` / `&[u8]`, nothing more.
+//! The wire encoders of the trace crate (corpus chunks and prologue,
+//! session `RECORDS` payloads) append primitive values to a growable
+//! buffer; [`ByteBuf`] provides that on top of `Vec<u8>`, nothing more.
+//! Decoding reads through `std::io::Read`, so there is no cursor type.
 //!
 //! # Example
 //!
 //! ```
-//! use ev8_util::bytebuf::{ByteBuf, ByteCursor};
+//! use ev8_util::bytebuf::ByteBuf;
 //!
 //! let mut b = ByteBuf::with_capacity(16);
 //! b.put_u8(0xAB);
 //! b.put_u16_le(0x1234);
 //! b.put_slice(b"hey");
-//!
-//! let mut c = ByteCursor::new(b.as_slice());
-//! assert_eq!(c.get_u8(), Some(0xAB));
-//! assert_eq!(c.get_u16_le(), Some(0x1234));
-//! assert_eq!(c.get_slice(3), Some(&b"hey"[..]));
-//! assert!(c.is_empty());
+//! assert_eq!(b.as_slice(), &[0xAB, 0x34, 0x12, b'h', b'e', b'y']);
 //! ```
 
 /// A growable byte buffer with little-endian primitive appends.
@@ -56,12 +51,6 @@ impl ByteBuf {
     /// Appends a `u32` in little-endian order.
     #[inline]
     pub fn put_u32_le(&mut self, v: u32) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64` in little-endian order.
-    #[inline]
-    pub fn put_u64_le(&mut self, v: u64) {
         self.data.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -114,124 +103,21 @@ impl std::ops::Deref for ByteBuf {
     }
 }
 
-/// A reading cursor over a byte slice.
-///
-/// Every `get_*` returns `None` once the remaining bytes run out, leaving
-/// the position unchanged — truncation is detected, never panics.
-#[derive(Clone, Debug)]
-pub struct ByteCursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteCursor<'a> {
-    /// A cursor at the start of `data`.
-    pub const fn new(data: &'a [u8]) -> Self {
-        ByteCursor { data, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    /// True when everything has been consumed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    /// The current read position.
-    #[inline]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Reads one byte.
-    #[inline]
-    pub fn get_u8(&mut self) -> Option<u8> {
-        let b = *self.data.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    /// Reads a little-endian `u16`.
-    #[inline]
-    pub fn get_u16_le(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.get_array()?))
-    }
-
-    /// Reads a little-endian `u32`.
-    #[inline]
-    pub fn get_u32_le(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.get_array()?))
-    }
-
-    /// Reads a little-endian `u64`.
-    #[inline]
-    pub fn get_u64_le(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.get_array()?))
-    }
-
-    /// Reads `n` raw bytes.
-    #[inline]
-    pub fn get_slice(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.remaining() < n {
-            return None;
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-
-    fn get_array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        let s = self.get_slice(N)?;
-        let mut a = [0u8; N];
-        a.copy_from_slice(s);
-        Some(a)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn write_then_read_all_widths() {
-        let mut b = ByteBuf::new();
-        b.put_u8(1);
-        b.put_u16_le(0x0203);
-        b.put_u32_le(0x0405_0607);
-        b.put_u64_le(0x0809_0A0B_0C0D_0E0F);
-        b.put_slice(&[0xAA, 0xBB]);
-        assert_eq!(b.len(), 1 + 2 + 4 + 8 + 2);
-
-        let mut c = ByteCursor::new(&b);
-        assert_eq!(c.get_u8(), Some(1));
-        assert_eq!(c.get_u16_le(), Some(0x0203));
-        assert_eq!(c.get_u32_le(), Some(0x0405_0607));
-        assert_eq!(c.get_u64_le(), Some(0x0809_0A0B_0C0D_0E0F));
-        assert_eq!(c.get_slice(2), Some(&[0xAA, 0xBB][..]));
-        assert!(c.is_empty());
-        assert_eq!(c.get_u8(), None);
-    }
-
-    #[test]
     fn little_endian_layout_is_exact() {
         let mut b = ByteBuf::new();
+        b.put_u8(1);
         b.put_u16_le(0x1234);
-        assert_eq!(b.as_slice(), &[0x34, 0x12]);
-    }
-
-    #[test]
-    fn truncated_reads_leave_position() {
-        let mut c = ByteCursor::new(&[1, 2, 3]);
-        assert_eq!(c.get_u32_le(), None);
-        assert_eq!(c.position(), 0);
-        assert_eq!(c.get_u16_le(), Some(0x0201));
-        assert_eq!(c.get_u16_le(), None);
-        assert_eq!(c.remaining(), 1);
+        b.put_u32_le(0x0405_0607);
+        b.put_slice(&[0xAA, 0xBB]);
+        assert_eq!(
+            b.as_slice(),
+            &[1, 0x34, 0x12, 0x07, 0x06, 0x05, 0x04, 0xAA, 0xBB]
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * [`rng`] — a seeded SplitMix64 / xoshiro256\*\* random number
 //!   generator with a minimal [`rng::Rng`] trait (replaces `rand`).
-//! * [`bytebuf`] — a growable little-endian byte writer and a cursor
-//!   reader over byte slices (replaces `bytes`).
+//! * [`bytebuf`] — a growable little-endian byte writer (replaces
+//!   `bytes`).
 //! * [`json`] — a minimal JSON value writer and [`json::ToJson`] trait
 //!   (replaces `serde` for the workspace's export needs).
 //! * [`prop`] — a deterministic property-testing mini-harness with seeded

@@ -254,14 +254,6 @@ pub fn cached_with_store(
     })
 }
 
-/// Cached traces for the whole suite at one scale, in Table 2 order.
-pub fn cached_suite(scale: f64) -> Vec<Arc<Trace>> {
-    NAMES
-        .iter()
-        .map(|n| cached(n, scale).expect("all suite names are known"))
-        .collect()
-}
-
 /// The packed [`FlatTrace`] view of `benchmark(name)` scaled by `scale`,
 /// served from the process-wide [`crate::cache`] like [`cached`] (the
 /// flat view and the AoS trace share one generation per key, with the
@@ -288,14 +280,6 @@ pub fn cached_flat_with_store(
         Some(store) => crate::cache::global().cached_or_corpus_flat(store, &spec, scale),
         None => crate::cache::global().get_flat_scaled(&spec, scale),
     })
-}
-
-/// Cached flat views for the whole suite at one scale, in Table 2 order.
-pub fn cached_flat_suite(scale: f64) -> Vec<Arc<FlatTrace>> {
-    NAMES
-        .iter()
-        .map(|n| cached_flat(n, scale).expect("all suite names are known"))
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Build a custom synthetic workload, persist it with the binary trace
-//! codec, read it back, and evaluate predictors on it — the workflow for
+//! Build a custom synthetic workload, persist it as an on-disk trace
+//! corpus, read it back, and evaluate predictors on it — the workflow for
 //! using this library on your own branch behaviour hypotheses.
 //!
 //! ```text
@@ -7,12 +7,13 @@
 //! ```
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 
 use ev8_core::Ev8Predictor;
 use ev8_predictors::gshare::Gshare;
 use ev8_sim::simulate;
-use ev8_trace::{codec, TraceStats};
+use ev8_trace::corpus::{write_corpus, CorpusReader};
+use ev8_trace::TraceStats;
 use ev8_workloads::{BehaviorMix, H2pMix, ProgramSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,9 +42,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = TraceStats::from_trace(&trace);
     println!("generated: {stats}");
 
-    // Persist with the compact binary codec and read it back.
-    let path = std::env::temp_dir().join("pointer_chaser.ev8t");
-    codec::write_trace(BufWriter::new(File::create(&path)?), &trace)?;
+    // Persist as a chunked, compressed, checksummed corpus file and
+    // read it back.
+    let path = std::env::temp_dir().join("pointer_chaser.ev8c");
+    let mut file = BufWriter::new(File::create(&path)?);
+    write_corpus(&mut file, &trace)?;
+    file.flush()?;
+    drop(file);
     let on_disk = std::fs::metadata(&path)?.len();
     println!(
         "persisted to {} ({} bytes, {:.2} bytes/record)",
@@ -51,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         on_disk,
         on_disk as f64 / trace.len() as f64
     );
-    let reloaded = codec::read_trace(BufReader::new(File::open(&path)?))?;
+    let reloaded = CorpusReader::new(BufReader::new(File::open(&path)?))?.read_trace()?;
     assert_eq!(reloaded, trace);
     println!("round-trip verified");
     println!();

@@ -11,7 +11,6 @@
 use ev8_core::banks::BankSequencer;
 use ev8_core::fetch::{blocks_of, BlockStats};
 use ev8_core::line_predictor::LinePredictor;
-use ev8_core::pipeline::FrontEndPipeline;
 use ev8_core::ras::{JumpPredictor, ReturnAddressStack};
 use ev8_trace::BranchKind;
 use ev8_workloads::spec95;
@@ -102,22 +101,4 @@ fn main() {
         ras.accuracy() * 100.0,
         ras.predictions()
     );
-    println!();
-
-    // 5. The whole thing as a cycle-level pipeline (Figs 1 and 3): two
-    // blocks per cycle, single-ported banked arrays, resteer bubbles on
-    // line-predictor mismatches.
-    let stats = FrontEndPipeline::new(2).run(&trace);
-    println!("cycle-level pipeline replay (resteer penalty 2 cycles):");
-    println!("  cycles:           {}", stats.cycles);
-    println!(
-        "  fetch bandwidth:  {:.2} instructions/cycle",
-        stats.fetch_bandwidth()
-    );
-    println!("  resteers:         {}", stats.resteers);
-    println!(
-        "  bank conflicts:   {} of {} array reads (guaranteed 0)",
-        stats.bank_conflicts, stats.array_reads
-    );
-    assert_eq!(stats.bank_conflicts, 0);
 }

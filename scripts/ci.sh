@@ -84,11 +84,12 @@ PAPER_SHAPES_BUDGET="${EV8_PAPER_SHAPES_BUDGET:-180}"
 paper_shapes_elapsed=$(stage_seconds "$(date +%s)" paper_shapes)
 check_budget paper_shapes "$PAPER_SHAPES_BUDGET" "$paper_shapes_elapsed"
 
-# Robustness smoke, also budgeted: ten thousand fixed-seed trace
-# corruptions through both decoders (far past the 256-mutation floor the
-# fuzz contract requires) plus the SEU fault-injection campaign across
-# three benchmarks. Every case replays from a literal seed, so a failure
-# here is a one-line reproduction.
+# Robustness smoke, also budgeted: ten thousand fixed-seed corruptions
+# of a session RECORDS payload through frame::decode_records, the one
+# record parser with no CRC in front of it (far past the 256-mutation
+# floor the fuzz contract requires), plus the SEU fault-injection
+# campaign across three benchmarks. Every case replays from a literal
+# seed, so a failure here is a one-line reproduction.
 FAULTS_BUDGET="${EV8_FAULTS_BUDGET:-120}"
 faults_elapsed=$(stage_seconds "$(date +%s)" fault_injection)
 check_budget fault_injection "$FAULTS_BUDGET" "$faults_elapsed"
@@ -210,6 +211,12 @@ if [ "$QUICK" -eq 0 ]; then
     # collisions (the goldens pin the EV8 only at scale 0.002).
     run cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
         ev8_corpus --seed 0 --seconds 1
+    # Two examples run end to end, not only compile: the corpus file
+    # round trip (asserts the reloaded trace equals the generated one)
+    # and the front-end walkthrough (asserts zero successive-block bank
+    # conflicts).
+    run cargo run -q --release --offline --example custom_workload
+    run cargo run -q --release --offline --example frontend_pipeline
 fi
 
 run cargo clippy --all-targets --offline -- -D warnings

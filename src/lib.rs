@@ -8,7 +8,7 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`trace`] | branch records, traces, binary codec, statistics |
+//! | [`trace`] | branch records, traces, statistics, the on-disk corpus format, session framing |
 //! | [`workloads`] | synthetic SPECINT95 suite and workload generators |
 //! | [`predictors`] | the predictor framework and every baseline scheme |
 //! | [`core`] | the EV8 predictor with all hardware constraints |

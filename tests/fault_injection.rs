@@ -1,6 +1,6 @@
-//! End-to-end robustness: the trace decoders survive ten thousand seeded
-//! corruptions, and the SEU campaign degrades the predictor smoothly with
-//! zero panics.
+//! End-to-end robustness: the session `RECORDS` decoder survives ten
+//! thousand seeded corruptions, and the SEU campaign degrades the
+//! predictor smoothly with zero panics.
 //!
 //! Everything here replays from literal seeds — a failure message names
 //! the one `u64` needed to reproduce it.
@@ -14,7 +14,9 @@ use ev8_predictors::introspect::ArrayClass;
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 use ev8_predictors::BranchPredictor;
 use ev8_sim::{drive, simulate, SimResult};
-use ev8_trace::{codec, BranchRecord, Pc, Trace, TraceBuilder};
+use ev8_trace::frame::encode_records;
+use ev8_trace::{BranchRecord, Pc, Trace};
+use ev8_util::bytebuf::ByteBuf;
 use ev8_workloads::spec95;
 
 /// [`simulate`] with a fault injector stepped before every conditional.
@@ -30,19 +32,21 @@ fn faulted_run(mut predictor: TwoBcGskew, trace: &Trace, plan: FaultPlan) -> (Si
     (result, injector.into_log())
 }
 
+/// One `RECORDS` payload of 2,000 branches, as a client sends it.
 fn encoded_base() -> Vec<u8> {
-    let mut b = TraceBuilder::new("fuzz-base");
-    for i in 0..2_000u64 {
-        b.run(i % 7);
-        b.branch(BranchRecord::conditional(
-            Pc::new(0x40_0000 + (i % 97) * 4),
-            Pc::new(0x41_0000 + (i % 31) * 4),
-            (i * 2654435761) % 5 != 0,
-        ));
-    }
-    let mut buf = Vec::new();
-    codec::write_trace(&mut buf, &b.finish()).expect("encode");
-    buf
+    let records: Vec<BranchRecord> = (0..2_000u64)
+        .map(|i| {
+            BranchRecord::conditional(
+                Pc::new(0x40_0000 + (i % 97) * 4),
+                Pc::new(0x41_0000 + (i % 31) * 4),
+                (i * 2654435761) % 5 != 0,
+            )
+            .with_gap((i % 7) as u32)
+        })
+        .collect();
+    let mut buf = ByteBuf::new();
+    encode_records(&mut buf, &records, &mut Pc::default());
+    buf.into_vec()
 }
 
 #[test]
@@ -52,9 +56,9 @@ fn ten_thousand_seeded_mutations_never_panic_or_overallocate() {
     let mut rejected = 0u32;
     for seed in 0..10_000u64 {
         let mutated = corrupt(&base, seed);
-        // `decode_check` runs both decoders and asserts the structural
-        // allocation bound (records <= bytes/4) internally; a panic
-        // anywhere in the decode path is the finding.
+        // `decode_check` runs `frame::decode_records` and asserts the
+        // structural allocation bound (records <= bytes/4) internally; a
+        // panic anywhere in the decode path is the finding.
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| decode_check(&mutated)));
         match outcome {
             Ok(Ok(n)) => {

@@ -15,7 +15,8 @@ use ev8_predictors::counter::Counter2;
 use ev8_predictors::history::GlobalHistory;
 use ev8_predictors::skew::{h_inverse, h_transform, skew_index, xor_fold};
 use ev8_predictors::table::SplitCounterTable;
-use ev8_trace::{codec, BranchKind, BranchRecord, Outcome, Pc, TraceBuilder};
+use ev8_trace::corpus::{write_corpus, CorpusReader};
+use ev8_trace::{BranchKind, BranchRecord, Outcome, Pc, TraceBuilder};
 
 const CASES: u64 = 256;
 
@@ -49,8 +50,11 @@ fn codec_roundtrips_arbitrary_traces() {
         }
         let trace = b.finish();
         let mut buf = Vec::new();
-        codec::write_trace(&mut buf, &trace).unwrap();
-        let back = codec::read_trace(&mut buf.as_slice()).unwrap();
+        write_corpus(&mut buf, &trace).unwrap();
+        let back = CorpusReader::new(buf.as_slice())
+            .unwrap()
+            .read_trace()
+            .unwrap();
         prop_assert_eq!(back, trace);
         Ok(())
     });

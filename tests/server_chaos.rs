@@ -24,8 +24,9 @@ use ev8_faults::fuzz;
 use ev8_server::proto::{self, kind, Hello, PredictorSpec};
 use ev8_server::{Client, Server, ServerConfig, ServerError, ServerHandle};
 use ev8_sim::simulate;
-use ev8_trace::frame::write_frame;
-use ev8_trace::{codec, BranchRecord, Pc, Trace, TraceBuilder};
+use ev8_trace::frame::{encode_records, write_frame};
+use ev8_trace::{BranchRecord, Pc, Trace, TraceBuilder};
+use ev8_util::bytebuf::ByteBuf;
 
 /// A unique socket path per test (tests share one process).
 fn sock_path(tag: &str) -> PathBuf {
@@ -140,16 +141,9 @@ fn corrupt_blob(seed: u64) -> Vec<u8> {
         &mut payload,
     );
     write_frame(&mut blob, kind::BEGIN, &payload).unwrap();
-    let mut encoded = Vec::new();
-    codec::write_trace(&mut encoded, &trace).unwrap();
-    // Reuse the codec bytes as a records payload: after corruption the
-    // distinction is moot — the point is hostile bytes in every field.
-    write_frame(
-        &mut blob,
-        kind::RECORDS,
-        &encoded[..encoded.len().min(2048)],
-    )
-    .unwrap();
+    let mut records = ByteBuf::new();
+    encode_records(&mut records, trace.records(), &mut Pc::default());
+    write_frame(&mut blob, kind::RECORDS, &records).unwrap();
     write_frame(&mut blob, kind::END, &[]).unwrap();
     write_frame(&mut blob, kind::BYE, &[]).unwrap();
     fuzz::corrupt(&blob, seed)
