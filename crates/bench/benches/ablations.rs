@@ -15,17 +15,22 @@ use ev8_util::bench::Harness;
 use ev8_core::{Ev8Config, Ev8Predictor, HistoryMode};
 use ev8_predictors::twobcgskew::{TableConfig, TwoBcGskew, TwoBcGskewConfig, UpdatePolicy};
 use ev8_predictors::BranchPredictor;
-use ev8_sim::simulator::simulate;
-use ev8_trace::Trace;
+use ev8_sim::simulate_flat;
+use ev8_trace::FlatTrace;
 use ev8_workloads::spec95;
 
-fn probe_trace() -> std::sync::Arc<Trace> {
+fn probe_trace() -> std::sync::Arc<FlatTrace> {
     spec95::cached("gcc", 0.002).expect("known benchmark")
 }
 
-fn announce(label: &str, trace: &Trace, a: Box<dyn BranchPredictor>, b: Box<dyn BranchPredictor>) {
-    let ra = simulate(a, trace);
-    let rb = simulate(b, trace);
+fn announce(
+    label: &str,
+    trace: &FlatTrace,
+    a: Box<dyn BranchPredictor>,
+    b: Box<dyn BranchPredictor>,
+) {
+    let ra = simulate_flat(a, trace);
+    let rb = simulate_flat(b, trace);
     eprintln!(
         "[ablation] {label}: baseline {:.3} misp/KI vs ablated {:.3} misp/KI",
         ra.misp_per_ki(),
@@ -83,11 +88,11 @@ fn main() {
     group.throughput(branches);
     group.sample_size(10);
     group.bench("partial-update", |b| {
-        b.iter(|| simulate(TwoBcGskew::new(TwoBcGskewConfig::size_512k()), &trace))
+        b.iter(|| simulate_flat(TwoBcGskew::new(TwoBcGskewConfig::size_512k()), &trace))
     });
     group.bench("total-update", |b| {
         b.iter(|| {
-            simulate(
+            simulate_flat(
                 TwoBcGskew::new(
                     TwoBcGskewConfig::size_512k().with_update_policy(UpdatePolicy::Total),
                 ),
@@ -97,7 +102,7 @@ fn main() {
     });
     group.bench("commit-window-64", |b| {
         b.iter(|| {
-            simulate(
+            simulate_flat(
                 TwoBcGskew::new(TwoBcGskewConfig::size_512k().with_commit_window(64)),
                 &trace,
             )

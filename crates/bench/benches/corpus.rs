@@ -10,9 +10,9 @@
 //! * **Throughput** — encode (records → corpus bytes) and streaming
 //!   decode (corpus bytes → `FlatTrace` blocks) in records/s.
 //! * **Overhead** — `drive` over a `CorpusReader` (decode-while-simulating
-//!   from the corpus bytes) vs `drive` over the cached in-RAM trace, as a
-//!   paired per-sample ratio: what a cold disk-tier run costs over the
-//!   warm cache tier.
+//!   from the corpus bytes) vs `drive` over the cached in-RAM packed
+//!   trace, as a paired per-sample ratio: what streaming a run from a
+//!   corpus costs over a run from the trace cache.
 //!
 //! Bit-identity is asserted before any timing: the corpus decodes back
 //! to the exact source trace and the streaming run returns the exact
@@ -97,8 +97,12 @@ fn main() {
                 continue;
             }
         }
-        let trace = spec95::cached(name, scale).expect("known benchmark");
-        let flat = spec95::cached_flat(name, scale).expect("known benchmark");
+        // The encoder takes the AoS trace; the in-RAM side is the cached
+        // packed trace every experiment walks.
+        let trace = spec95::benchmark(name)
+            .expect("known benchmark")
+            .generate_scaled(scale);
+        let flat = spec95::cached(name, scale).expect("known benchmark");
         let records = trace.len() as u64;
 
         let mut bytes: Vec<u8> = Vec::new();
@@ -111,13 +115,13 @@ fn main() {
             let reader = CorpusReader::new(bytes.as_slice()).expect("corpus header");
             assert_eq!(
                 reader.read_trace().expect("corpus decode"),
-                *trace,
+                trace,
                 "{name}: corpus roundtrip diverged"
             );
             let reader = CorpusReader::new(bytes.as_slice()).expect("corpus header");
             assert_eq!(
                 drive(predictor(), reader, Plain).expect("corpus simulate"),
-                drive(predictor(), &*trace, Plain),
+                drive(predictor(), &*flat, Plain),
                 "{name}: streaming-decode simulation diverged"
             );
         }
@@ -142,7 +146,7 @@ fn main() {
                     let reader = CorpusReader::new(bytes.as_slice()).expect("header");
                     drive(predictor(), reader, Plain).expect("simulate")
                 }),
-                time(|| drive(predictor(), &*trace, Plain)),
+                time(|| drive(predictor(), &*flat, Plain)),
             ]);
         }
 

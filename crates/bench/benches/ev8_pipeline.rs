@@ -7,11 +7,11 @@ use ev8_util::bench::Harness;
 
 use ev8_core::{Ev8Config, Ev8Predictor, HistoryMode};
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
-use ev8_sim::simulator::simulate;
-use ev8_trace::Trace;
+use ev8_sim::simulate_flat;
+use ev8_trace::FlatTrace;
 use ev8_workloads::spec95;
 
-fn bench_trace() -> std::sync::Arc<Trace> {
+fn bench_trace() -> std::sync::Arc<FlatTrace> {
     spec95::cached("m88ksim", 0.002).expect("known benchmark")
 }
 
@@ -24,21 +24,21 @@ fn main() {
     group.sample_size(10);
 
     group.bench("ev8-full", |b| {
-        b.iter(|| simulate(Ev8Predictor::ev8(), &trace))
+        b.iter(|| simulate_flat(Ev8Predictor::ev8(), &trace))
     });
     group.bench("ev8-complete-hash", |b| {
         b.iter(|| {
-            simulate(
+            simulate_flat(
                 Ev8Predictor::new(Ev8Config::lghist_512k(HistoryMode::ev8())),
                 &trace,
             )
         })
     });
     group.bench("ev8-ghist-unconstrained", |b| {
-        b.iter(|| simulate(Ev8Predictor::new(Ev8Config::unconstrained_512k()), &trace))
+        b.iter(|| simulate_flat(Ev8Predictor::new(Ev8Config::unconstrained_512k()), &trace))
     });
     group.bench("plain-2bcgskew", |b| {
-        b.iter(|| simulate(TwoBcGskew::new(TwoBcGskewConfig::size_512k()), &trace))
+        b.iter(|| simulate_flat(TwoBcGskew::new(TwoBcGskewConfig::size_512k()), &trace))
     });
     group.finish();
 }

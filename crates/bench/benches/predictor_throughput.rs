@@ -6,8 +6,9 @@
 //! the shootout run through `run_grid` — runs over the `gcc` trace at the
 //! sweep scale, boxed behind the same `Factory` the grid uses, two ways:
 //!
-//! * **fused** — `simulate`: the `Plain` hook, one
-//!   `predict_and_update` per record, the path every experiment takes;
+//! * **fused** — `simulate_flat`: the `Plain` hook over the cached
+//!   packed trace, one `predict_and_update` per record, the path every
+//!   experiment takes;
 //! * **composed** — `drive(.., StaleCommit::new(0, ..))`: `predict` then
 //!   `update_record` per record, the trait's reference composition.
 //!
@@ -29,8 +30,8 @@ use ev8_util::bench::black_box;
 use ev8_util::json::JsonObject;
 
 use ev8_sim::experiments::fig5;
-use ev8_sim::{drive, simulate, SimResult, StaleCommit};
-use ev8_trace::Trace;
+use ev8_sim::{drive, simulate_flat, SimResult, StaleCommit};
+use ev8_trace::FlatTrace;
 use ev8_workloads::spec95;
 
 const DEFAULT_SWEEP_SCALE: f64 = 0.2;
@@ -71,7 +72,7 @@ fn median_of(mut values: Vec<f64>) -> f64 {
 
 /// `predict` then `update_record` on every record: the composition the
 /// fused step must equal.
-fn composed(predictor: Box<dyn ev8_predictors::BranchPredictor>, trace: &Trace) -> SimResult {
+fn composed(predictor: Box<dyn ev8_predictors::BranchPredictor>, trace: &FlatTrace) -> SimResult {
     let name = predictor.name();
     let tally = drive(predictor, trace, StaleCommit::new(0, &mut VecDeque::new()));
     SimResult::new(trace.name(), trace.instruction_count(), name, tally)
@@ -110,7 +111,7 @@ fn main() {
     // both paths compute the same run. This also warms every series.
     for (key, make) in &roster {
         assert_eq!(
-            simulate(make(), &trace),
+            simulate_flat(make(), &trace),
             composed(make(), &trace),
             "{key}: fused step diverged from predict + update_record"
         );
@@ -124,7 +125,7 @@ fn main() {
                 .iter()
                 .map(|(_, make)| {
                     (
-                        time(|| simulate(make(), &trace)),
+                        time(|| simulate_flat(make(), &trace)),
                         time(|| composed(make(), &trace)),
                     )
                 })

@@ -79,8 +79,7 @@ fn main() {
         .iter()
         .map(|&(name, family)| {
             Box::new(move || {
-                let flat: Arc<FlatTrace> =
-                    spec95::cached_flat(name, scale).expect("known benchmark");
+                let flat: Arc<FlatTrace> = spec95::cached(name, scale).expect("known benchmark");
                 let config = SamplingConfig::auto(flat.len());
                 validate_sampled(&build(family), &flat, &config)
             }) as Box<dyn FnOnce() -> SampledVsFull + Send>

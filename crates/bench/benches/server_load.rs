@@ -107,7 +107,10 @@ fn main() {
     let sessions: usize = env_or("EV8_SERVER_SESSIONS", DEFAULT_SESSIONS);
     let filter = std::env::args().nth(1).filter(|a| !a.starts_with('-'));
 
-    let trace = spec95::cached(BENCHMARK, scale).expect("known benchmark");
+    // `Client::run_trace` streams an AoS trace.
+    let trace = spec95::benchmark(BENCHMARK)
+        .expect("known benchmark")
+        .generate_scaled(scale);
     let expect = simulate(ev8_predictors::gshare::Gshare::new(14, 12), &trace);
     let records = trace.records().len() as u64;
 

@@ -62,8 +62,9 @@ use ev8_predictors::counter::Counter2;
 use ev8_predictors::table::SplitCounterTable;
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 use ev8_sim::observe::NullObserver;
-use ev8_sim::simulator::{drive, simulate, Plain};
-use ev8_trace::{Outcome, Trace};
+use ev8_sim::simulate_flat;
+use ev8_sim::simulator::{drive, Plain};
+use ev8_trace::{FlatTrace, Outcome};
 use ev8_workloads::spec95;
 
 const BENCH_SCALE: f64 = 0.002;
@@ -210,7 +211,7 @@ fn main() {
 
     // Warm the cache outside measurement so "cached_hit" times the hit
     // path, not the first-miss generation.
-    let trace: Arc<Trace> = spec95::cached("m88ksim", BENCH_SCALE).expect("known benchmark");
+    let trace: Arc<FlatTrace> = spec95::cached("m88ksim", BENCH_SCALE).expect("known benchmark");
 
     const ACCESSES: u32 = 200_000;
     // Table state persists across samples, as it did across the old
@@ -228,7 +229,7 @@ fn main() {
     // doesn't pay first-touch page faults and cold caches for one side.
     let _ = drive_bytes(&mut byte_tables, ACCESSES);
     let _ = drive_packed(&mut packed_tables, ACCESSES);
-    let _ = simulate(Ev8Predictor::ev8(), &trace);
+    let _ = simulate_flat(Ev8Predictor::ev8(), &trace);
 
     // Every before/after pair is timed A,B,B,A *within* each sample and
     // each side keeps the MINIMUM of its two runs: running B right after
@@ -287,7 +288,7 @@ fn main() {
                 }
             }
         }
-        t[SIM_EV8] = time(|| simulate(Ev8Predictor::ev8(), &trace));
+        t[SIM_EV8] = time(|| simulate_flat(Ev8Predictor::ev8(), &trace));
         samples.push(t);
     }
 

@@ -132,9 +132,12 @@ fn main() {
                 continue;
             }
         }
-        // Warm both cached views outside measurement.
-        let trace = spec95::cached(name, scale).expect("known benchmark");
-        let flat = spec95::cached_flat(name, scale).expect("known benchmark");
+        // Build both forms outside measurement: the AoS side is a fresh
+        // generation, the packed side the cached trace.
+        let trace = spec95::benchmark(name)
+            .expect("known benchmark")
+            .generate_scaled(scale);
+        let flat = spec95::cached(name, scale).expect("known benchmark");
 
         // Equivalence sanity check before timing: the speedups below are
         // only meaningful if every path computes the same sweep. This

@@ -29,12 +29,12 @@
 #![warn(missing_docs)]
 
 /// Reads the trace scale from argv (first positional argument) or the
-/// `EV8_SCALE` environment variable; defaults to 0.1.
+/// `EV8_SCALE` environment variable; defaults to 0.25.
 ///
 /// # Panics
 ///
 /// Panics with a usage message when the value does not parse or is not
-/// positive.
+/// a positive finite number.
 pub fn scale_from_env() -> f64 {
     parse_scale(
         std::env::args()
@@ -50,7 +50,10 @@ fn parse_scale(raw: Option<String>) -> f64 {
             let v: f64 = s
                 .parse()
                 .unwrap_or_else(|_| panic!("invalid scale {s:?}: expected a positive number"));
-            assert!(v > 0.0, "scale must be positive, got {v}");
+            assert!(
+                v > 0.0 && v.is_finite(),
+                "scale must be positive and finite, got {v}"
+            );
             v
         }
     }
@@ -122,6 +125,12 @@ mod tests {
     #[should_panic(expected = "scale must be positive")]
     fn negative_scale_rejected() {
         parse_scale(Some("-1".into()));
+    }
+
+    #[test]
+    #[should_panic(expected = "scale must be positive")]
+    fn infinite_scale_rejected() {
+        parse_scale(Some("inf".into()));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! wrapping deltas: a run may wrap below 0, and the region after the last
 //! aligned 32-byte region of the 64-bit space is the one at 0.
 
-use ev8_trace::{BranchRecord, Outcome, Pc, Trace};
+use ev8_trace::{BranchRecord, FlatTrace, Outcome, Pc};
 
 use crate::lghist::BlockSummary;
 
@@ -228,12 +228,10 @@ impl FetchState {
 
 /// Reconstructs all fetch blocks of a trace (convenience wrapper over
 /// [`FetchState`]).
-pub fn blocks_of(trace: &Trace) -> Vec<FetchBlock> {
+pub fn blocks_of(trace: &FlatTrace) -> Vec<FetchBlock> {
     let mut fs = FetchState::new();
     let mut out = Vec::new();
-    for rec in trace.iter() {
-        fs.feed(rec, |b| out.push(b));
-    }
+    trace.for_each(|rec| fs.feed(rec, |b| out.push(b)));
     fs.flush(|b| out.push(b));
     out
 }
@@ -255,7 +253,7 @@ pub struct BlockStats {
 
 impl BlockStats {
     /// Computes block statistics for a trace.
-    pub fn from_trace(trace: &Trace) -> Self {
+    pub fn from_trace(trace: &FlatTrace) -> Self {
         let mut s = BlockStats::default();
         let mut fs = FetchState::new();
         let mut add = |b: FetchBlock| {
@@ -266,9 +264,7 @@ impl BlockStats {
             }
             s.conditional_branches += b.conditional_count as u64;
         };
-        for rec in trace.iter() {
-            fs.feed(rec, &mut add);
-        }
+        trace.for_each(|rec| fs.feed(rec, &mut add));
         fs.flush(&mut add);
         s
     }
@@ -484,7 +480,7 @@ mod tests {
             );
             pc = if taken { target } else { pc + 4 };
         }
-        let t = b.finish();
+        let t = FlatTrace::from_trace(&b.finish());
         for blk in blocks_of(&t) {
             assert!(blk.instructions >= 1 && blk.instructions <= 8, "{blk:?}");
             // Blocks never span an aligned boundary.
@@ -521,7 +517,7 @@ mod tests {
             Pc::new(0x1000),
             true,
         ));
-        let t = b.finish();
+        let t = FlatTrace::from_trace(&b.finish());
         let s = BlockStats::from_trace(&t);
         assert_eq!(s.blocks, 2);
         assert_eq!(s.blocks_with_conditionals, 2);
@@ -532,7 +528,7 @@ mod tests {
 
     #[test]
     fn empty_trace_stats() {
-        let s = BlockStats::from_trace(&ev8_trace::Trace::default());
+        let s = BlockStats::from_trace(&FlatTrace::default());
         assert_eq!(s.blocks, 0);
         assert_eq!(s.lghist_compression_ratio(), 0.0);
         assert_eq!(s.mean_block_size(), 0.0);

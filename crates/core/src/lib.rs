@@ -32,8 +32,7 @@
 //!   checks the §6 single-port guarantee on every run.
 //! * [`line_predictor`] — the simple line predictor that feeds the PC
 //!   address generator (§2), as a front-end substrate.
-//! * [`ras`] — the return-address stack and indirect-jump predictor that
-//!   complete the §2 PC address generator.
+//! * [`ras`] — the return-address stack of the §2 PC address generator.
 //! * [`smt`] — simultaneous multithreading support: one shared table set
 //!   and one [`Ev8Predictor`] front end per thread context (§3).
 //! * [`observe`] — the EV8 predictor's side of the opt-in

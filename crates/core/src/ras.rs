@@ -1,13 +1,14 @@
-//! Return-address stack and indirect-jump predictor — the remaining
-//! pieces of the EV8 PC address generator (§2 of the paper):
+//! Return-address stack — one of the remaining pieces of the EV8 PC
+//! address generator (§2 of the paper):
 //!
 //! "This includes a conditional branch predictor, a jump predictor, a
 //! return address stack predictor, conditional branch target address
 //! computation ... and final address selection."
 //!
 //! The conditional branch predictor lives in [`crate::predictor`]; this
-//! module supplies the other two dynamic predictors so the full
-//! PC-address-generation path can be simulated.
+//! module supplies the return address stack. The jump predictor is not
+//! modelled: the synthetic workloads emit no indirect jumps, so it would
+//! have nothing to learn.
 
 use ev8_trace::Pc;
 
@@ -106,93 +107,6 @@ impl ReturnAddressStack {
     }
 }
 
-/// A last-target indirect jump predictor with partial tags.
-///
-/// Each entry caches the most recent target of an indirect jump site; a
-/// partial tag limits destructive aliasing between sites.
-///
-/// # Example
-///
-/// ```
-/// use ev8_core::ras::JumpPredictor;
-/// use ev8_trace::Pc;
-///
-/// let mut jp = JumpPredictor::new(8, 6);
-/// jp.train(Pc::new(0x1000), Pc::new(0x4000));
-/// assert_eq!(jp.predict(Pc::new(0x1000)), Some(Pc::new(0x4000)));
-/// ```
-#[derive(Clone, Debug)]
-pub struct JumpPredictor {
-    entries: Vec<Option<(u16, Pc)>>,
-    index_bits: u32,
-    tag_bits: u32,
-    predictions: u64,
-    hits: u64,
-}
-
-impl JumpPredictor {
-    /// Creates a jump predictor with `2^index_bits` entries and
-    /// `tag_bits`-bit partial tags.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index_bits` is not in `1..=20` or `tag_bits` not in
-    /// `1..=16`.
-    pub fn new(index_bits: u32, tag_bits: u32) -> Self {
-        assert!((1..=20).contains(&index_bits), "index_bits must be 1..=20");
-        assert!((1..=16).contains(&tag_bits), "tag_bits must be 1..=16");
-        JumpPredictor {
-            entries: vec![None; 1 << index_bits],
-            index_bits,
-            tag_bits,
-            predictions: 0,
-            hits: 0,
-        }
-    }
-
-    fn index(&self, pc: Pc) -> usize {
-        pc.bits(2, self.index_bits) as usize
-    }
-
-    fn tag(&self, pc: Pc) -> u16 {
-        pc.bits(2 + self.index_bits, self.tag_bits) as u16
-    }
-
-    /// Predicts the target of the indirect jump at `pc`; `None` on a cold
-    /// or tag-mismatched entry.
-    pub fn predict(&self, pc: Pc) -> Option<Pc> {
-        match self.entries[self.index(pc)] {
-            Some((tag, target)) if tag == self.tag(pc) => Some(target),
-            _ => None,
-        }
-    }
-
-    /// Trains the entry for `pc` with the actual target and updates the
-    /// accuracy counters.
-    pub fn train(&mut self, pc: Pc, actual_target: Pc) {
-        self.predictions += 1;
-        if self.predict(pc) == Some(actual_target) {
-            self.hits += 1;
-        }
-        let idx = self.index(pc);
-        self.entries[idx] = Some((self.tag(pc), actual_target));
-    }
-
-    /// Fraction of trained jumps whose prior prediction was correct.
-    pub fn accuracy(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.predictions as f64
-        }
-    }
-
-    /// Storage cost in bits (tag + a 32-bit target per entry).
-    pub fn storage_bits(&self) -> u64 {
-        self.entries.len() as u64 * (self.tag_bits as u64 + 32)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,48 +164,6 @@ mod tests {
         }
         assert_eq!(hits, 4);
         assert!((ras.accuracy() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jump_predictor_last_target() {
-        let mut jp = JumpPredictor::new(6, 6);
-        let site = Pc::new(0x2000);
-        jp.train(site, Pc::new(0x4000)); // cold: miss
-        assert_eq!(jp.predict(site), Some(Pc::new(0x4000)));
-        jp.train(site, Pc::new(0x4000)); // stable target: hit
-                                         // Target change: one miss then retrained.
-        jp.train(site, Pc::new(0x5000)); // miss
-        assert_eq!(jp.predict(site), Some(Pc::new(0x5000)));
-        assert!((jp.accuracy() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jump_predictor_tag_rejects_aliases() {
-        let mut jp = JumpPredictor::new(4, 8);
-        let a = Pc::new(0x100);
-        // Same index, different tag: 2^(4+2) bytes apart.
-        let b = Pc::new(0x100 + (1 << 6));
-        assert_eq!(jp.index(a), jp.index(b));
-        jp.train(a, Pc::new(0x4000));
-        assert_eq!(jp.predict(b), None, "tag must reject the alias");
-    }
-
-    #[test]
-    fn alternating_targets_thrash() {
-        let mut jp = JumpPredictor::new(6, 6);
-        let site = Pc::new(0x300);
-        for i in 0..50u64 {
-            let target = if i % 2 == 0 { 0x4000 } else { 0x5000 };
-            jp.train(site, Pc::new(target));
-        }
-        assert!(jp.accuracy() < 0.1, "last-target cannot learn alternation");
-    }
-
-    #[test]
-    fn storage_and_bounds() {
-        let jp = JumpPredictor::new(8, 6);
-        assert_eq!(jp.storage_bits(), 256 * 38);
-        assert_eq!(jp.accuracy(), 0.0);
     }
 
     #[test]

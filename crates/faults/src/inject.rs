@@ -392,7 +392,7 @@ mod tests {
         ];
         for rate in rates {
             let thr = decide_threshold(rate);
-            let mut reference = DefaultRng::seed_from_u64(mix(0xD00D_1E5));
+            let mut reference = DefaultRng::seed_from_u64(mix(0x0D00_D1E5));
             let mut fast = reference.clone();
             for step in 0..4000 {
                 let expected = reference.gen_bool(rate);

@@ -548,7 +548,7 @@ mod tests {
     #[test]
     fn counter_table_matches_vec_of_counters() {
         let mut packed = Counter2Table::new(5);
-        let mut dense = vec![Counter2::default(); 32];
+        let mut dense = [Counter2::default(); 32];
         let mut x = 0x1234_5678_9ABC_DEF0u64;
         for _ in 0..500 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);

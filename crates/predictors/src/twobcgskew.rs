@@ -1103,7 +1103,7 @@ mod tests {
                 for i in 0..3000u64 {
                     x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                     let pc = Pc::new(0x1000 + (i % 61) * 4);
-                    let record = BranchRecord::conditional(pc, pc, (x >> 35) % 3 != 0);
+                    let record = BranchRecord::conditional(pc, pc, !(x >> 35).is_multiple_of(3));
                     let want = composed.predict(pc);
                     composed.update_record(&record);
                     assert_eq!(fused.predict_and_update(&record), Some(want));

@@ -1,4 +1,5 @@
-//! Batched multi-configuration simulation over a [`FlatTrace`].
+//! Batched multi-configuration simulation over a [`FlatTrace`], the one
+//! in-memory trace form the trace cache holds.
 //!
 //! The paper's evaluation is a grid: every figure runs many predictor
 //! configurations over the same traces. Serial sweeps pay the trace's
@@ -57,10 +58,11 @@ use crate::simulator::{drive, Hook, Plain};
 /// Runs one predictor over a [`FlatTrace`] with immediate update —
 /// exactly [`simulate`](crate::simulate) but streaming the packed
 /// columns instead of the AoS record array: [`drive`] with the [`Plain`]
-/// hook.
+/// hook. This is the single-configuration run of every experiment, over
+/// the packed trace the trace cache holds.
 ///
-/// The `sim_hot_loop` bench records the flat-vs-AoS single-config
-/// speedup under the `sweep_batched` group.
+/// The `sweep_batched` bench records the flat-vs-AoS single-config
+/// speedup.
 pub fn simulate_flat<P: BranchPredictor>(predictor: P, trace: &FlatTrace) -> SimResult {
     let name = predictor.name();
     let tally = drive(predictor, trace, Plain);

@@ -9,24 +9,22 @@
 //! paper's Fig 5 shows the end result at SPEC footprints; this experiment
 //! exposes the underlying trend.
 
-use std::sync::Arc;
-
 use ev8_predictors::egskew::EGskew;
 use ev8_predictors::gshare::Gshare;
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
-use ev8_trace::Trace;
+use ev8_trace::FlatTrace;
 use ev8_workloads::{BehaviorMix, ProgramSpec};
 
+use crate::batch::simulate_flat;
 use crate::report::{ExperimentReport, TextTable};
-use crate::simulator::simulate;
 use crate::sweep::run_parallel;
 
 /// The footprint points swept (static conditional branches).
 pub const FOOTPRINTS: [usize; 5] = [250, 1000, 4000, 12000, 32000];
 
-/// A gcc-like program with a configurable static footprint.
-fn workload(statics: usize, instructions: u64) -> Trace {
-    ProgramSpec {
+/// A gcc-like program with a configurable static footprint, packed.
+fn workload(statics: usize, instructions: u64) -> FlatTrace {
+    let spec = ProgramSpec {
         name: format!("footprint-{statics}"),
         seed: 0xA11A5 ^ statics as u64,
         static_branches: statics,
@@ -37,8 +35,8 @@ fn workload(statics: usize, instructions: u64) -> Trace {
         call_fraction: 0.1,
         noise: 0.4,
         chain_length_bias: 0.7,
-    }
-    .generate()
+    };
+    FlatTrace::from_trace(&spec.generate())
 }
 
 /// Regenerates the aliasing study. `scale` is the fraction of a
@@ -50,13 +48,13 @@ pub fn report(scale: f64, workers: usize) -> ExperimentReport {
         .iter()
         .map(|&statics| {
             Box::new(move || {
-                let t = Arc::new(workload(statics, instructions));
+                let t = workload(statics, instructions);
                 // Matched 128Kbit-class budgets: gshare 64K entries,
                 // e-gskew 3x16K, 2Bc-gskew 4x16K.
-                let gshare = simulate(Gshare::new(16, 14), &t).misp_per_ki();
-                let egskew = simulate(EGskew::new(14, 14), &t).misp_per_ki();
-                let gskew =
-                    simulate(TwoBcGskew::new(TwoBcGskewConfig::equal(14, 14)), &t).misp_per_ki();
+                let gshare = simulate_flat(Gshare::new(16, 14), &t).misp_per_ki();
+                let egskew = simulate_flat(EGskew::new(14, 14), &t).misp_per_ki();
+                let gskew = simulate_flat(TwoBcGskew::new(TwoBcGskewConfig::equal(14, 14)), &t)
+                    .misp_per_ki();
                 (gshare, egskew, gskew)
             }) as Box<dyn FnOnce() -> Row + Send>
         })

@@ -25,7 +25,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ev8_core::Ev8Predictor;
-use ev8_trace::Trace;
+use ev8_trace::FlatTrace;
 use ev8_workloads::spec95;
 
 use crate::metrics::SimResult;
@@ -90,7 +90,7 @@ pub fn report_for(
     label: &str,
     factory: super::UnifiedFactory,
 ) -> ExperimentReport {
-    let traces: Vec<Arc<Trace>> = spec95::NAMES
+    let traces: Vec<Arc<FlatTrace>> = spec95::NAMES
         .iter()
         .map(|name| spec95::cached(name, scale).expect("benchmark names are known"))
         .collect();

@@ -11,18 +11,18 @@
 use std::sync::Arc;
 
 use ev8_core::backup::BackupHierarchy;
-use ev8_trace::Trace;
+use ev8_trace::FlatTrace;
 
+use crate::batch::simulate_flat;
 use crate::experiments::suite_traces;
 use crate::report::{ExperimentReport, TextTable};
-use crate::simulator::simulate;
 use crate::sweep::run_parallel;
 
 /// Runs the hierarchy over one trace; returns (primary misp/KI,
 /// hierarchy misp/KI, overrides, precision).
-fn run_one(trace: &Trace) -> (f64, f64, u64, f64) {
+fn run_one(trace: &FlatTrace) -> (f64, f64, u64, f64) {
     let mut h = BackupHierarchy::default_hierarchy();
-    simulate(&mut h, trace);
+    simulate_flat(&mut h, trace);
     let s = *h.stats();
     let ki = trace.instruction_count() as f64 / 1000.0;
     (
@@ -40,7 +40,7 @@ pub fn report(scale: f64, workers: usize) -> ExperimentReport {
     let jobs: Vec<Box<dyn FnOnce() -> Row + Send>> = traces
         .iter()
         .map(|t| {
-            let t: Arc<Trace> = Arc::clone(t);
+            let t = Arc::clone(t);
             Box::new(move || run_one(&t)) as Box<dyn FnOnce() -> Row + Send>
         })
         .collect();

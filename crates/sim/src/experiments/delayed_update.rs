@@ -22,7 +22,7 @@ use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 use ev8_predictors::BranchPredictor;
 
 use crate::batch::simulate_many;
-use crate::experiments::{suite_flat_traces, suite_traces};
+use crate::experiments::suite_traces;
 use crate::metrics::SimResult;
 use crate::report::{ExperimentReport, TextTable};
 use crate::simulator::{drive, StaleCommit};
@@ -32,17 +32,13 @@ use crate::sweep::run_parallel;
 /// commit window.
 pub fn report(scale: f64, workers: usize, window: usize) -> ExperimentReport {
     type Job = Box<dyn FnOnce() -> (f64, f64, f64) + Send>;
-    // The immediate and commit-window configs batch over the flat view;
-    // the stale model drives predict/update separately and keeps the AoS
-    // walk (both views come from one cached generation).
+    // The immediate and commit-window configs batch over one pass; the
+    // stale model drives predict/update separately over the same trace.
     let traces = suite_traces(scale);
-    let flats = suite_flat_traces(scale);
     let jobs: Vec<Job> = traces
         .iter()
-        .zip(&flats)
-        .map(|(t, flat)| {
+        .map(|t| {
             let t = Arc::clone(t);
-            let flat = Arc::clone(flat);
             Box::new(move || {
                 let mut configs: Vec<Box<dyn BranchPredictor>> = vec![
                     Box::new(TwoBcGskew::new(TwoBcGskewConfig::size_512k())),
@@ -50,7 +46,7 @@ pub fn report(scale: f64, workers: usize, window: usize) -> ExperimentReport {
                         TwoBcGskewConfig::size_512k().with_commit_window(window),
                     )),
                 ];
-                let batched = simulate_many(&mut configs, &flat);
+                let batched = simulate_many(&mut configs, &t);
                 let mut scratch = VecDeque::new();
                 let mut stale = TwoBcGskew::new(TwoBcGskewConfig::size_512k());
                 let name = format!("{} [stale, window {window}]", stale.name());

@@ -9,7 +9,7 @@
 use ev8_core::{Ev8Config, Ev8Predictor};
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 
-use crate::experiments::{factory, mean_mispki, run_grid, suite_flat_traces, Factory};
+use crate::experiments::{factory, mean_mispki, run_grid, suite_traces, Factory};
 use crate::report::{fmt_mispki, ExperimentReport, TextTable};
 
 /// The Fig 10 roster.
@@ -32,7 +32,7 @@ pub fn configs() -> Vec<(String, Factory)> {
 
 /// Regenerates Figure 10.
 pub fn report(scale: f64, workers: usize) -> ExperimentReport {
-    let traces = suite_flat_traces(scale);
+    let traces = suite_traces(scale);
     let configs = configs();
     let grid = run_grid(&traces, &configs, workers);
 

@@ -16,7 +16,7 @@ use ev8_predictors::gshare::Gshare;
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 use ev8_predictors::yags::Yags;
 
-use crate::experiments::{factory, mean_mispki, run_grid, suite_flat_traces, Factory};
+use crate::experiments::{factory, mean_mispki, run_grid, suite_traces, Factory};
 use crate::report::{fmt_mispki, ExperimentReport, TextTable};
 
 /// The Fig 5 predictor roster (label, constructor).
@@ -39,7 +39,7 @@ pub fn configs() -> Vec<(String, Factory)> {
 
 /// Regenerates Figure 5.
 pub fn report(scale: f64, workers: usize) -> ExperimentReport {
-    let traces = suite_flat_traces(scale);
+    let traces = suite_traces(scale);
     let configs = configs();
     let grid = run_grid(&traces, &configs, workers);
 

@@ -12,7 +12,7 @@ use ev8_predictors::gshare::Gshare;
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 use ev8_predictors::yags::Yags;
 
-use crate::experiments::{factory, run_grid, suite_flat_traces, Factory};
+use crate::experiments::{factory, run_grid, suite_traces, Factory};
 use crate::report::{ExperimentReport, TextTable};
 
 /// (label, best-history constructor, log2-history constructor) triples.
@@ -58,7 +58,7 @@ pub fn config_pairs() -> Vec<(String, Factory, Factory)> {
 /// Regenerates Figure 6: the *additional* misp/KI of the log2-limited
 /// configuration relative to the best-history configuration.
 pub fn report(scale: f64, workers: usize) -> ExperimentReport {
-    let traces = suite_flat_traces(scale);
+    let traces = suite_traces(scale);
     let pairs = config_pairs();
     let mut configs: Vec<(String, Factory)> = Vec::new();
     for (label, best, log2) in &pairs {

@@ -1,8 +1,9 @@
 //! Front-end substrate report (§2 of the paper): per-benchmark accuracy
-//! of the three PC-address-generation predictors that surround the
-//! conditional branch predictor — the weak line predictor, the return
-//! address stack, and the indirect jump predictor — plus the fetch-block
-//! geometry they operate on.
+//! of the PC-address-generation predictors that surround the conditional
+//! branch predictor — the weak line predictor and the return address
+//! stack — plus the fetch-block geometry they operate on. (The synthetic
+//! workloads emit no indirect jumps, so §2's jump predictor has nothing
+//! to learn here and is not modelled.)
 //!
 //! Not a figure in the paper, but the §2 narrative this reproduction's
 //! front-end substrate must support: the line predictor is fast and weak
@@ -11,8 +12,8 @@
 
 use ev8_core::fetch::{blocks_of, BlockStats};
 use ev8_core::line_predictor::LinePredictor;
-use ev8_core::ras::{JumpPredictor, ReturnAddressStack};
-use ev8_trace::{BranchKind, Trace};
+use ev8_core::ras::ReturnAddressStack;
+use ev8_trace::{BranchKind, FlatTrace};
 
 use crate::experiments::suite_traces;
 use crate::report::{ExperimentReport, TextTable};
@@ -24,14 +25,12 @@ pub struct FrontEndAccuracy {
     pub line: f64,
     /// Return address stack accuracy over returns.
     pub ras: f64,
-    /// Indirect jump predictor accuracy (last-target).
-    pub jump: f64,
     /// Mean fetch-block size in instructions.
     pub block_size: f64,
 }
 
 /// Measures the front-end predictors over one trace.
-pub fn measure(trace: &Trace) -> FrontEndAccuracy {
+pub fn measure(trace: &FlatTrace) -> FrontEndAccuracy {
     // Line predictor over the fetch-block stream.
     let blocks = blocks_of(trace);
     let mut lp = LinePredictor::new(12);
@@ -43,26 +42,21 @@ pub fn measure(trace: &Trace) -> FrontEndAccuracy {
         prev = Some(b.start);
     }
 
-    // RAS and jump predictor over the control-transfer stream. The RAS
-    // is sized *below* the workloads' maximum call depth so that deep
-    // recursion (the li analogue) visibly overflows it.
+    // RAS over the control-transfer stream. It is sized *below* the
+    // workloads' maximum call depth so that deep recursion (the li
+    // analogue) visibly overflows it.
     let mut ras = ReturnAddressStack::new(8);
-    let mut jp = JumpPredictor::new(10, 6);
-    for rec in trace.iter() {
-        match rec.kind {
-            BranchKind::Call => ras.push(rec.pc.next()),
-            BranchKind::Return => {
-                ras.predict_return(rec.target);
-            }
-            BranchKind::IndirectJump => jp.train(rec.pc, rec.target),
-            _ => {}
+    trace.for_each(|rec| match rec.kind {
+        BranchKind::Call => ras.push(rec.pc.next()),
+        BranchKind::Return => {
+            ras.predict_return(rec.target);
         }
-    }
+        _ => {}
+    });
 
     FrontEndAccuracy {
         line: lp.accuracy(),
         ras: ras.accuracy(),
-        jump: jp.accuracy(),
         block_size: BlockStats::from_trace(trace).mean_block_size(),
     }
 }

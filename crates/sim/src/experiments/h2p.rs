@@ -29,7 +29,7 @@ use ev8_core::Ev8Predictor;
 use ev8_predictors::gshare::Gshare;
 use ev8_predictors::observe::ConditionalBranchPredictor;
 use ev8_predictors::tage::{Tage, TageConfig};
-use ev8_trace::Trace;
+use ev8_trace::FlatTrace;
 use ev8_workloads::behavior::Behavior;
 use ev8_workloads::h2p;
 
@@ -144,7 +144,7 @@ fn split(
 /// Runs the taxonomy study: 3 H2P workloads × {gshare, EV8, TAGE},
 /// observed and reconciled, split at the EV8 top decile.
 pub fn splits(scale: f64, workers: usize) -> (Vec<DecileSplit>, Vec<Vec<Cell>>) {
-    let traces: Vec<Arc<Trace>> = h2p::NAMES
+    let traces: Vec<Arc<FlatTrace>> = h2p::NAMES
         .iter()
         .map(|name| h2p::cached(name, scale).expect("h2p names are known"))
         .collect();

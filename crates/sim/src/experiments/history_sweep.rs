@@ -6,10 +6,10 @@
 use std::sync::Arc;
 
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
-use ev8_trace::Trace;
+use ev8_trace::FlatTrace;
 
-use crate::batch::simulate_gshare_sweep;
-use crate::experiments::{suite_flat_traces, suite_traces};
+use crate::batch::{simulate_flat, simulate_gshare_sweep};
+use crate::experiments::suite_traces;
 use crate::metrics::SimResult;
 use crate::report::{ExperimentReport, TextTable};
 use crate::sweep::run_parallel;
@@ -19,7 +19,7 @@ pub const LENGTHS: [u32; 8] = [0, 4, 8, 12, 16, 20, 24, 27];
 
 /// Mean misp/KI over the suite for a 2Bc-gskew whose G1 history is `h`
 /// (G0/Meta scale proportionally, as §4.5 prescribes).
-fn gskew_mean(traces: &[Arc<Trace>], h: u32, workers: usize) -> f64 {
+fn gskew_mean(traces: &[Arc<FlatTrace>], h: u32, workers: usize) -> f64 {
     let jobs: Vec<Box<dyn FnOnce() -> f64 + Send>> = traces
         .iter()
         .map(|t| {
@@ -28,7 +28,7 @@ fn gskew_mean(traces: &[Arc<Trace>], h: u32, workers: usize) -> f64 {
                 let g0 = (h * 17 / 27).min(h);
                 let meta = (h * 20 / 27).min(h);
                 let cfg = TwoBcGskewConfig::size_512k().with_history_lengths(0, g0, h, meta);
-                crate::simulator::simulate(TwoBcGskew::new(cfg), &t).misp_per_ki()
+                simulate_flat(TwoBcGskew::new(cfg), &t).misp_per_ki()
             }) as Box<dyn FnOnce() -> f64 + Send>
         })
         .collect();
@@ -39,9 +39,10 @@ fn gskew_mean(traces: &[Arc<Trace>], h: u32, workers: usize) -> f64 {
 /// Mean misp/KI over the suite for the 2Mb gshare at every length in
 /// [`LENGTHS`]: one transposed [`simulate_gshare_sweep`] per trace, means
 /// summed in suite order.
-fn gshare_means(scale: f64, workers: usize) -> Vec<f64> {
-    let jobs: Vec<Box<dyn FnOnce() -> Vec<SimResult> + Send>> = suite_flat_traces(scale)
-        .into_iter()
+fn gshare_means(traces: &[Arc<FlatTrace>], workers: usize) -> Vec<f64> {
+    let jobs: Vec<Box<dyn FnOnce() -> Vec<SimResult> + Send>> = traces
+        .iter()
+        .cloned()
         .map(|t| {
             Box::new(move || simulate_gshare_sweep(20, &LENGTHS, &t))
                 as Box<dyn FnOnce() -> Vec<SimResult> + Send>
@@ -66,7 +67,7 @@ pub fn report(scale: f64, workers: usize) -> ExperimentReport {
     ]);
     let mut best_gskew = (0u32, f64::INFINITY);
     let mut best_gshare = (0u32, f64::INFINITY);
-    for (&h, s) in LENGTHS.iter().zip(gshare_means(scale, workers)) {
+    for (&h, s) in LENGTHS.iter().zip(gshare_means(&traces, workers)) {
         let g = gskew_mean(&traces, h, workers);
         if g < best_gskew.1 {
             best_gskew = (h, g);

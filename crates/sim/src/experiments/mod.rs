@@ -34,13 +34,17 @@
 //!
 //! Every `report(scale, workers)` takes `scale` as a fraction of the
 //! paper's 100M-instruction traces (1.0 = full length) and a worker
-//! thread count for the parallel sweep.
+//! thread count for the parallel sweep. Every experiment walks the same
+//! traces: the packed [`FlatTrace`]s of the process-wide trace cache
+//! ([`suite_traces`], `spec95::cached`, `h2p::cached`), driven through
+//! [`run_grid`]/[`simulate_many`], [`crate::simulate_flat`] or
+//! [`crate::drive`].
 
 use std::sync::Arc;
 
 use ev8_predictors::observe::ConditionalBranchPredictor;
 use ev8_predictors::BranchPredictor;
-use ev8_trace::{FlatTrace, Trace};
+use ev8_trace::FlatTrace;
 use ev8_workloads::spec95;
 
 use crate::batch::simulate_many;
@@ -100,7 +104,10 @@ where
 }
 
 /// The eight SPECINT95-analogue traces at the given scale (fraction of
-/// 100M instructions), served from the process-wide trace cache.
+/// 100M instructions), as the packed [`FlatTrace`]s the process-wide
+/// trace cache holds — the form every experiment walks, whether through
+/// [`run_grid`]/[`simulate_many`], [`crate::simulate_flat`] or
+/// [`crate::drive`].
 ///
 /// Uncached benchmarks generate in parallel (one worker per distinct
 /// key); on a warm cache this returns shared `Arc`s without generating
@@ -109,31 +116,12 @@ where
 /// # Panics
 ///
 /// Panics if `scale` is not positive.
-pub fn suite_traces(scale: f64) -> Vec<Arc<Trace>> {
-    assert!(scale > 0.0, "scale must be positive");
-    let jobs: Vec<Box<dyn FnOnce() -> Arc<Trace> + Send>> = spec95::NAMES
-        .iter()
-        .map(|name| {
-            Box::new(move || spec95::cached(name, scale).expect("all suite names are known"))
-                as Box<dyn FnOnce() -> Arc<Trace> + Send>
-        })
-        .collect();
-    run_parallel(jobs, crate::sweep::default_workers())
-}
-
-/// The eight suite traces as packed [`FlatTrace`] views, for config
-/// sweeps through [`run_grid`]/[`simulate_many`]. Generation and
-/// flattening are cached and parallel, like [`suite_traces`].
-///
-/// # Panics
-///
-/// Panics if `scale` is not positive.
-pub fn suite_flat_traces(scale: f64) -> Vec<Arc<FlatTrace>> {
+pub fn suite_traces(scale: f64) -> Vec<Arc<FlatTrace>> {
     assert!(scale > 0.0, "scale must be positive");
     let jobs: Vec<Box<dyn FnOnce() -> Arc<FlatTrace> + Send>> = spec95::NAMES
         .iter()
         .map(|name| {
-            Box::new(move || spec95::cached_flat(name, scale).expect("all suite names are known"))
+            Box::new(move || spec95::cached(name, scale).expect("all suite names are known"))
                 as Box<dyn FnOnce() -> Arc<FlatTrace> + Send>
         })
         .collect();
@@ -195,29 +183,25 @@ mod tests {
 
     #[test]
     fn suite_traces_generates_all_eight() {
+        // Each cached trace holds, record by record, exactly what a fresh
+        // generation of its benchmark holds.
         let traces = suite_traces(0.0005);
         assert_eq!(traces.len(), 8);
-        for (t, name) in traces.iter().zip(spec95::NAMES) {
-            assert_eq!(t.name(), name);
+        for (t, spec) in traces.iter().zip(spec95::suite()) {
+            let fresh = spec.generate_scaled(0.0005);
+            assert_eq!(t.name(), spec.name);
             assert!(t.conditional_count() > 0);
-        }
-    }
-
-    #[test]
-    fn flat_suite_mirrors_aos_suite() {
-        let flat = suite_flat_traces(0.0005);
-        let aos = suite_traces(0.0005);
-        assert_eq!(flat.len(), 8);
-        for (f, t) in flat.iter().zip(&aos) {
-            assert_eq!(f.name(), t.name());
-            assert_eq!(f.len(), t.len());
-            assert_eq!(f.instruction_count(), t.instruction_count());
+            assert_eq!(t.instruction_count(), fresh.instruction_count());
+            assert_eq!(t.len(), fresh.len());
+            for (i, (cached, fresh)) in t.iter().zip(fresh.records()).enumerate() {
+                assert_eq!(cached, *fresh, "{} record {i}", spec.name);
+            }
         }
     }
 
     #[test]
     fn grid_shape_and_ordering() {
-        let traces = suite_flat_traces(0.0002);
+        let traces = suite_traces(0.0002);
         let configs = vec![
             ("bimodal-small".to_owned(), factory(|| Bimodal::new(8))),
             ("bimodal-large".to_owned(), factory(|| Bimodal::new(14))),
@@ -236,11 +220,13 @@ mod tests {
 
     #[test]
     fn grid_matches_serial_simulation() {
-        let traces = suite_flat_traces(0.0002);
+        // The slow twin: serial AoS simulation over fresh generation.
+        let traces = suite_traces(0.0002);
         let configs = vec![("bimodal".to_owned(), factory(|| Bimodal::new(10)))];
         let grid = run_grid(&traces, &configs, 2);
-        for (r, t) in grid[0].iter().zip(suite_traces(0.0002)) {
-            assert_eq!(*r, crate::simulator::simulate(Bimodal::new(10), &t));
+        for (r, spec) in grid[0].iter().zip(spec95::suite()) {
+            let fresh = spec.generate_scaled(0.0002);
+            assert_eq!(*r, crate::simulator::simulate(Bimodal::new(10), &fresh));
         }
     }
 

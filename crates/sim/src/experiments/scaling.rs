@@ -7,14 +7,11 @@
 //! skipping 400M instructions — see predictors much closer to steady
 //! state than small test runs do.
 
-use std::sync::Arc;
-
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
-use ev8_trace::Trace;
 use ev8_workloads::spec95;
 
+use crate::batch::simulate_many;
 use crate::report::{ExperimentReport, TextTable};
-use crate::simulator::simulate;
 use crate::sweep::run_parallel;
 
 /// The scales probed (fractions of 100M instructions).
@@ -32,10 +29,15 @@ pub fn report(benchmark: &str, max_scale: f64, workers: usize) -> ExperimentRepo
         .map(|&scale| {
             let spec = spec.clone();
             Box::new(move || {
-                let t: Arc<Trace> = ev8_workloads::cache::global().get_scaled(&spec, scale);
-                let small = simulate(TwoBcGskew::new(TwoBcGskewConfig::size_256k()), &t);
-                let large = simulate(TwoBcGskew::new(TwoBcGskewConfig::size_512k()), &t);
-                (small.misp_per_ki(), large.misp_per_ki())
+                let t = ev8_workloads::cache::global().get_scaled(&spec, scale);
+                let r = simulate_many(
+                    &mut [
+                        TwoBcGskew::new(TwoBcGskewConfig::size_256k()),
+                        TwoBcGskew::new(TwoBcGskewConfig::size_512k()),
+                    ],
+                    &t,
+                );
+                (r[0].misp_per_ki(), r[1].misp_per_ki())
             }) as Box<dyn FnOnce() -> (f64, f64) + Send>
         })
         .collect();

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use ev8_faults::{ArraySelector, FaultInjector, FaultPlan};
 use ev8_predictors::introspect::ArrayClass;
 use ev8_predictors::twobcgskew::{TableConfig, TwoBcGskew, TwoBcGskewConfig, UpdatePolicy};
-use ev8_trace::Trace;
+use ev8_trace::FlatTrace;
 use ev8_util::rng::mix;
 use ev8_workloads::spec95;
 
@@ -111,7 +111,7 @@ pub fn report_for(
     factory: super::UnifiedFactory,
     targets: &[(&str, ArraySelector)],
 ) -> ExperimentReport {
-    let traces: Vec<Arc<Trace>> = BENCHMARKS
+    let traces: Vec<Arc<FlatTrace>> = BENCHMARKS
         .iter()
         .map(|name| spec95::cached(name, scale).expect("benchmark names are known"))
         .collect();

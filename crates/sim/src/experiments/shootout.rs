@@ -33,7 +33,7 @@ use ev8_predictors::gshare::Gshare;
 use ev8_predictors::tage::{Tage, TageConfig};
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 
-use crate::experiments::{factory, mean_mispki, run_grid, suite_flat_traces, Factory};
+use crate::experiments::{factory, mean_mispki, run_grid, suite_traces, Factory};
 use crate::metrics::SimResult;
 use crate::report::{fmt_mispki, ExperimentReport, TextTable};
 
@@ -67,12 +67,12 @@ fn wins(a: &[SimResult], b: &[SimResult]) -> usize {
 /// Runs the shootout grid; returns `results[config][benchmark]` in
 /// [`configs`] order.
 pub fn grid(scale: f64, workers: usize) -> Vec<Vec<SimResult>> {
-    run_grid(&suite_flat_traces(scale), &configs(), workers)
+    run_grid(&suite_traces(scale), &configs(), workers)
 }
 
 /// Regenerates the cross-generation shootout report.
 pub fn report(scale: f64, workers: usize) -> ExperimentReport {
-    let traces = suite_flat_traces(scale);
+    let traces = suite_traces(scale);
     let configs = configs();
     let grid = run_grid(&traces, &configs, workers);
 

@@ -7,26 +7,44 @@
 //! single application ... parallel threads — from the same application —
 //! benefit from constructive aliasing."
 
+use std::ops::Range;
+
 use ev8_core::smt::SmtEv8;
-use ev8_core::{Ev8Config, Ev8Predictor};
-use ev8_trace::Trace;
+use ev8_core::Ev8Config;
+use ev8_trace::FlatTrace;
 use ev8_workloads::spec95;
 
 use crate::report::{ExperimentReport, TextTable};
-use crate::simulator::simulate;
 
-/// misp/KI of thread 0's workload when co-running `traces` round-robin on
-/// one shared-table SMT predictor.
-pub fn corun_mispki(traces: &[Trace]) -> Vec<f64> {
-    let mut smt = SmtEv8::new(Ev8Config::ev8(), traces.len());
-    let mut iters: Vec<_> = traces.iter().map(|t| t.iter()).collect();
-    let mut misses = vec![0u64; traces.len()];
+/// misp/KI of each thread when co-running record ranges of packed traces
+/// round-robin on one shared-table SMT predictor; thread `i` runs
+/// `threads[i]`, and its misp/KI is over the instructions of its range.
+///
+/// With one thread this is the EV8 running alone: a one-context
+/// [`SmtEv8`] predicts exactly as `Ev8Predictor` (pinned record by record
+/// in the workspace's `tests/one_core.rs`).
+///
+/// # Panics
+///
+/// Panics if a range reaches past the end of its trace.
+pub fn corun_mispki(threads: &[(&FlatTrace, Range<usize>)]) -> Vec<f64> {
+    let mut smt = SmtEv8::new(Ev8Config::ev8(), threads.len());
+    let mut iters: Vec<_> = threads
+        .iter()
+        .map(|(trace, range)| {
+            assert!(range.end <= trace.len(), "thread range beyond trace end");
+            trace.iter().skip(range.start).take(range.len())
+        })
+        .collect();
+    let mut misses = vec![0u64; threads.len()];
+    let mut instructions = vec![0u64; threads.len()];
     loop {
         let mut progressed = false;
         for (tid, it) in iters.iter_mut().enumerate() {
             if let Some(rec) = it.next() {
                 progressed = true;
-                if let Some(pred) = smt.predict_and_update(tid, rec) {
+                instructions[tid] += 1 + rec.gap as u64;
+                if let Some(pred) = smt.predict_and_update(tid, &rec) {
                     if pred != rec.outcome {
                         misses[tid] += 1;
                     }
@@ -37,10 +55,10 @@ pub fn corun_mispki(traces: &[Trace]) -> Vec<f64> {
             break;
         }
     }
-    traces
+    misses
         .iter()
-        .zip(&misses)
-        .map(|(t, &m)| m as f64 * 1000.0 / t.instruction_count() as f64)
+        .zip(&instructions)
+        .map(|(&m, &n)| m as f64 * 1000.0 / n as f64)
         .collect()
 }
 
@@ -59,10 +77,12 @@ pub fn report(scale: f64) -> ExperimentReport {
         let full = spec95::cached(name, 2.0 * scale).expect("suite benchmark");
         // Two phase-shifted halves of the same program: the model for two
         // parallel threads of one application.
-        let (a, b) = full.split_at(full.len() / 2);
-        let alone = simulate(Ev8Predictor::ev8(), &a).misp_per_ki();
+        let half = full.len() / 2;
+        let a = (&*full, 0..half);
+        let b = (&*full, half..full.len());
+        let alone = corun_mispki(std::slice::from_ref(&a))[0];
         let same = corun_mispki(&[a.clone(), b])[0];
-        let with_go = corun_mispki(&[a, (*go).clone()])[0];
+        let with_go = corun_mispki(&[a, (&*go, 0..go.len())])[0];
         table.row(vec![
             name.to_owned(),
             format!("{alone:.3}"),
@@ -105,9 +125,9 @@ mod tests {
 
     #[test]
     fn corun_returns_one_value_per_thread() {
-        let t1 = (*spec95::cached("li", 0.001).unwrap()).clone();
-        let t2 = (*spec95::cached("go", 0.001).unwrap()).clone();
-        let v = corun_mispki(&[t1, t2]);
+        let t1 = spec95::cached("li", 0.001).unwrap();
+        let t2 = spec95::cached("go", 0.001).unwrap();
+        let v = corun_mispki(&[(&*t1, 0..t1.len()), (&*t2, 0..t2.len())]);
         assert_eq!(v.len(), 2);
         assert!(v.iter().all(|m| m.is_finite() && *m >= 0.0));
     }

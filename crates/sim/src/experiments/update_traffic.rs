@@ -11,18 +11,18 @@
 use std::sync::Arc;
 
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig, UpdatePolicy};
-use ev8_trace::Trace;
+use ev8_trace::FlatTrace;
 
+use crate::batch::simulate_flat;
 use crate::experiments::suite_traces;
 use crate::report::{ExperimentReport, TextTable};
-use crate::simulator::simulate;
 use crate::sweep::run_parallel;
 
 /// (misp/KI, prediction writes per 1K branches, hysteresis writes per 1K
 /// branches) for one policy over one trace.
-fn run_policy(trace: &Trace, policy: UpdatePolicy) -> (f64, f64, f64) {
+fn run_policy(trace: &FlatTrace, policy: UpdatePolicy) -> (f64, f64, f64) {
     let mut p = TwoBcGskew::new(TwoBcGskewConfig::size_512k().with_update_policy(policy));
-    let r = simulate(&mut p, trace);
+    let r = simulate_flat(&mut p, trace);
     let (pw, hw) = p.write_traffic();
     let kb = r.conditional_branches.max(1) as f64 / 1000.0;
     (
@@ -39,7 +39,7 @@ pub fn report(scale: f64, workers: usize) -> ExperimentReport {
     let jobs: Vec<Box<dyn FnOnce() -> Row + Send>> = traces
         .iter()
         .map(|t| {
-            let t: Arc<Trace> = Arc::clone(t);
+            let t = Arc::clone(t);
             Box::new(move || {
                 (
                     run_policy(&t, UpdatePolicy::Partial),

@@ -6,14 +6,17 @@
 //! (misp/KI)."
 //!
 //! * [`simulator`] — the one simulation loop, [`drive`]`(predictor,
-//!   source, hook)`: any record [`Source`] (AoS trace, packed flat trace,
-//!   a range of one, a streaming corpus decode, a record chunk) with any
+//!   source, hook)`: any record [`Source`] (packed flat trace, a range of
+//!   one, AoS trace, a streaming corpus decode, a record chunk) with any
 //!   per-record [`Hook`] ([`Plain`] immediate update, a fault injector,
 //!   an [`observe::Observer`], [`StaleCommit`] delayed update). It
-//!   returns the run's [`Tally`]; [`simulate`] is `drive` with the
-//!   plain hook over a trace. Every scoreboard in this crate counts
-//!   through it, except [`simulate_many`]'s K-way loop, which takes the
-//!   same plain step per configuration.
+//!   returns the run's [`Tally`]; [`simulate_flat`] is `drive` with the
+//!   plain hook over the packed trace the trace cache holds, and
+//!   [`simulate`] the same over an AoS trace (the serial slow twin the
+//!   golden and equivalence tests pin the fast paths against). Every
+//!   scoreboard in this crate counts through it, except
+//!   [`simulate_many`]'s K-way loop, which takes the same plain step per
+//!   configuration.
 //! * [`batch`] — the sweep engine: [`simulate_many`] steps K predictor
 //!   configurations per record in one pass over a packed
 //!   [`ev8_trace::FlatTrace`], bit-identical to K serial [`simulate`]
@@ -42,7 +45,8 @@
 //! * [`report`] — aligned text tables for experiment output.
 //! * [`experiments`] — one module per table/figure of the paper's
 //!   evaluation (Tables 1-3, Figures 5-10), each regenerating the paper's
-//!   rows/series on the synthetic SPECINT95 suite.
+//!   rows/series on the synthetic SPECINT95 suite, every one over the
+//!   cached packed traces.
 //!
 //! # Example
 //!

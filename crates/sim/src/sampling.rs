@@ -743,7 +743,7 @@ mod tests {
     use std::sync::Arc;
 
     fn compress(scale: f64) -> Arc<FlatTrace> {
-        spec95::cached_flat("compress", scale).expect("known benchmark")
+        spec95::cached("compress", scale).expect("known benchmark")
     }
 
     fn tiny_config(trace: &FlatTrace) -> SamplingConfig {

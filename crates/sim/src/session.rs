@@ -325,20 +325,20 @@ mod tests {
     #[test]
     fn shed_attribution_keeps_predictions_identical() {
         let t = patterned_trace(2000);
-        let (head, tail) = t.split_at(1000);
+        let (head, tail) = t.records().split_at(1000);
 
         let mut with = SessionSim::new(Box::new(Gshare::new(11, 9)), true);
         with.begin("full", 0);
-        with.feed_all(head.records());
-        with.feed_all(tail.records());
+        with.feed_all(head);
+        with.feed_all(tail);
         let full = with.finish();
 
         let mut shed = SessionSim::new(Box::new(Gshare::new(11, 9)), true);
         shed.begin("shed", 0);
-        shed.feed_all(head.records());
+        shed.feed_all(head);
         assert!(shed.shed_attribution());
         assert!(!shed.attribution_enabled());
-        shed.feed_all(tail.records());
+        shed.feed_all(tail);
         let degraded = shed.finish();
 
         // Shedding mid-stream changes observability, never predictions.

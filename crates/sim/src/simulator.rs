@@ -3,8 +3,9 @@
 //!
 //! The paper's methodology (§8.1.1) is trace-driven simulation with
 //! immediate update. Every whole-trace run in this crate is that loop
-//! with a different record source (AoS [`Trace`], packed [`FlatTrace`],
-//! a range of one, a streaming [`CorpusReader`] decode, a record chunk)
+//! with a different record source (the packed [`FlatTrace`] the trace
+//! cache holds, a range of one, an AoS [`Trace`], a streaming
+//! [`CorpusReader`] decode, a record chunk)
 //! or a different per-record hook ([`Plain`] immediate update, a fault
 //! injector, an [`Observer`](crate::observe::Observer), [`StaleCommit`]).
 //! `drive` is generic over both, so each pairing compiles to its own
@@ -216,8 +217,13 @@ pub fn drive<P, S: Source, H: Hook<P>>(
     })
 }
 
-/// Runs a predictor over a trace with **immediate update** — the paper's
-/// methodology (§8.1.1): [`drive`] with the [`Plain`] hook.
+/// Runs a predictor over an AoS trace with **immediate update** — the
+/// paper's methodology (§8.1.1): [`drive`] with the [`Plain`] hook.
+///
+/// Experiments walk the cached packed trace through
+/// [`simulate_flat`](crate::simulate_flat) instead; this is the serial
+/// slow twin the golden and equivalence tests pin the fast paths
+/// against, over a freshly generated trace.
 pub fn simulate<P: BranchPredictor>(predictor: P, trace: &Trace) -> SimResult {
     let name = predictor.name();
     let tally = drive(predictor, trace, Plain);

@@ -1,4 +1,4 @@
-//! A cache-dense structure-of-arrays view of a [`Trace`].
+//! A cache-dense structure-of-arrays form of a [`Trace`].
 //!
 //! The paper's evaluation is a *grid*: every figure sweeps many predictor
 //! configurations over the same traces, so the simulation harness walks
@@ -33,6 +33,12 @@
 //! in order, which is what makes batched simulation results provably
 //! equal to serial ones (`tests/batched_equivalence.rs` at the workspace
 //! root pins this over arbitrary generated traces).
+//!
+//! It is the one in-memory form the `ev8-workloads` trace cache holds
+//! and every experiment walks; the AoS [`Trace`] is what generators and
+//! corpus writers produce. Both ways of building one pack records by the
+//! same rules: [`FlatTrace::from_trace`] is [`FlatTraceBuilder::push`]
+//! over a whole trace, and the corpus decoder pushes as it decodes.
 //!
 //! # Example
 //!
@@ -108,9 +114,11 @@ pub struct FlatTrace {
 }
 
 impl FlatTrace {
-    /// Builds the flat view of `trace`. One sequential pass; the result
-    /// is immutable and intended to be built once per (benchmark, scale)
-    /// and shared via `Arc` (the `ev8-workloads` trace cache does this).
+    /// Builds the flat view of `trace`: [`FlatTraceBuilder::push`] over
+    /// every record, with each column reserved to the exact record count
+    /// first. The result is immutable and intended to be built once per
+    /// (benchmark, scale) and shared via `Arc` (the `ev8-workloads` trace
+    /// cache does this).
     ///
     /// # Panics
     ///
@@ -118,48 +126,18 @@ impl FlatTrace {
     /// side tables index records with `u32`; a 4-billion-record trace is
     /// two orders of magnitude past full-scale SPECINT95).
     pub fn from_trace(trace: &Trace) -> Self {
-        let records = trace.records();
-        assert!(
-            records.len() <= u32::MAX as usize,
-            "trace too long for the flat view's u32 record indices"
-        );
-        let n = records.len();
-        let mut flat = FlatTrace {
-            name: trace.name().to_owned(),
-            instruction_count: trace.instruction_count(),
-            conditional_count: 0,
-            outcomes: vec![0u64; n.div_ceil(64)],
-            pc_words: Vec::with_capacity(n),
-            target_words: Vec::with_capacity(n),
-            kinds: Vec::with_capacity(n),
-            gaps: Vec::with_capacity(n),
-            wide_pcs: Vec::new(),
-            wide_gaps: Vec::new(),
-        };
-        for (i, r) in records.iter().enumerate() {
-            let pc_word = r.pc.as_u64() >> 2;
-            let target_word = r.target.as_u64() >> 2;
-            if pc_word > u32::MAX as u64 || target_word > u32::MAX as u64 {
-                flat.wide_pcs
-                    .push((i as u32, r.pc.as_u64(), r.target.as_u64()));
-            }
-            flat.pc_words.push(pc_word as u32);
-            flat.target_words.push(target_word as u32);
-            flat.kinds.push(kind_code(r.kind));
-            if r.gap >= GAP_ESCAPE as u32 {
-                flat.wide_gaps.push((i as u32, r.gap));
-                flat.gaps.push(GAP_ESCAPE);
-            } else {
-                flat.gaps.push(r.gap as u8);
-            }
-            if r.outcome.is_taken() {
-                flat.outcomes[i >> 6] |= 1u64 << (i & 63);
-            }
-            if r.kind.is_conditional() {
-                flat.conditional_count += 1;
-            }
+        let n = trace.len();
+        let mut builder = FlatTraceBuilder::new(trace.name());
+        let f = &mut builder.flat;
+        f.outcomes.reserve_exact(n.div_ceil(64));
+        f.pc_words.reserve_exact(n);
+        f.target_words.reserve_exact(n);
+        f.kinds.reserve_exact(n);
+        f.gaps.reserve_exact(n);
+        for r in trace.records() {
+            builder.push(r);
         }
-        flat
+        builder.finish()
     }
 
     /// The trace's name (benchmark identifier).
@@ -384,15 +362,14 @@ impl FlatTrace {
     }
 }
 
-/// Incrementally builds a [`FlatTrace`] one record at a time.
+/// Incrementally builds a [`FlatTrace`] one record at a time; its
+/// [`push`](FlatTraceBuilder::push) is the one place the packing rules
+/// (u32 words, wide-PC and wide-gap escapes, outcome bits) are written.
 ///
-/// [`FlatTrace::from_trace`] needs the whole AoS [`Trace`] in memory
-/// first; the corpus streaming decoder ([`crate::corpus::CorpusReader`])
-/// instead packs each record into the flat columns as it is decoded, so
-/// a corpus replay never materializes the 24 B/record representation.
-/// The packing is bit-identical to `from_trace`'s — pinned by a unit
-/// test — so `FlatTraceBuilder` output is `==` to the equivalent
-/// `from_trace` result.
+/// The corpus streaming decoder ([`crate::corpus::CorpusReader`]) packs
+/// each record into the flat columns as it is decoded, so a corpus
+/// replay never materializes the 24 B/record representation, and
+/// [`FlatTrace::from_trace`] is this builder run over a whole AoS trace.
 ///
 /// # Example
 ///
@@ -431,6 +408,7 @@ impl FlatTraceBuilder {
     ///
     /// Panics when the record count would exceed `u32::MAX` (the wide
     /// side tables index records with `u32`).
+    #[inline]
     pub fn push(&mut self, r: &BranchRecord) {
         let f = &mut self.flat;
         let i = f.kinds.len();
@@ -456,23 +434,11 @@ impl FlatTraceBuilder {
         if i & 63 == 0 {
             f.outcomes.push(0);
         }
-        if r.outcome.is_taken() {
-            f.outcomes[i >> 6] |= 1u64 << (i & 63);
-        }
-        if r.kind.is_conditional() {
-            f.conditional_count += 1;
-        }
+        // Branchless: outcomes are data, and a taken/not-taken branch here
+        // would mispredict on every hard-to-predict record.
+        f.outcomes[i >> 6] |= u64::from(r.outcome.is_taken()) << (i & 63);
+        f.conditional_count += u64::from(r.kind.is_conditional());
         f.instruction_count += 1 + r.gap as u64;
-    }
-
-    /// Number of records pushed so far.
-    pub fn len(&self) -> usize {
-        self.flat.len()
-    }
-
-    /// True when nothing has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.flat.is_empty()
     }
 
     /// Instructions accounted so far: one per record plus its gap, the
@@ -797,10 +763,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_builder_matches_from_trace_bit_for_bit() {
-        // Structural equality (derived PartialEq over every column and
-        // side table) across the interesting shapes: empty, boundary
-        // lengths around the 64-record outcome words, escapes.
+    fn every_shape_packs_and_reconstructs_exactly() {
+        // The interesting shapes for the one packer: empty, boundary
+        // lengths around the 64-record outcome words, escapes. Both the
+        // sequential walk and random access must give back the source.
         let hi = 0xFFFF_FFFF_FFFF_FF00u64;
         let mut traces = vec![Trace::default(), sample()];
         for n in [1u64, 63, 64, 65, 130] {
@@ -822,13 +788,14 @@ mod tests {
         traces.push(b.finish());
 
         for t in traces {
-            let mut fb = FlatTraceBuilder::new(t.name());
-            for r in t.records() {
-                fb.push(r);
+            let flat = FlatTrace::from_trace(&t);
+            assert_eq!(flat.len(), t.len(), "{}", t.name());
+            assert_eq!(flat.instruction_count(), t.instruction_count());
+            assert_eq!(flat.conditional_count(), t.conditional_count());
+            assert_eq!(flat.iter().collect::<Vec<_>>(), t.records(), "{}", t.name());
+            for (i, r) in t.records().iter().enumerate() {
+                assert_eq!(flat.record(i), *r, "{} record {i}", t.name());
             }
-            assert_eq!(fb.len(), t.len());
-            assert_eq!(fb.instruction_count(), t.instruction_count());
-            assert_eq!(fb.finish(), FlatTrace::from_trace(&t), "{}", t.name());
         }
     }
 

@@ -10,8 +10,9 @@
 //!   vocabulary types describing one dynamic branch.
 //! * [`Trace`] — an in-memory dynamic branch stream together with the total
 //!   instruction count (needed for the paper's misp/KI metric).
-//! * [`FlatTrace`] — a packed structure-of-arrays view of a [`Trace`] for
-//!   cache-dense simulation sweeps (see the [`flat`](FlatTrace) module).
+//! * [`FlatTrace`] — the packed structure-of-arrays form of a [`Trace`]
+//!   (see the [`flat`](FlatTrace) module): the one form the
+//!   `ev8-workloads` trace cache holds and the simulators walk.
 //! * [`stats`] — trace statistics (static/dynamic branch counts, bias
 //!   profiles) used to regenerate Table 2 of the paper.
 //! * [`frame`] — length-prefixed session framing with per-frame size

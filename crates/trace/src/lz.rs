@@ -250,7 +250,7 @@ mod tests {
         // > 15 literals forces the extended literal length; a > 19-byte
         // match forces the extended match length.
         let mut data: Vec<u8> = (0..100u8).collect();
-        data.extend(std::iter::repeat(7u8).take(1000));
+        data.extend(std::iter::repeat_n(7u8, 1000));
         data.extend(0..100u8);
         roundtrip(&data);
     }
@@ -301,7 +301,7 @@ mod tests {
         // length; the decoder must stop at the declared cap instead of
         // looping or allocating.
         let mut stream = vec![0xF0u8];
-        stream.extend(std::iter::repeat(0xFFu8).take(10_000));
+        stream.extend(std::iter::repeat_n(0xFFu8, 10_000));
         let mut out = Vec::new();
         assert_eq!(
             decompress(&stream, 64, &mut out),

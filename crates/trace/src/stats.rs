@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::trace::Trace;
+use crate::flat::FlatTrace;
 use crate::types::{BranchKind, Pc};
 
 /// Per-static-branch dynamic behaviour.
@@ -34,17 +34,17 @@ impl StaticBranchStats {
     }
 }
 
-/// Aggregate statistics over a [`Trace`].
+/// Aggregate statistics over a [`FlatTrace`].
 ///
 /// # Example
 ///
 /// ```
-/// use ev8_trace::{BranchRecord, Pc, TraceBuilder, TraceStats};
+/// use ev8_trace::{BranchRecord, FlatTrace, Pc, TraceBuilder, TraceStats};
 ///
 /// let mut b = TraceBuilder::new("t");
 /// b.branch(BranchRecord::conditional(Pc::new(0x10), Pc::new(0x40), true));
 /// b.branch(BranchRecord::conditional(Pc::new(0x10), Pc::new(0x40), false));
-/// let stats = TraceStats::from_trace(&b.finish());
+/// let stats = TraceStats::from_trace(&FlatTrace::from_trace(&b.finish()));
 /// assert_eq!(stats.static_conditional, 1);
 /// assert_eq!(stats.dynamic_conditional, 2);
 /// ```
@@ -68,13 +68,13 @@ pub struct TraceStats {
 
 impl TraceStats {
     /// Computes statistics over a trace in one pass.
-    pub fn from_trace(trace: &Trace) -> Self {
+    pub fn from_trace(trace: &FlatTrace) -> Self {
         let mut stats = TraceStats {
             name: trace.name().to_owned(),
             instructions: trace.instruction_count(),
             ..TraceStats::default()
         };
-        for rec in trace.iter() {
+        trace.for_each(|rec| {
             *stats.per_kind.entry(rec.kind).or_insert(0) += 1;
             if rec.kind.is_conditional() {
                 stats.dynamic_conditional += 1;
@@ -87,7 +87,7 @@ impl TraceStats {
                     entry.taken += 1;
                 }
             }
-        }
+        });
         stats.static_conditional = stats.per_branch.len() as u64;
         stats
     }
@@ -145,7 +145,7 @@ mod tests {
     use crate::builder::TraceBuilder;
     use crate::types::BranchRecord;
 
-    fn trace_with_pattern() -> Trace {
+    fn trace_with_pattern() -> FlatTrace {
         let mut b = TraceBuilder::new("stats");
         // Branch A at 0x100: taken 8 of 10 (bias 0.6).
         for i in 0..10 {
@@ -170,7 +170,7 @@ mod tests {
             Pc::new(0x400),
             BranchKind::Call,
         ));
-        b.finish()
+        FlatTrace::from_trace(&b.finish())
     }
 
     #[test]
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn empty_trace_stats_are_zero() {
-        let s = TraceStats::from_trace(&Trace::default());
+        let s = TraceStats::from_trace(&FlatTrace::default());
         assert_eq!(s.dynamic_conditional, 0);
         assert_eq!(s.static_conditional, 0);
         assert_eq!(s.taken_rate(), 0.0);

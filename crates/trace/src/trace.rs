@@ -121,27 +121,6 @@ impl Trace {
             instruction_count,
         }
     }
-
-    /// Splits the trace at record `n` into two traces with the same name
-    /// (instruction counts adjusted). Used, e.g., to model two
-    /// phase-shifted threads of the same program for SMT studies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > len()`.
-    pub fn split_at(&self, n: usize) -> (Trace, Trace) {
-        assert!(n <= self.records.len(), "split point beyond trace end");
-        let rebuild = |slice: &[BranchRecord]| {
-            let instruction_count =
-                slice.len() as u64 + slice.iter().map(|r| r.gap as u64).sum::<u64>();
-            Trace {
-                name: self.name.clone(),
-                records: slice.to_vec(),
-                instruction_count,
-            }
-        };
-        (rebuild(&self.records[..n]), rebuild(&self.records[n..]))
-    }
 }
 
 impl ToJson for Trace {
@@ -267,34 +246,6 @@ mod tests {
         let t3 = t.truncated(10);
         assert_eq!(t3.len(), 3);
         assert_eq!(t3.instruction_count(), t.instruction_count());
-    }
-
-    #[test]
-    fn split_preserves_everything() {
-        let t = sample();
-        let (a, b) = t.split_at(1);
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 2);
-        assert_eq!(
-            a.instruction_count() + b.instruction_count(),
-            t.instruction_count()
-        );
-        assert_eq!(a.records()[0], t.records()[0]);
-        assert_eq!(b.records(), &t.records()[1..]);
-        assert_eq!(a.name(), t.name());
-        // Degenerate splits.
-        let (empty, full) = t.split_at(0);
-        assert!(empty.is_empty());
-        assert_eq!(full.len(), 3);
-        let (full2, empty2) = t.split_at(3);
-        assert_eq!(full2.len(), 3);
-        assert!(empty2.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "split point beyond trace end")]
-    fn split_beyond_end_rejected() {
-        sample().split_at(4);
     }
 
     #[test]

@@ -9,18 +9,24 @@
 //! (exactly once, even under concurrent requests), every later request
 //! clones an [`Arc`].
 //!
-//! Cached traces are immutable by construction (`Arc<Trace>` hands out
-//! shared references only), so memoization cannot change simulation
-//! results: a cached trace is bit-identical to a freshly generated one.
+//! The cache holds one trace per key, in the packed [`FlatTrace`] form
+//! (~10 bytes per record). The AoS [`ev8_trace::Trace`] a miss generates
+//! is packed and dropped, so a full suite costs ~2.4x less resident
+//! memory than it would as AoS, and every experiment walks the same
+//! columns the sweep engines stream.
+//!
+//! Cached traces are immutable by construction (`Arc<FlatTrace>` hands
+//! out shared references only), and packing is lossless, so memoization
+//! cannot change simulation results: a cached trace yields, record by
+//! record, exactly what a fresh [`ProgramSpec::generate_scaled`] holds.
 //! `crates/workloads/tests/generator_properties.rs` checks that equality
-//! property over random benchmark/scale pairs.
+//! over every suite benchmark.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use ev8_trace::{FlatTrace, Trace};
+use ev8_trace::FlatTrace;
 
-use crate::corpus::CorpusStore;
 use crate::program::ProgramSpec;
 
 /// Cache key: the spec's identity plus the *scaled* instruction count.
@@ -46,21 +52,22 @@ struct Key {
 }
 
 impl Key {
-    /// The key for `spec` resolved at `instructions` dynamic length.
-    fn scaled(spec: &ProgramSpec, instructions: u64) -> (Key, ProgramSpec) {
+    /// The key for `spec` at `scale`, resolved to the dynamic length
+    /// [`ProgramSpec::generate_scaled`] generates.
+    fn scaled(spec: &ProgramSpec, scale: f64) -> Key {
         let mut scaled = spec.clone();
-        scaled.instructions = instructions;
-        let key = Key {
+        scaled.instructions = ((spec.instructions as f64) * scale).max(1.0) as u64;
+        Key {
             name: scaled.name.clone(),
             seed: scaled.seed,
-            instructions,
+            instructions: scaled.instructions,
             fingerprint: scaled.fingerprint(),
-        };
-        (key, scaled)
+        }
     }
 }
 
-/// A memoizing trace store keyed by (spec name, seed, scaled length).
+/// A memoizing trace store keyed by (spec name, seed, scaled length),
+/// holding one packed [`FlatTrace`] per key.
 ///
 /// Each entry is an `Arc<OnceLock<..>>` cell: the outer map lock is held
 /// only long enough to find or insert the cell, then released, so two
@@ -81,10 +88,7 @@ impl Key {
 /// assert!(std::sync::Arc::ptr_eq(&a, &b)); // second hit is a clone
 /// ```
 pub struct TraceCache {
-    entries: Mutex<HashMap<Key, Arc<OnceLock<Arc<Trace>>>>>,
-    /// Packed structure-of-arrays views, built at most once per key from
-    /// the corresponding cached [`Trace`].
-    flat_entries: Mutex<HashMap<Key, Arc<OnceLock<Arc<FlatTrace>>>>>,
+    entries: Mutex<HashMap<Key, Arc<OnceLock<Arc<FlatTrace>>>>>,
 }
 
 impl TraceCache {
@@ -92,127 +96,31 @@ impl TraceCache {
     pub fn new() -> Self {
         TraceCache {
             entries: Mutex::new(HashMap::new()),
-            flat_entries: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Returns the trace for `spec` at full length, generating it on the
-    /// first request and reusing it afterwards.
-    pub fn get(&self, spec: &ProgramSpec) -> Arc<Trace> {
-        self.get_scaled(spec, 1.0)
-    }
-
-    /// Returns the trace for `spec` scaled by `scale` (as
-    /// [`ProgramSpec::generate_scaled`] would produce), generating it on
-    /// the first request and reusing it afterwards.
+    /// Returns the packed trace for `spec` scaled by `scale`, generating
+    /// it on the first request and reusing it afterwards.
+    ///
+    /// A miss runs [`ProgramSpec::generate_scaled`] and packs the result
+    /// with [`FlatTrace::from_trace`]; the AoS copy is dropped before the
+    /// entry is published, so the cache holds ~10 bytes per record.
     ///
     /// # Panics
     ///
     /// Panics if `scale` is not positive.
-    pub fn get_scaled(&self, spec: &ProgramSpec, scale: f64) -> Arc<Trace> {
+    pub fn get_scaled(&self, spec: &ProgramSpec, scale: f64) -> Arc<FlatTrace> {
         assert!(scale > 0.0, "scale must be positive");
-        let instructions = ((spec.instructions as f64) * scale).max(1.0) as u64;
-        let (key, scaled) = Key::scaled(spec, instructions);
+        let key = Key::scaled(spec, scale);
         let cell = {
             let mut map = self.entries.lock().expect("trace cache poisoned");
             Arc::clone(map.entry(key).or_default())
         };
         // The map lock is released; generation for this key happens at
         // most once, and other keys proceed concurrently.
-        Arc::clone(cell.get_or_init(|| Arc::new(scaled.generate())))
-    }
-
-    /// Returns the packed [`FlatTrace`] view of `spec` scaled by `scale`,
-    /// flattening the (also cached) [`Trace`] on the first request and
-    /// reusing the shared view afterwards.
-    ///
-    /// Sweep engines should prefer this over [`TraceCache::get_scaled`]:
-    /// the flat view streams ~2.4× fewer bytes per simulation pass and
-    /// reconstructs records bit-identically (pinned by the flat-view unit
-    /// tests and the workspace equivalence suite).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not positive.
-    pub fn get_flat_scaled(&self, spec: &ProgramSpec, scale: f64) -> Arc<FlatTrace> {
-        assert!(scale > 0.0, "scale must be positive");
-        let instructions = ((spec.instructions as f64) * scale).max(1.0) as u64;
-        let (key, _) = Key::scaled(spec, instructions);
-        let cell = {
-            let mut map = self.flat_entries.lock().expect("trace cache poisoned");
-            Arc::clone(map.entry(key).or_default())
-        };
-        Arc::clone(cell.get_or_init(|| {
-            // The AoS trace is cached too: other entry points (stats,
-            // stale-update simulation) keep using it, so both views share
-            // one generation.
-            Arc::new(FlatTrace::from_trace(&self.get_scaled(spec, scale)))
-        }))
-    }
-
-    /// The disk-backed tier: like [`TraceCache::get_scaled`], but on a
-    /// cache miss the trace is loaded from `store`'s on-disk corpus
-    /// when a catalog entry with the exact generator identity exists
-    /// (same benchmark, seed, scaled length, spec fingerprint and
-    /// corpus format version), falling back to generation otherwise.
-    ///
-    /// Corpus content is only preferred, never trusted blindly: the
-    /// catalog pins record/instruction counts, every chunk carries a
-    /// CRC, and any decode or metadata failure silently falls back to
-    /// regeneration — so this method can never return a wrong trace,
-    /// only skip the disk fast path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not positive.
-    pub fn cached_or_corpus(
-        &self,
-        store: &CorpusStore,
-        spec: &ProgramSpec,
-        scale: f64,
-    ) -> Arc<Trace> {
-        assert!(scale > 0.0, "scale must be positive");
-        let instructions = ((spec.instructions as f64) * scale).max(1.0) as u64;
-        let (key, scaled) = Key::scaled(spec, instructions);
-        let cell = {
-            let mut map = self.entries.lock().expect("trace cache poisoned");
-            Arc::clone(map.entry(key).or_default())
-        };
-        Arc::clone(cell.get_or_init(|| {
-            let from_disk = store
-                .find(spec, scale)
-                .and_then(|entry| store.open_reader(entry).ok())
-                .and_then(|reader| reader.read_trace().ok());
-            Arc::new(from_disk.unwrap_or_else(|| scaled.generate()))
-        }))
-    }
-
-    /// The disk-backed tier for packed views: like
-    /// [`TraceCache::get_flat_scaled`], but the underlying AoS trace is
-    /// resolved through [`TraceCache::cached_or_corpus`], so a built
-    /// corpus serves the bytes and generation is the fallback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not positive.
-    pub fn cached_or_corpus_flat(
-        &self,
-        store: &CorpusStore,
-        spec: &ProgramSpec,
-        scale: f64,
-    ) -> Arc<FlatTrace> {
-        assert!(scale > 0.0, "scale must be positive");
-        let instructions = ((spec.instructions as f64) * scale).max(1.0) as u64;
-        let (key, _) = Key::scaled(spec, instructions);
-        let cell = {
-            let mut map = self.flat_entries.lock().expect("trace cache poisoned");
-            Arc::clone(map.entry(key).or_default())
-        };
-        Arc::clone(cell.get_or_init(|| {
-            Arc::new(FlatTrace::from_trace(
-                &self.cached_or_corpus(store, spec, scale),
-            ))
-        }))
+        Arc::clone(
+            cell.get_or_init(|| Arc::new(FlatTrace::from_trace(&spec.generate_scaled(scale)))),
+        )
     }
 
     /// Number of distinct traces generated so far.
@@ -237,7 +145,8 @@ impl Default for TraceCache {
     }
 }
 
-/// The process-wide cache used by [`crate::spec95::cached`].
+/// The process-wide cache used by [`crate::spec95::cached`] and
+/// [`crate::h2p::cached`].
 pub fn global() -> &'static TraceCache {
     static GLOBAL: OnceLock<TraceCache> = OnceLock::new();
     GLOBAL.get_or_init(TraceCache::new)
@@ -261,15 +170,18 @@ mod tests {
         let spec = tiny_spec();
         let cached = cache.get_scaled(&spec, 0.5);
         let fresh = spec.generate_scaled(0.5);
-        assert_eq!(*cached, fresh);
+        assert_eq!(*cached, FlatTrace::from_trace(&fresh));
+        assert_eq!(cached.name(), fresh.name());
+        assert_eq!(cached.instruction_count(), fresh.instruction_count());
+        assert_eq!(cached.iter().collect::<Vec<_>>(), fresh.records());
     }
 
     #[test]
     fn second_request_reuses_the_allocation() {
         let cache = TraceCache::new();
         let spec = tiny_spec();
-        let a = cache.get(&spec);
-        let b = cache.get(&spec);
+        let a = cache.get_scaled(&spec, 1.0);
+        let b = cache.get_scaled(&spec, 1.0);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
     }
@@ -301,7 +213,7 @@ mod tests {
     fn concurrent_requests_generate_exactly_once() {
         let cache = TraceCache::new();
         let spec = tiny_spec();
-        let traces: Vec<Arc<Trace>> = thread::scope(|scope| {
+        let traces: Vec<Arc<FlatTrace>> = thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| scope.spawn(|| cache.get_scaled(&spec, 0.25)))
                 .collect();
@@ -311,33 +223,6 @@ mod tests {
         for t in &traces[1..] {
             assert!(Arc::ptr_eq(&traces[0], t));
         }
-    }
-
-    #[test]
-    fn flat_view_matches_source_trace_and_is_shared() {
-        let cache = TraceCache::new();
-        let spec = tiny_spec();
-        let flat_a = cache.get_flat_scaled(&spec, 0.5);
-        let flat_b = cache.get_flat_scaled(&spec, 0.5);
-        assert!(Arc::ptr_eq(&flat_a, &flat_b));
-        let trace = cache.get_scaled(&spec, 0.5);
-        assert_eq!(flat_a.name(), trace.name());
-        assert_eq!(flat_a.len(), trace.len());
-        assert_eq!(flat_a.instruction_count(), trace.instruction_count());
-        assert_eq!(flat_a.iter().collect::<Vec<_>>(), trace.records());
-    }
-
-    #[test]
-    fn flat_view_reuses_the_cached_trace_generation() {
-        let cache = TraceCache::new();
-        let spec = tiny_spec();
-        // Requesting the flat view populates the AoS entry as a side
-        // effect, so a later get_scaled is a pure cache hit.
-        let flat = cache.get_flat_scaled(&spec, 0.25);
-        assert_eq!(cache.len(), 1);
-        let trace = cache.get_scaled(&spec, 0.25);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(flat.len(), trace.len());
     }
 
     #[test]
@@ -372,101 +257,9 @@ mod tests {
         let trace_b = cache.get_scaled(&b, 0.5);
         assert_eq!(cache.len(), 2, "distinct specs must not share a cache slot");
         assert!(!Arc::ptr_eq(&trace_a, &trace_b));
-        assert_eq!(*trace_b, b.generate_scaled(0.5));
-    }
-
-    fn tmp_store(tag: &str) -> CorpusStore {
-        let dir =
-            std::env::temp_dir().join(format!("ev8-cache-corpus-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        CorpusStore::open(&dir).unwrap()
-    }
-
-    #[test]
-    fn corpus_tier_serves_disk_content_and_falls_back() {
-        let mut store = tmp_store("tier");
-        let spec = tiny_spec();
-        store.build(&spec, 0.5).unwrap();
-
-        // Hit: the catalog entry matches, so the trace streams from disk
-        // and is bit-identical to generation (the corpus was built from
-        // the same generator).
-        let cache = TraceCache::new();
-        let from_disk = cache.cached_or_corpus(&store, &spec, 0.5);
-        assert_eq!(*from_disk, spec.generate_scaled(0.5));
-        // Second call is a pure cache hit.
-        let again = cache.cached_or_corpus(&store, &spec, 0.5);
-        assert!(Arc::ptr_eq(&from_disk, &again));
-
-        // Miss (no entry at this scale): transparently regenerates.
-        let fallback = cache.cached_or_corpus(&store, &spec, 0.25);
-        assert_eq!(*fallback, spec.generate_scaled(0.25));
-
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn corpus_tier_ignores_entries_from_other_generators() {
-        // A corpus built from a different spec sharing (name, seed,
-        // scaled length) must be invisible: the fingerprint in the
-        // catalog key keeps the stale file from shadowing regeneration.
-        let mut store = tmp_store("fingerprint");
-        let spec = tiny_spec();
-        let mut other = spec.clone();
-        other.noise = (other.noise + 0.3).min(1.0);
-        store.build(&other, 0.5).unwrap();
-
-        let cache = TraceCache::new();
-        let trace = cache.cached_or_corpus(&store, &spec, 0.5);
-        assert_eq!(*trace, spec.generate_scaled(0.5));
-
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn corpus_tier_flat_view_matches_and_respects_fingerprints() {
-        let mut store = tmp_store("flat");
-        let spec = tiny_spec();
-        store.build(&spec, 0.5).unwrap();
-
-        // Hit: the flat view streams from the corpus-backed AoS trace
-        // and reconstructs records bit-identically.
-        let cache = TraceCache::new();
-        let flat = cache.cached_or_corpus_flat(&store, &spec, 0.5);
-        let fresh = spec.generate_scaled(0.5);
-        assert_eq!(flat.iter().collect::<Vec<_>>(), fresh.records());
-        let again = cache.cached_or_corpus_flat(&store, &spec, 0.5);
-        assert!(Arc::ptr_eq(&flat, &again));
-
-        // Stale fingerprint: a catalog entry built from a different
-        // generator identity is ignored and the flat view regenerates.
-        let mut other = spec.clone();
-        other.noise = (other.noise + 0.3).min(1.0);
-        let stale = cache.cached_or_corpus_flat(&store, &other, 0.5);
         assert_eq!(
-            stale.iter().collect::<Vec<_>>(),
-            other.generate_scaled(0.5).records()
+            trace_b.iter().collect::<Vec<_>>(),
+            b.generate_scaled(0.5).records()
         );
-
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn corpus_tier_survives_a_corrupt_file() {
-        // Decode failures fall back to generation instead of erroring.
-        let mut store = tmp_store("corrupt");
-        let spec = tiny_spec();
-        let entry = store.build(&spec, 0.5).unwrap().clone();
-        let path = store.dir().join(&entry.file);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let cache = TraceCache::new();
-        let trace = cache.cached_or_corpus(&store, &spec, 0.5);
-        assert_eq!(*trace, spec.generate_scaled(0.5));
-
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 }

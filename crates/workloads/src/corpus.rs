@@ -1,13 +1,13 @@
-//! The on-disk corpus tier: a catalog-backed store of persisted traces.
+//! The on-disk corpus: a catalog-backed store of persisted traces.
 //!
 //! A [`CorpusStore`] manages a directory of corpus files (the chunked,
 //! compressed container of [`ev8_trace::corpus`]) plus a small text
 //! catalog, `catalog.tsv`, mapping workload identities to files with
 //! pinned metadata. The identity key is the full generator identity —
 //! `(benchmark, seed, scaled instructions, spec fingerprint, corpus
-//! format version)` — so a corpus built from one spec can never shadow a
-//! trace a *different* spec (same name/seed/length, different behaviour
-//! mix, or a newer generator algorithm) would regenerate; see
+//! format version)` — so a corpus built from one spec can never stand in
+//! for a *different* spec (same name/seed/length, different behaviour
+//! mix, or a newer generator algorithm); see
 //! [`ProgramSpec::fingerprint`].
 //!
 //! The catalog pins each entry's record and instruction counts. Opening
@@ -199,16 +199,6 @@ impl CatalogEntry {
     }
 }
 
-/// The scaled-spec identity a lookup resolves: exact instruction count
-/// plus generator fingerprint.
-fn resolve(spec: &ProgramSpec, scale: f64) -> (u64, u64) {
-    assert!(scale > 0.0, "scale must be positive");
-    let instructions = ((spec.instructions as f64) * scale).max(1.0) as u64;
-    let mut scaled = spec.clone();
-    scaled.instructions = instructions;
-    (instructions, scaled.fingerprint())
-}
-
 /// A directory of corpus files plus their catalog; see the module docs.
 pub struct CorpusStore {
     dir: PathBuf,
@@ -274,27 +264,13 @@ impl CorpusStore {
         self.entries.is_empty()
     }
 
-    /// Looks up the entry matching `spec` at `scale`: benchmark, seed,
-    /// exact scaled instruction count, generator fingerprint **and**
-    /// current corpus format version must all match. Entries written by
-    /// an older format or a different generator are invisible — they can
-    /// never shadow a regeneration.
-    pub fn find(&self, spec: &ProgramSpec, scale: f64) -> Option<&CatalogEntry> {
-        let (instructions, fingerprint) = resolve(spec, scale);
-        self.entries.iter().find(|e| {
-            e.benchmark == spec.name
-                && e.seed == spec.seed
-                && e.instructions == instructions
-                && e.fingerprint == fingerprint
-                && e.format_version == CORPUS_VERSION
-        })
-    }
-
-    /// Like [`CorpusStore::find`], but keyed by the wire-friendly
-    /// parts-per-million scale a client names instead of an `f64` (the
-    /// server path: `BEGIN_WORKLOAD{name, scale_ppm}`). The fingerprint
-    /// is recomputed at the entry's pinned instruction count, so the
-    /// generator-identity guarantee is the same.
+    /// Looks up the entry matching `spec` at the parts-per-million scale
+    /// a client names (the server path: `BEGIN_WORKLOAD{name,
+    /// scale_ppm}`): benchmark, seed, scale, generator fingerprint **and**
+    /// current corpus format version must all match. The fingerprint is
+    /// recomputed at the entry's pinned instruction count. Entries written
+    /// by an older format or a different generator are invisible — they
+    /// can never stand in for the workload the client named.
     pub fn find_by_ppm(&self, spec: &ProgramSpec, scale_ppm: u64) -> Option<&CatalogEntry> {
         self.entries.iter().find(|e| {
             if e.benchmark != spec.name
@@ -353,9 +329,10 @@ impl CorpusStore {
     ///
     /// Panics if `scale` is not positive.
     pub fn build(&mut self, spec: &ProgramSpec, scale: f64) -> Result<CatalogEntry, StoreError> {
-        let (instructions, fingerprint) = resolve(spec, scale);
+        assert!(scale > 0.0, "scale must be positive");
         let mut scaled = spec.clone();
-        scaled.instructions = instructions;
+        scaled.instructions = ((spec.instructions as f64) * scale).max(1.0) as u64;
+        let (instructions, fingerprint) = (scaled.instructions, scaled.fingerprint());
         let trace = scaled.generate();
         let file = format!("{}-{}-{:016x}.ev8c", spec.name, instructions, fingerprint);
         let path = self.dir.join(&file);
@@ -468,8 +445,6 @@ mod tests {
         assert_eq!(entry.benchmark, "compress");
         assert_eq!(entry.format_version, CORPUS_VERSION);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.find(&spec, 0.5), Some(&entry));
-        assert!(store.find(&spec, 0.25).is_none());
         assert_eq!(store.find_by_ppm(&spec, 500_000), Some(&entry));
         assert!(store.find_by_ppm(&spec, 250_000).is_none());
         store.verify_all().unwrap();
@@ -508,8 +483,8 @@ mod tests {
         let entry_b = store.build(&b, 0.5).unwrap();
         assert_eq!(store.len(), 2);
         assert_ne!(entry_a.file, entry_b.file);
-        assert_eq!(store.find(&a, 0.5), Some(&entry_a));
-        assert_eq!(store.find(&b, 0.5), Some(&entry_b));
+        assert_eq!(store.find_by_ppm(&a, 500_000), Some(&entry_a));
+        assert_eq!(store.find_by_ppm(&b, 500_000), Some(&entry_b));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -520,7 +495,7 @@ mod tests {
         let spec = tiny_spec();
         store.build(&spec, 0.5).unwrap();
         store.entries[0].format_version = CORPUS_VERSION + 1;
-        assert!(store.find(&spec, 0.5).is_none());
+        assert!(store.find_by_ppm(&spec, 500_000).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ev8_trace::{FlatTrace, Trace};
+use ev8_trace::FlatTrace;
 
 use crate::program::{site_labels, BehaviorMix, H2pMix, ProgramSpec};
 
@@ -109,28 +109,16 @@ pub fn suite() -> Vec<ProgramSpec> {
         .collect()
 }
 
-/// The trace for `workload(name)` scaled by `scale`, served from the
-/// process-wide [`crate::cache`] like [`crate::spec95::cached`].
+/// The packed trace of `workload(name)` scaled by `scale`, served from
+/// the process-wide [`crate::cache`] like [`crate::spec95::cached`].
 ///
 /// Returns `None` for an unknown workload name.
 ///
 /// # Panics
 ///
 /// Panics if `scale` is not positive.
-pub fn cached(name: &str, scale: f64) -> Option<Arc<Trace>> {
+pub fn cached(name: &str, scale: f64) -> Option<Arc<FlatTrace>> {
     Some(crate::cache::global().get_scaled(&workload(name)?, scale))
-}
-
-/// The packed [`FlatTrace`] view of `workload(name)` scaled by `scale`,
-/// served from the process-wide [`crate::cache`].
-///
-/// Returns `None` for an unknown workload name.
-///
-/// # Panics
-///
-/// Panics if `scale` is not positive.
-pub fn cached_flat(name: &str, scale: f64) -> Option<Arc<FlatTrace>> {
-    Some(crate::cache::global().get_flat_scaled(&workload(name)?, scale))
 }
 
 /// Ground-truth archetype label per static branch PC of `spec`'s
@@ -228,8 +216,7 @@ mod tests {
     fn densities_and_footprints_are_sane() {
         for n in NAMES {
             let spec = workload(n).unwrap();
-            let trace = spec.generate_scaled(0.005);
-            let stats = TraceStats::from_trace(&trace);
+            let stats = TraceStats::from_trace(&cached(n, 0.005).unwrap());
             let err = (stats.branch_density() - spec.branch_density).abs() / spec.branch_density;
             assert!(
                 err < 0.35,

@@ -19,17 +19,18 @@
 //!   class.
 //! * [`cache`] — a process-wide memoized trace provider
 //!   ([`cache::TraceCache`]): generation is deterministic, so tests and
-//!   experiments fetch shared `Arc<Trace>`s via [`spec95::cached`]
-//!   instead of regenerating the same trace at every call site.
+//!   experiments fetch one shared packed `Arc<FlatTrace>` per
+//!   (benchmark, scale) via [`spec95::cached`] / [`h2p::cached`] instead
+//!   of regenerating the same trace at every call site. Code that needs
+//!   the AoS `Trace` calls [`ProgramSpec::generate_scaled`].
 //! * [`h2p`] — hard-to-predict workload analogues built from the H2P
 //!   archetypes (data-dependent, input-entropy, timing-jitter branches)
 //!   of the Constantinou/Perais/Sazeides taxonomy, plus ground-truth
 //!   site classification helpers for misprediction attribution.
-//! * [`corpus`] — the disk tier below the cache: a
-//!   [`corpus::CorpusStore`] catalogs compressed on-disk corpus files
-//!   (the `ev8_trace::corpus` container) keyed by the full generator
-//!   identity, so simulations can stream persisted traces instead of
-//!   regenerating them ([`cache::TraceCache::cached_or_corpus`]).
+//! * [`corpus`] — a [`corpus::CorpusStore`] catalogs compressed on-disk
+//!   corpus files (the `ev8_trace::corpus` container) keyed by the full
+//!   generator identity; the `corpus` CLI builds stores, and the
+//!   prediction server streams cataloged workloads from them by name.
 //!
 //! What the substitution preserves (and what it does not): the experiments
 //! in the paper measure *relative* predictor quality driven by aliasing

@@ -286,7 +286,7 @@ impl ProgramSpec {
     /// match, so this is the key component that prevents a trace cached
     /// or persisted under one spec from shadowing a different spec that
     /// happens to share its `(name, seed, instructions)` triple — the
-    /// latent collision the corpus tier exposed. The trace cache and the
+    /// latent collision the corpus catalog exposed. The trace cache and the
     /// corpus catalog both key on it.
     ///
     /// The hash is FNV-1a over a fixed little-endian field serialization;
@@ -726,7 +726,7 @@ pub fn generate(spec: &ProgramSpec) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev8_trace::TraceStats;
+    use ev8_trace::{FlatTrace, TraceStats};
 
     fn small_spec() -> ProgramSpec {
         ProgramSpec {
@@ -741,6 +741,10 @@ mod tests {
             noise: 0.6,
             chain_length_bias: 0.6,
         }
+    }
+
+    fn small_stats() -> TraceStats {
+        TraceStats::from_trace(&FlatTrace::from_trace(&small_spec().generate()))
     }
 
     #[test]
@@ -769,8 +773,7 @@ mod tests {
 
     #[test]
     fn density_close_to_requested() {
-        let t = small_spec().generate();
-        let stats = TraceStats::from_trace(&t);
+        let stats = small_stats();
         let density = stats.branch_density();
         assert!(
             (density - 120.0).abs() < 40.0,
@@ -780,8 +783,7 @@ mod tests {
 
     #[test]
     fn static_footprint_mostly_covered() {
-        let t = small_spec().generate();
-        let stats = TraceStats::from_trace(&t);
+        let stats = small_stats();
         assert!(
             stats.static_conditional as usize > 100 / 2,
             "only {} of 100 sites executed",
@@ -792,8 +794,7 @@ mod tests {
 
     #[test]
     fn hotness_is_skewed() {
-        let t = small_spec().generate();
-        let stats = TraceStats::from_trace(&t);
+        let stats = small_stats();
         let mut counts: Vec<u64> = stats.per_branch.values().map(|s| s.executions).collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let total: u64 = counts.iter().sum();
@@ -823,8 +824,7 @@ mod tests {
 
     #[test]
     fn calls_and_returns_present_and_bounded() {
-        let t = small_spec().generate();
-        let stats = TraceStats::from_trace(&t);
+        let stats = small_stats();
         let calls = stats.per_kind.get(&BranchKind::Call).copied().unwrap_or(0);
         let rets = stats
             .per_kind
@@ -846,8 +846,7 @@ mod tests {
 
     #[test]
     fn taken_rate_is_plausible() {
-        let t = small_spec().generate();
-        let stats = TraceStats::from_trace(&t);
+        let stats = small_stats();
         let rate = stats.taken_rate();
         assert!(
             rate > 0.25 && rate < 0.85,

@@ -20,11 +20,10 @@
 //! [`table2_reference`] so the Table 2 experiment can print
 //! paper-vs-generated numbers side by side.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use ev8_trace::{FlatTrace, Trace};
+use ev8_trace::FlatTrace;
 
-use crate::corpus::CorpusStore;
 use crate::program::{BehaviorMix, H2pMix, ProgramSpec};
 
 /// The benchmark names of Table 2, in the paper's order.
@@ -201,85 +200,17 @@ pub fn suite() -> Vec<ProgramSpec> {
         .collect()
 }
 
-/// The default on-disk corpus tier, opened from `EV8_CORPUS_DIR` once
-/// per process.
-///
-/// Returns `None` when the variable is unset, empty, or names a
-/// directory that fails to open — the cache then generates as before.
-/// Experiments route through this so a corpus built with the `corpus`
-/// CLI becomes the default disk tier for full-scale runs without any
-/// call-site changes; content is still fingerprint-checked per entry
-/// ([`crate::cache::TraceCache::cached_or_corpus`]), so a stale corpus
-/// silently falls back to generation.
-pub fn default_corpus_store() -> Option<&'static CorpusStore> {
-    static STORE: OnceLock<Option<CorpusStore>> = OnceLock::new();
-    STORE
-        .get_or_init(|| {
-            let dir = std::env::var("EV8_CORPUS_DIR").ok()?;
-            if dir.is_empty() {
-                return None;
-            }
-            CorpusStore::open(std::path::Path::new(&dir)).ok()
-        })
-        .as_ref()
-}
-
-/// The trace for `benchmark(name)` scaled by `scale`, served from the
-/// process-wide [`crate::cache`]: streamed from the default corpus tier
-/// when one is configured ([`default_corpus_store`]) and its catalog has
-/// a matching entry, generated otherwise — then shared (bit-identical,
-/// same allocation) on every later request.
+/// The packed trace of `benchmark(name)` scaled by `scale`, served from
+/// the process-wide [`crate::cache`]: generated on the first request,
+/// then shared (same allocation) on every later one.
 ///
 /// Returns `None` for an unknown benchmark name.
 ///
 /// # Panics
 ///
 /// Panics if `scale` is not positive.
-pub fn cached(name: &str, scale: f64) -> Option<Arc<Trace>> {
-    cached_with_store(name, scale, default_corpus_store())
-}
-
-/// [`cached`] with an explicit corpus tier (or `None` for pure
-/// generation) instead of the `EV8_CORPUS_DIR` default — for tests and
-/// tools that manage their own store.
-pub fn cached_with_store(
-    name: &str,
-    scale: f64,
-    store: Option<&CorpusStore>,
-) -> Option<Arc<Trace>> {
-    let spec = benchmark(name)?;
-    Some(match store {
-        Some(store) => crate::cache::global().cached_or_corpus(store, &spec, scale),
-        None => crate::cache::global().get_scaled(&spec, scale),
-    })
-}
-
-/// The packed [`FlatTrace`] view of `benchmark(name)` scaled by `scale`,
-/// served from the process-wide [`crate::cache`] like [`cached`] (the
-/// flat view and the AoS trace share one generation per key, with the
-/// default corpus tier serving the bytes when configured).
-///
-/// Returns `None` for an unknown benchmark name.
-///
-/// # Panics
-///
-/// Panics if `scale` is not positive.
-pub fn cached_flat(name: &str, scale: f64) -> Option<Arc<FlatTrace>> {
-    cached_flat_with_store(name, scale, default_corpus_store())
-}
-
-/// [`cached_flat`] with an explicit corpus tier (or `None` for pure
-/// generation) instead of the `EV8_CORPUS_DIR` default.
-pub fn cached_flat_with_store(
-    name: &str,
-    scale: f64,
-    store: Option<&CorpusStore>,
-) -> Option<Arc<FlatTrace>> {
-    let spec = benchmark(name)?;
-    Some(match store {
-        Some(store) => crate::cache::global().cached_or_corpus_flat(store, &spec, scale),
-        None => crate::cache::global().get_flat_scaled(&spec, scale),
-    })
+pub fn cached(name: &str, scale: f64) -> Option<Arc<FlatTrace>> {
+    Some(crate::cache::global().get_scaled(&benchmark(name)?, scale))
 }
 
 #[cfg(test)]
@@ -323,9 +254,7 @@ mod tests {
         // Short (2M instruction) runs still execute most of the static
         // footprint for small-footprint benchmarks.
         for n in ["compress", "li", "m88ksim", "perl"] {
-            let spec = benchmark(n).unwrap();
-            let trace = spec.generate_scaled(0.02);
-            let stats = TraceStats::from_trace(&trace);
+            let stats = TraceStats::from_trace(&cached(n, 0.02).unwrap());
             let (_, statics) = table2_reference(n).unwrap();
             assert!(
                 stats.static_conditional >= statics / 2,
@@ -340,8 +269,7 @@ mod tests {
     fn generated_density_tracks_table2() {
         for n in ["compress", "go", "vortex"] {
             let spec = benchmark(n).unwrap();
-            let trace = spec.generate_scaled(0.01);
-            let stats = TraceStats::from_trace(&trace);
+            let stats = TraceStats::from_trace(&cached(n, 0.01).unwrap());
             let err = (stats.branch_density() - spec.branch_density).abs() / spec.branch_density;
             assert!(
                 err < 0.35,
@@ -350,41 +278,6 @@ mod tests {
                 spec.branch_density
             );
         }
-    }
-
-    #[test]
-    fn corpus_tier_serves_suite_traces_and_rejects_stale_fingerprints() {
-        let dir = std::env::temp_dir().join(format!("ev8-spec95-corpus-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = CorpusStore::open(&dir).unwrap();
-        let scale = 0.000_41;
-
-        // A matching corpus entry serves the exact generated bytes.
-        let spec = benchmark("compress").unwrap();
-        store.build(&spec, scale).unwrap();
-        let tiered = cached_with_store("compress", scale, Some(&store)).unwrap();
-        assert_eq!(*tiered, spec.generate_scaled(scale));
-        let flat = cached_flat_with_store("compress", scale, Some(&store)).unwrap();
-        assert_eq!(flat.len(), tiered.len());
-
-        // Regression: a corpus built by a *different* generator identity
-        // (same name/seed/length, different noise → different
-        // fingerprint) must be ignored, falling back to generation.
-        let stale_scale = 0.000_43;
-        let mut twin = benchmark("m88ksim").unwrap();
-        twin.noise = (twin.noise + 0.3).min(1.0);
-        store.build(&twin, stale_scale).unwrap();
-        let from_tier = cached_with_store("m88ksim", stale_scale, Some(&store)).unwrap();
-        assert_eq!(
-            *from_tier,
-            benchmark("m88ksim").unwrap().generate_scaled(stale_scale)
-        );
-
-        // No store configured → pure generation, same result.
-        let plain = cached_with_store("m88ksim", stale_scale, None).unwrap();
-        assert_eq!(*plain, *from_tier);
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use ev8_util::prop::{check, Gen};
 use ev8_util::{prop_assert, prop_assert_eq};
 
-use ev8_trace::{BranchKind, TraceStats};
+use ev8_trace::{BranchKind, FlatTrace, TraceStats};
 use ev8_workloads::{spec95, BehaviorMix, ProgramSpec};
 
 const CASES: u64 = 24;
@@ -64,8 +64,7 @@ fn instruction_budget_and_counts_hold() {
 fn static_footprint_never_exceeds_spec() {
     check("static_footprint_never_exceeds_spec", CASES, |g| {
         let spec = arb_spec(g);
-        let t = spec.generate();
-        let stats = TraceStats::from_trace(&t);
+        let stats = TraceStats::from_trace(&FlatTrace::from_trace(&spec.generate()));
         prop_assert!(stats.static_conditional as usize <= spec.static_branches);
         prop_assert!(stats.dynamic_conditional > 0);
         Ok(())
@@ -76,8 +75,7 @@ fn static_footprint_never_exceeds_spec() {
 fn calls_and_returns_balance() {
     check("calls_and_returns_balance", CASES, |g| {
         let spec = arb_spec(g);
-        let t = spec.generate();
-        let stats = TraceStats::from_trace(&t);
+        let stats = TraceStats::from_trace(&FlatTrace::from_trace(&spec.generate()));
         let calls = stats.per_kind.get(&BranchKind::Call).copied().unwrap_or(0);
         let rets = stats
             .per_kind
@@ -124,22 +122,28 @@ fn cached_trace_is_bit_identical_to_fresh_generation() {
         "cached_trace_is_bit_identical_to_fresh_generation",
         12,
         |g| {
-            // Random suite benchmark at a random (tiny) scale: the memoized
-            // provider must return exactly what direct generation produces —
-            // this is the property that makes the cache sound to use
-            // everywhere.
-            let name = *g.choose(&spec95::NAMES);
+            // Every suite benchmark at a random (tiny) scale: the memoized
+            // packed trace must hold, record by record, exactly what direct
+            // generation produces — this is the property that makes the
+            // cache sound to use everywhere.
             // Quantized scales keep the global cache small across cases
             // while still exercising several distinct keys per benchmark.
             let scale = g.range(1u64..=4) as f64 * 0.0002;
-            let cached = spec95::cached(name, scale).expect("suite name");
-            let fresh = spec95::benchmark(name)
-                .expect("suite name")
-                .generate_scaled(scale);
-            prop_assert_eq!(&*cached, &fresh);
-            // And a second fetch returns the same allocation, not a copy.
-            let again = spec95::cached(name, scale).expect("suite name");
-            prop_assert!(std::sync::Arc::ptr_eq(&cached, &again));
+            for name in spec95::NAMES {
+                let cached = spec95::cached(name, scale).expect("suite name");
+                let fresh = spec95::benchmark(name)
+                    .expect("suite name")
+                    .generate_scaled(scale);
+                prop_assert_eq!(cached.name(), fresh.name());
+                prop_assert_eq!(cached.instruction_count(), fresh.instruction_count());
+                prop_assert_eq!(cached.len(), fresh.len());
+                for (i, (c, f)) in cached.iter().zip(fresh.records()).enumerate() {
+                    prop_assert!(c == *f, "{name} record {i}: {c:?} vs {f:?}");
+                }
+                // And a second fetch returns the same allocation, not a copy.
+                let again = spec95::cached(name, scale).expect("suite name");
+                prop_assert!(std::sync::Arc::ptr_eq(&cached, &again));
+            }
             Ok(())
         },
     );
@@ -151,8 +155,7 @@ fn density_tracks_target_loosely() {
         let spec = arb_spec(g);
         // Density calibration is approximate but must stay in the right
         // regime across the whole parameter space.
-        let t = spec.generate();
-        let stats = TraceStats::from_trace(&t);
+        let stats = TraceStats::from_trace(&FlatTrace::from_trace(&spec.generate()));
         let density = stats.branch_density();
         prop_assert!(
             density > spec.branch_density * 0.4 && density < spec.branch_density * 2.5,

@@ -13,7 +13,7 @@ use ev8_core::Ev8Predictor;
 use ev8_predictors::gshare::Gshare;
 use ev8_sim::simulate;
 use ev8_trace::corpus::{write_corpus, CorpusReader};
-use ev8_trace::TraceStats;
+use ev8_trace::{FlatTrace, TraceStats};
 use ev8_workloads::{BehaviorMix, H2pMix, ProgramSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         chain_length_bias: 0.7,
     };
     let trace = spec.generate();
-    let stats = TraceStats::from_trace(&trace);
+    let stats = TraceStats::from_trace(&FlatTrace::from_trace(&trace));
     println!("generated: {stats}");
 
     // Persist as a chunked, compressed, checksummed corpus file and

@@ -11,14 +11,12 @@
 use ev8_core::banks::BankSequencer;
 use ev8_core::fetch::{blocks_of, BlockStats};
 use ev8_core::line_predictor::LinePredictor;
-use ev8_core::ras::{JumpPredictor, ReturnAddressStack};
+use ev8_core::ras::ReturnAddressStack;
 use ev8_trace::BranchKind;
 use ev8_workloads::spec95;
 
 fn main() {
-    let trace = spec95::benchmark("vortex")
-        .expect("vortex is part of the suite")
-        .generate_scaled(0.005);
+    let trace = spec95::cached("vortex", 0.005).expect("vortex is part of the suite");
     println!(
         "workload: {} ({} branch records)",
         trace.name(),
@@ -82,20 +80,16 @@ fn main() {
     println!("(low by design: single-cycle indexing, no real hashing — §2)");
     println!();
 
-    // 4. The other PC-address-generator predictors: return address stack
-    // and indirect jump predictor.
+    // 4. Another PC-address-generator predictor: the return address
+    // stack.
     let mut ras = ReturnAddressStack::new(8);
-    let mut jp = JumpPredictor::new(10, 6);
-    for rec in trace.iter() {
-        match rec.kind {
-            BranchKind::Call => ras.push(rec.pc.next()),
-            BranchKind::Return => {
-                ras.predict_return(rec.target);
-            }
-            BranchKind::IndirectJump => jp.train(rec.pc, rec.target),
-            _ => {}
+    trace.for_each(|rec| match rec.kind {
+        BranchKind::Call => ras.push(rec.pc.next()),
+        BranchKind::Return => {
+            ras.predict_return(rec.target);
         }
-    }
+        _ => {}
+    });
     println!(
         "return address stack:      {:.1}% over {} returns (8 entries)",
         ras.accuracy() * 100.0,

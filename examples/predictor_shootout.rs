@@ -17,7 +17,7 @@ use ev8_predictors::perceptron::Perceptron;
 use ev8_predictors::tage::{Tage, TageConfig};
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 use ev8_predictors::yags::Yags;
-use ev8_sim::experiments::{factory, mean_mispki, run_grid, suite_flat_traces, Factory};
+use ev8_sim::experiments::{factory, mean_mispki, run_grid, suite_traces, Factory};
 use ev8_sim::report::{fmt_mispki, TextTable};
 use ev8_sim::sweep::default_workers;
 
@@ -52,7 +52,7 @@ fn main() {
     let workers = default_workers();
     println!("predictor shootout at scale {scale} ({workers} workers)\n");
 
-    let traces = suite_flat_traces(scale);
+    let traces = suite_traces(scale);
     let configs = roster();
     let grid = run_grid(&traces, &configs, workers);
 

@@ -7,27 +7,22 @@
 //! cargo run --release --example smt_interference
 //! ```
 
-use ev8_core::Ev8Predictor;
 use ev8_sim::experiments::smt::corun_mispki;
-use ev8_sim::simulate;
 use ev8_workloads::spec95;
 
 fn main() {
     let scale = 0.02;
-    // Two phase-shifted halves of the same program: the model for two
-    // parallel threads of one application.
-    let full = spec95::benchmark("li")
-        .unwrap()
-        .generate_scaled(2.0 * scale);
-    let (li_a, li_b) = full.split_at(full.len() / 2);
-    let go = spec95::benchmark("go").unwrap().generate_scaled(scale);
+    // Two phase-shifted halves of the same program (record ranges of one
+    // trace): the model for two parallel threads of one application.
+    let full = spec95::cached("li", 2.0 * scale).unwrap();
+    let half = full.len() / 2;
+    let li_a = (&*full, 0..half);
+    let li_b = (&*full, half..full.len());
+    let go = spec95::cached("go", scale).unwrap();
 
     // Baseline: li alone on a single-threaded EV8.
-    let solo = simulate(Ev8Predictor::ev8(), &li_a);
-    println!(
-        "li alone:                         {:.3} misp/KI",
-        solo.misp_per_ki()
-    );
+    let solo = corun_mispki(std::slice::from_ref(&li_a))[0];
+    println!("li alone:                         {solo:.3} misp/KI");
 
     // Two parallel threads of the same application: constructive
     // aliasing — each thread trains table entries the other reuses.
@@ -39,7 +34,7 @@ fn main() {
 
     // An unrelated co-runner: destructive interference on the shared
     // tables.
-    let mixed = corun_mispki(&[li_a, go]);
+    let mixed = corun_mispki(&[li_a, (&*go, 0..go.len())]);
     println!(
         "li + go (shared tables, SMT):     {:.3} / {:.3} misp/KI  (destructive interference)",
         mixed[0], mixed[1]

@@ -184,7 +184,7 @@ run cargo test --offline -q --manifest-path crates/bench/src/bin/benchmark/Cargo
 # (EV8_BENCH_SAMPLES overrides per-group sample sizes, so this stays
 # fast; EV8_BENCH_JSON keeps the smoke from overwriting the committed
 # BENCH_sim.json numbers). Proper timing runs remain a manual step.
-run cargo build --benches --offline
+run cargo build --benches --workspace --offline
 if [ "$QUICK" -eq 0 ]; then
     # cargo runs bench binaries from the package directory, so the
     # redirect path must be absolute.
@@ -219,7 +219,7 @@ if [ "$QUICK" -eq 0 ]; then
     run cargo run -q --release --offline --example frontend_pipeline
 fi
 
-run cargo clippy --all-targets --offline -- -D warnings
+run cargo clippy --all-targets --workspace --offline -- -D warnings
 run cargo clippy --all-targets --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- -D warnings
 run cargo fmt --check
 run cargo fmt --check --manifest-path crates/bench/src/bin/benchmark/Cargo.toml

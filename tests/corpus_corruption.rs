@@ -35,12 +35,14 @@ fn find_body_start(bytes: &[u8]) -> usize {
 }
 
 fn spec95_corpus() -> (Trace, Vec<u8>) {
-    let trace = spec95::cached("compress", 0.001).expect("known benchmark");
+    let trace = spec95::benchmark("compress")
+        .expect("known benchmark")
+        .generate_scaled(0.001);
     let mut bytes = Vec::new();
     // A small chunk length so mutations land across many chunk bodies,
     // not one giant payload.
     write_corpus_chunked(&mut bytes, &trace, 1024).expect("encode");
-    ((*trace).clone(), bytes)
+    (trace, bytes)
 }
 
 fn tiny_corpus() -> (Trace, Vec<u8>) {

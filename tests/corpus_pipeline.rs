@@ -1,8 +1,7 @@
 //! Corpus pipeline acceptance: the streaming on-disk decode path is
 //! bit-identical to the in-RAM `TraceCache` path for the full Table 2
-//! suite, the disk-backed cache tier prefers the corpus transparently,
-//! and `ev8-server` serves cataloged workloads by name with the exact
-//! summary a client-streamed run would get.
+//! suite, and `ev8-server` serves cataloged workloads by name with the
+//! exact summary a local run would get.
 
 use std::sync::Arc;
 use std::thread;
@@ -13,10 +12,9 @@ use ev8_predictors::gshare::Gshare;
 use ev8_predictors::BranchPredictor;
 use ev8_server::proto::{code, PredictorSpec};
 use ev8_server::{Client, Server, ServerConfig, ServerError};
-use ev8_sim::{drive, simulate, Plain, SimResult};
+use ev8_sim::{drive, simulate_flat, Plain, SimResult};
 use ev8_trace::corpus::{write_corpus_chunked, CorpusReader};
 use ev8_trace::TraceError;
-use ev8_workloads::cache::TraceCache;
 use ev8_workloads::corpus::CorpusStore;
 use ev8_workloads::spec95;
 
@@ -24,7 +22,7 @@ use ev8_workloads::spec95;
 /// large enough for tens of thousands of dynamic branches each.
 const SCALE: f64 = 0.002;
 
-/// [`simulate`] fed from a streaming corpus decode instead of RAM.
+/// [`simulate_flat`] fed from a streaming corpus decode instead of RAM.
 fn streamed_run<P: BranchPredictor>(
     predictor: P,
     reader: CorpusReader<&[u8]>,
@@ -47,12 +45,13 @@ fn streaming_decode_simulation_is_bit_identical_for_all_benchmarks() {
     // The tentpole acceptance: for every Table 2 benchmark, feeding the
     // predictor from a chunked corpus decode (never materializing the
     // AoS trace) returns the exact SimResult of the in-RAM cached path.
-    for name in spec95::NAMES {
-        let trace = spec95::cached(name, SCALE).expect("known benchmark");
+    for spec in spec95::suite() {
+        let name = &spec.name;
         let mut bytes = Vec::new();
         // A small chunk length forces many chunk boundaries per trace.
-        write_corpus_chunked(&mut bytes, &trace, 4096).expect("encode");
-        let in_ram = simulate(Gshare::new(14, 12), &trace);
+        write_corpus_chunked(&mut bytes, &spec.generate_scaled(SCALE), 4096).expect("encode");
+        let trace = spec95::cached(name, SCALE).expect("known benchmark");
+        let in_ram = simulate_flat(Gshare::new(14, 12), &trace);
         let reader = CorpusReader::new(bytes.as_slice()).expect("header");
         let streamed = streamed_run(Gshare::new(14, 12), reader).expect("streamed run");
         assert_eq!(streamed, in_ram, "{name}: corpus path diverged");
@@ -63,38 +62,15 @@ fn streaming_decode_simulation_is_bit_identical_for_all_benchmarks() {
 fn streaming_decode_matches_the_full_ev8_predictor() {
     // One benchmark through the full 352 Kbit EV8 front end, so the
     // equivalence covers the flagship predictor's stateful path too.
-    let trace = spec95::cached("gcc", SCALE).expect("known benchmark");
+    let fresh = spec95::benchmark("gcc").unwrap().generate_scaled(SCALE);
     let mut bytes = Vec::new();
-    write_corpus_chunked(&mut bytes, &trace, 1 << 13).expect("encode");
+    write_corpus_chunked(&mut bytes, &fresh, 1 << 13).expect("encode");
     let reader = CorpusReader::new(bytes.as_slice()).expect("header");
+    let trace = spec95::cached("gcc", SCALE).expect("known benchmark");
     assert_eq!(
         streamed_run(Ev8Predictor::ev8(), reader).expect("streamed run"),
-        simulate(Ev8Predictor::ev8(), &trace),
+        simulate_flat(Ev8Predictor::ev8(), &trace),
     );
-}
-
-#[test]
-fn disk_tier_round_trips_through_a_real_store() {
-    // Build a real on-disk store for two benchmarks, then check the
-    // cache tier serves exactly what generation would.
-    let mut store = tmp_store("tier");
-    for name in ["compress", "li"] {
-        let spec = spec95::benchmark(name).unwrap();
-        store.build(&spec, SCALE).unwrap();
-    }
-    store.verify_all().expect("fresh corpus verifies");
-
-    let cache = TraceCache::new();
-    for name in ["compress", "li"] {
-        let spec = spec95::benchmark(name).unwrap();
-        let tiered = cache.cached_or_corpus(&store, &spec, SCALE);
-        assert_eq!(
-            *tiered,
-            *spec95::cached(name, SCALE).unwrap(),
-            "{name}: disk tier diverged from generation"
-        );
-    }
-    let _ = std::fs::remove_dir_all(store.dir());
 }
 
 #[test]
@@ -129,7 +105,7 @@ fn server_serves_named_workloads_from_the_catalog() {
     let trace = spec95::cached("m88ksim", SCALE).unwrap();
     assert_eq!(
         summary.result,
-        simulate(predictor_spec.build(), &trace),
+        simulate_flat(predictor_spec.build(), &trace),
         "server-side corpus run diverged from local simulation"
     );
 

@@ -81,7 +81,7 @@ fn ev8_predictor_handles_every_suite_benchmark() {
         .into_iter()
         .map(|name| {
             Box::new(move || {
-                let trace = spec95::cached_flat(name, 0.002).unwrap();
+                let trace = spec95::cached(name, 0.002).unwrap();
                 let r = ev8_sim::simulate_flat(Ev8Predictor::ev8(), &trace);
                 assert!(
                     r.accuracy() > 0.6,

@@ -13,14 +13,18 @@ use ev8_faults::{ArraySelector, FaultInjector, FaultLog, FaultPlan};
 use ev8_predictors::introspect::ArrayClass;
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 use ev8_predictors::BranchPredictor;
-use ev8_sim::{drive, simulate, SimResult};
+use ev8_sim::{drive, simulate_flat, SimResult};
 use ev8_trace::frame::encode_records;
-use ev8_trace::{BranchRecord, Pc, Trace};
+use ev8_trace::{BranchRecord, FlatTrace, Pc};
 use ev8_util::bytebuf::ByteBuf;
 use ev8_workloads::spec95;
 
-/// [`simulate`] with a fault injector stepped before every conditional.
-fn faulted_run(mut predictor: TwoBcGskew, trace: &Trace, plan: FaultPlan) -> (SimResult, FaultLog) {
+/// [`simulate_flat`] with a fault injector stepped before every conditional.
+fn faulted_run(
+    mut predictor: TwoBcGskew,
+    trace: &FlatTrace,
+    plan: FaultPlan,
+) -> (SimResult, FaultLog) {
     let mut injector = FaultInjector::new(plan, &predictor);
     let tally = drive(&mut predictor, trace, &mut injector);
     let result = SimResult::new(
@@ -87,8 +91,8 @@ fn seu_campaign_degrades_monotonically_with_zero_panics() {
     const RATES: [f64; 4] = [0.0, 1e-3, 1e-2, 5e-2];
     let config = TwoBcGskewConfig::equal(9, 9);
     for bench in ["compress", "gcc", "go"] {
-        let trace: Arc<Trace> = spec95::cached(bench, 0.002).expect("known benchmark");
-        let baseline = simulate(TwoBcGskew::new(config), &trace);
+        let trace: Arc<FlatTrace> = spec95::cached(bench, 0.002).expect("known benchmark");
+        let baseline = simulate_flat(TwoBcGskew::new(config), &trace);
         let mut curve = Vec::new();
         for (i, &rate) in RATES.iter().enumerate() {
             let plan = FaultPlan::seu(rate).with_seed(0xCA_FE + i as u64);
@@ -116,7 +120,7 @@ fn seu_campaign_degrades_monotonically_with_zero_panics() {
 
 #[test]
 fn targeted_faults_respect_the_selector_end_to_end() {
-    let trace: Arc<Trace> = spec95::cached("compress", 0.001).expect("known benchmark");
+    let trace: Arc<FlatTrace> = spec95::cached("compress", 0.001).expect("known benchmark");
     let config = TwoBcGskewConfig::equal(9, 9);
     for (selector, expect) in [
         (ArraySelector::Class(ArrayClass::Prediction), "prediction"),

@@ -69,11 +69,15 @@ fn fixture_path() -> PathBuf {
 /// `benchmark predictor instructions conditional_branches mispredictions`
 /// line per (benchmark, predictor) pair, block by block, suite order
 /// within a block, LF-terminated.
+///
+/// This is the slow twin: the serial AoS `simulate` over a freshly
+/// generated trace, sharing neither the trace cache nor the packed form
+/// with the batched path.
 fn current_table() -> String {
     let mut out = String::new();
     for block in BLOCKS {
-        for name in spec95::NAMES {
-            let trace = spec95::cached(name, SCALE).expect("benchmark names are known");
+        for spec in spec95::suite() {
+            let (name, trace) = (&spec.name, spec.generate_scaled(SCALE));
             for &key in block {
                 let r = simulate(build(key), &trace);
                 writeln!(
@@ -132,12 +136,12 @@ fn misprediction_counters_match_golden_fixture() {
 }
 
 /// The same grid through the batched sweep engine: each block's
-/// predictors stepped per branch in one pass over the packed flat view.
+/// predictors stepped per branch in one pass over the cached packed trace.
 fn current_table_batched() -> String {
     let mut out = String::new();
     for block in BLOCKS {
         for name in spec95::NAMES {
-            let flat = spec95::cached_flat(name, SCALE).expect("benchmark names are known");
+            let flat = spec95::cached(name, SCALE).expect("benchmark names are known");
             let mut batch: Vec<Box<dyn BranchPredictor>> = block.iter().map(|k| build(k)).collect();
             for (key, r) in block.iter().zip(simulate_many(&mut batch, &flat)) {
                 writeln!(

@@ -61,7 +61,7 @@ fn fixture_path() -> PathBuf {
 fn current_table() -> String {
     let mut out = String::new();
     for name in spec95::NAMES {
-        let flat = spec95::cached_flat(name, SCALE).expect("benchmark names are known");
+        let flat = spec95::cached(name, SCALE).expect("benchmark names are known");
         let config = SamplingConfig::auto(flat.len());
         for key in PREDICTORS {
             let cmp = validate_sampled(&build(key), &flat, &config);

@@ -105,7 +105,8 @@ fn one_context_smt_predicts_exactly_as_the_ev8_predictor() {
             let mut single = Ev8Predictor::new(config);
             let mut smt = SmtEv8::new(config, 1);
             let mut mispredictions = 0;
-            for (i, record) in trace.records().iter().enumerate() {
+            for (i, record) in trace.iter().enumerate() {
+                let record = &record;
                 let predicted = smt.predict_and_update(0, record);
                 assert_eq!(
                     predicted,
@@ -145,7 +146,8 @@ fn unconstrained_ev8_predicts_exactly_as_twobcgskew() {
         let mut ev8 = Ev8Predictor::new(config);
         let mut gskew = TwoBcGskew::new(gskew_config);
         let mut mispredictions = 0;
-        for (i, record) in trace.records().iter().enumerate() {
+        for (i, record) in trace.iter().enumerate() {
+            let record = &record;
             let predicted = ev8.predict_and_update(record);
             assert_eq!(
                 predicted,

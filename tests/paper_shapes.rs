@@ -3,7 +3,7 @@
 //! pin the *directions* that must not regress.
 //!
 //! Traces come from the process-wide cache as packed flat views
-//! ([`spec95::cached_flat`]); multi-benchmark loops fan out over
+//! ([`spec95::cached`]); multi-benchmark loops fan out over
 //! [`run_parallel`] and multi-config comparisons batch over
 //! [`simulate_many`], so each trace streams through the cache once per
 //! benchmark job no matter how many configurations compare on it.
@@ -24,7 +24,7 @@ fn ev8_constraints_cost_little() {
         .into_iter()
         .map(|name| {
             Box::new(move || {
-                let trace = spec95::cached_flat(name, 0.01).unwrap();
+                let trace = spec95::cached(name, 0.01).unwrap();
                 let mut configs: Vec<Box<dyn BranchPredictor>> = vec![
                     Box::new(Ev8Predictor::ev8()),
                     Box::new(Ev8Predictor::new(Ev8Config::unconstrained_512k())),
@@ -58,7 +58,7 @@ fn partial_update_beats_total_update() {
         .into_iter()
         .map(|name| {
             Box::new(move || {
-                let trace = spec95::cached_flat(name, 0.2).unwrap();
+                let trace = spec95::cached(name, 0.2).unwrap();
                 let mut configs: Vec<Box<dyn BranchPredictor>> = vec![
                     Box::new(TwoBcGskew::new(TwoBcGskewConfig::size_512k())),
                     Box::new(TwoBcGskew::new(
@@ -86,7 +86,7 @@ fn partial_update_beats_total_update() {
 fn half_hysteresis_is_nearly_free() {
     // Fig 8: "the effect of using half size hysteresis tables for G0 and
     // Meta is barely noticeable" (except on go).
-    let trace = spec95::cached_flat("vortex", 0.2).unwrap();
+    let trace = spec95::cached("vortex", 0.2).unwrap();
     let mut configs: Vec<Box<dyn BranchPredictor>> = vec![
         Box::new(TwoBcGskew::new(TwoBcGskewConfig::size_512k_small_bim())),
         Box::new(TwoBcGskew::new(TwoBcGskewConfig::ev8_size())),
@@ -106,7 +106,7 @@ fn half_hysteresis_is_nearly_free() {
 fn long_history_beats_log2_history() {
     // §5.3 / Fig 6: history longer than log2(entries) pays off. Checked
     // on the correlation-heavy li analogue.
-    let trace = spec95::cached_flat("li", 0.2).unwrap();
+    let trace = spec95::cached("li", 0.2).unwrap();
     let mut configs: Vec<Box<dyn BranchPredictor>> = vec![
         Box::new(TwoBcGskew::new(TwoBcGskewConfig::size_512k())),
         Box::new(TwoBcGskew::new(
@@ -131,7 +131,7 @@ fn lghist_is_competitive_with_ghist() {
         .into_iter()
         .map(|name| {
             Box::new(move || {
-                let trace = spec95::cached_flat(name, 0.01).unwrap();
+                let trace = spec95::cached(name, 0.01).unwrap();
                 let mut configs: Vec<Box<dyn BranchPredictor>> = vec![
                     Box::new(Ev8Predictor::new(Ev8Config::lghist_512k(
                         HistoryMode::lghist_path(),
@@ -156,7 +156,7 @@ fn lghist_is_competitive_with_ghist() {
 fn three_old_history_loss_is_limited() {
     // Fig 7: "using three fetch blocks old history slightly degrades the
     // accuracy of the predictor, but the impact is limited."
-    let trace = spec95::cached_flat("m88ksim", 0.02).unwrap();
+    let trace = spec95::cached("m88ksim", 0.02).unwrap();
     let mut configs: Vec<Box<dyn BranchPredictor>> = vec![
         Box::new(Ev8Predictor::new(Ev8Config::lghist_512k(
             HistoryMode::lghist_path(),
@@ -184,7 +184,7 @@ fn go_is_the_hardest_benchmark() {
         .into_iter()
         .map(|name| {
             Box::new(move || {
-                let trace = spec95::cached_flat(name, 0.005).unwrap();
+                let trace = spec95::cached(name, 0.005).unwrap();
                 let m = simulate_flat(TwoBcGskew::new(TwoBcGskewConfig::size_512k()), &trace)
                     .misp_per_ki();
                 (name, m)

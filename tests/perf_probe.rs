@@ -31,8 +31,8 @@ fn sweep_engine_probe() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(7);
     for name in ["m88ksim", "li"] {
-        let trace = spec95::cached(name, scale).unwrap();
-        let flat = spec95::cached_flat(name, scale).unwrap();
+        let trace = spec95::benchmark(name).unwrap().generate_scaled(scale);
+        let flat = spec95::cached(name, scale).unwrap();
         let branches = flat.conditional_count() as f64;
         let mut serial_ns = Vec::new();
         let mut transposed_ns = Vec::new();

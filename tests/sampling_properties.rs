@@ -18,7 +18,7 @@ const SCALE: f64 = 0.002;
 
 #[test]
 fn kmeans_is_deterministic_across_runs_and_threads() {
-    let flat = spec95::cached_flat("gcc", SCALE).unwrap();
+    let flat = spec95::cached("gcc", SCALE).unwrap();
     let config = SamplingConfig::auto(flat.len());
     let intervals = profile_intervals(&flat, &config);
     let baseline = cluster_intervals(&intervals, &config);
@@ -57,7 +57,7 @@ fn kmeans_is_deterministic_across_runs_and_threads() {
 #[test]
 fn phase_weights_sum_to_the_interval_count() {
     for name in ["compress", "li", "vortex"] {
-        let flat = spec95::cached_flat(name, SCALE).unwrap();
+        let flat = spec95::cached(name, SCALE).unwrap();
         let config = SamplingConfig::auto(flat.len());
         let intervals = profile_intervals(&flat, &config);
         let phases = cluster_intervals(&intervals, &config);
@@ -78,7 +78,7 @@ fn degenerate_full_coverage_config_is_bit_exact() {
     // Sampling every interval with full warmup must reproduce the
     // serial simulator's integers exactly — the estimator's error is
     // entirely in what it *skips*.
-    let flat = spec95::cached_flat("compress", SCALE).unwrap();
+    let flat = spec95::cached("compress", SCALE).unwrap();
     let mut config = SamplingConfig::auto(flat.len());
     config.anchor_intervals = 0;
     config.tail_samples = usize::MAX;
@@ -96,7 +96,7 @@ fn auto_budget_meets_the_reduction_floor_with_sane_error() {
     // at this test scale the budget must still deliver ≥4.5× and stay
     // within a loose error band (accuracy at scale is pinned by the
     // sampling bench, regression by the golden fixture).
-    let flat = spec95::cached_flat("li", SCALE).unwrap();
+    let flat = spec95::cached("li", SCALE).unwrap();
     let config = SamplingConfig::auto(flat.len());
     let cmp = validate_sampled(&factory(Ev8Predictor::ev8), &flat, &config);
     assert!(
