@@ -256,17 +256,20 @@ impl BlockStats {
     pub fn from_trace(trace: &FlatTrace) -> Self {
         let mut s = BlockStats::default();
         let mut fs = FetchState::new();
-        let mut add = |b: FetchBlock| {
-            s.blocks += 1;
-            s.instructions += b.instructions as u64;
-            if b.conditional_count > 0 {
-                s.blocks_with_conditionals += 1;
-            }
-            s.conditional_branches += b.conditional_count as u64;
-        };
-        trace.for_each(|rec| fs.feed(rec, &mut add));
-        fs.flush(&mut add);
+        trace.for_each(|rec| fs.feed(rec, |b| s.add(&b)));
+        fs.flush(|b| s.add(&b));
         s
+    }
+
+    /// Folds one completed fetch block into the totals, for callers that
+    /// walk the fetch-block stream themselves.
+    pub fn add(&mut self, b: &FetchBlock) {
+        self.blocks += 1;
+        self.instructions += b.instructions as u64;
+        if b.conditional_count > 0 {
+            self.blocks_with_conditionals += 1;
+        }
+        self.conditional_branches += b.conditional_count as u64;
     }
 
     /// Table 3's ratio: conditional branches represented per lghist bit

@@ -10,7 +10,7 @@
 //! ("relatively low line prediction accuracy"), which is why the EV8
 //! devotes 352 Kbits to the backing conditional branch predictor.
 
-use ev8_core::fetch::{blocks_of, BlockStats};
+use ev8_core::fetch::{BlockStats, FetchBlock, FetchState};
 use ev8_core::line_predictor::LinePredictor;
 use ev8_core::ras::ReturnAddressStack;
 use ev8_trace::{BranchKind, FlatTrace};
@@ -29,35 +29,41 @@ pub struct FrontEndAccuracy {
     pub block_size: f64,
 }
 
-/// Measures the front-end predictors over one trace.
+/// Measures the front-end predictors over one trace, in one walk: each
+/// record drives the RAS and the fetch state, whose completed blocks
+/// train the line predictor on successive block starts and accumulate
+/// the block statistics.
 pub fn measure(trace: &FlatTrace) -> FrontEndAccuracy {
-    // Line predictor over the fetch-block stream.
-    let blocks = blocks_of(trace);
     let mut lp = LinePredictor::new(12);
-    let mut prev = None;
-    for b in &blocks {
-        if let Some(p) = prev {
+    // The RAS is sized *below* the workloads' maximum call depth so that
+    // deep recursion (the li analogue) visibly overflows it.
+    let mut ras = ReturnAddressStack::new(8);
+    let mut blocks = BlockStats::default();
+    let mut prev_start = None;
+    let mut on_block = |b: FetchBlock| {
+        if let Some(p) = prev_start {
             lp.train(p, b.start);
         }
-        prev = Some(b.start);
-    }
-
-    // RAS over the control-transfer stream. It is sized *below* the
-    // workloads' maximum call depth so that deep recursion (the li
-    // analogue) visibly overflows it.
-    let mut ras = ReturnAddressStack::new(8);
-    trace.for_each(|rec| match rec.kind {
-        BranchKind::Call => ras.push(rec.pc.next()),
-        BranchKind::Return => {
-            ras.predict_return(rec.target);
+        prev_start = Some(b.start);
+        blocks.add(&b);
+    };
+    let mut fetch = FetchState::new();
+    trace.for_each(|rec| {
+        fetch.feed(rec, &mut on_block);
+        match rec.kind {
+            BranchKind::Call => ras.push(rec.pc.next()),
+            BranchKind::Return => {
+                ras.predict_return(rec.target);
+            }
+            _ => {}
         }
-        _ => {}
     });
+    fetch.flush(&mut on_block);
 
     FrontEndAccuracy {
         line: lp.accuracy(),
         ras: ras.accuracy(),
-        block_size: BlockStats::from_trace(trace).mean_block_size(),
+        block_size: blocks.mean_block_size(),
     }
 }
 

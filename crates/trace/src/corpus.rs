@@ -72,7 +72,7 @@ use crate::flat::{FlatTrace, FlatTraceBuilder};
 use crate::lz;
 use crate::trace::Trace;
 use crate::types::{BranchRecord, Pc};
-use crate::wire::{self, CountingReader};
+use crate::wire::{self, CountingReader, WireCursor};
 
 /// Magic bytes identifying a corpus file.
 pub const CORPUS_MAGIC: [u8; 4] = *b"EV8C";
@@ -209,21 +209,8 @@ impl CorpusWriter {
     /// cursor so the next chunk decodes independently.
     fn seal_chunk(&mut self) {
         debug_assert!(self.pending > 0);
-        let raw = self.buf.as_slice();
-        let packed = lz::compress(raw);
-        let (method, stored) = if packed.len() < raw.len() {
-            (METHOD_LZ, packed)
-        } else {
-            (METHOD_STORED, raw.to_vec())
-        };
-        let entry = ChunkEntry {
-            records: self.pending as u64,
-            raw_len: raw.len() as u64,
-            comp_len: stored.len() as u64,
-            method,
-            crc: crc32(&stored),
-        };
-        self.chunks.push((entry, stored));
+        self.chunks
+            .push(store_chunk(self.buf.as_slice(), self.pending as u64));
         self.buf.clear();
         self.pending = 0;
         self.prev_next = Pc::default();
@@ -267,6 +254,25 @@ impl CorpusWriter {
     }
 }
 
+/// Stores one chunk's wire bytes holding `records` records: compressed
+/// when that is smaller, raw otherwise, with the CRC of what is stored.
+fn store_chunk(raw: &[u8], records: u64) -> (ChunkEntry, Vec<u8>) {
+    let packed = lz::compress(raw);
+    let (method, stored) = if packed.len() < raw.len() {
+        (METHOD_LZ, packed)
+    } else {
+        (METHOD_STORED, raw.to_vec())
+    };
+    let entry = ChunkEntry {
+        records,
+        raw_len: raw.len() as u64,
+        comp_len: stored.len() as u64,
+        method,
+        crc: crc32(&stored),
+    };
+    (entry, stored)
+}
+
 /// Writes `trace` as a corpus with the default chunk size; returns the
 /// encoded size in bytes.
 ///
@@ -301,6 +307,34 @@ pub fn write_corpus_chunked<W: Write>(
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
+
+/// Decodes one chunk's wire bytes (`raw`, declared to hold `records`
+/// records) straight into the packed columns of a block called `name`.
+///
+/// Record-decode errors report `chunk_at` plus the position in the
+/// *decompressed* wire bytes (those positions do not exist in the file,
+/// but they locate the failure within the chunk). The columns are
+/// reserved to `records`, which the index validation bounds by
+/// [`MAX_CHUNK_RECORDS`].
+fn decode_chunk(
+    name: &str,
+    raw: &[u8],
+    records: u64,
+    chunk_at: u64,
+) -> Result<FlatTrace, TraceError> {
+    let mut body = WireCursor::new_at(raw, chunk_at);
+    let mut builder = FlatTraceBuilder::with_capacity(name, records as usize);
+    let mut prev_next = Pc::default();
+    for _ in 0..records {
+        prev_next = body.record(prev_next, |pc, target, kind, taken, gap| {
+            builder.push_fields(pc, target, kind, taken, gap)
+        })?;
+    }
+    if body.offset() - chunk_at != raw.len() as u64 {
+        return Err(body.corrupt("chunk body has trailing bytes"));
+    }
+    Ok(builder.finish())
+}
 
 /// Streaming corpus decoder: validates the prologue eagerly, then yields
 /// one packed [`FlatTrace`] block per chunk from sequential reads.
@@ -559,26 +593,11 @@ impl<R: Read> CorpusReader<R> {
                 &self.raw_buf
             }
         };
-        // Record-decode errors report `chunk_at` plus the position in
-        // the *decompressed* wire bytes (those positions do not exist in
-        // the file, but they locate the failure within the chunk).
-        let mut body = CountingReader::new_at(raw, chunk_at);
-        let mut builder = FlatTraceBuilder::new(&self.name);
-        let mut prev_next = Pc::default();
-        for _ in 0..entry.records {
-            let tag_at = body.offset();
-            let tag = body.read_u8()?;
-            let rec = wire::read_record_body(&mut body, tag, tag_at, prev_next)?;
-            prev_next = rec.next_pc();
-            builder.push(&rec);
-        }
-        if body.offset() - chunk_at != entry.raw_len {
-            return Err(body.corrupt("chunk body has trailing bytes"));
-        }
+        let block = decode_chunk(&self.name, raw, entry.records, chunk_at)?;
         self.cursor += 1;
         self.records_done += entry.records;
-        self.instructions_done += builder.instruction_count();
-        Ok(Some(builder.finish()))
+        self.instructions_done += block.instruction_count();
+        Ok(Some(block))
     }
 
     /// Walks every block in order, invoking `f` on each.
@@ -806,6 +825,126 @@ mod tests {
             }
             other => panic!("expected version rejection, got {other:?}"),
         }
+    }
+
+    /// The chunk decode as it was before the slice parser: the
+    /// `CountingReader` record parser, pushing each record — the slow twin
+    /// [`decode_chunk`] is pinned against.
+    fn decode_chunk_twin(
+        name: &str,
+        raw: &[u8],
+        records: u64,
+        chunk_at: u64,
+    ) -> Result<FlatTrace, TraceError> {
+        let mut body = CountingReader::new_at(raw, chunk_at);
+        let mut builder = FlatTraceBuilder::new(name);
+        let mut prev_next = Pc::default();
+        for _ in 0..records {
+            let tag_at = body.offset();
+            let tag = body.read_u8()?;
+            let rec = wire::read_record_body(&mut body, tag, tag_at, prev_next)?;
+            prev_next = rec.next_pc();
+            builder.push(&rec);
+        }
+        if body.offset() - chunk_at != raw.len() as u64 {
+            return Err(body.corrupt("chunk body has trailing bytes"));
+        }
+        Ok(builder.finish())
+    }
+
+    /// Every branch kind, gaps past the packed column's escape, and PCs
+    /// past the 32-bit word index, so both decoders' escape paths run.
+    fn escape_heavy_sample(n: u64) -> Trace {
+        let mut b = TraceBuilder::new("escapes");
+        for i in 0..n {
+            b.run(match i % 11 {
+                0 => 300,
+                5 => 70_000,
+                _ => i % 5,
+            });
+            let high = if i % 13 == 0 { 1u64 << 36 } else { 0 };
+            let pc = Pc::new(high + 0x2000 + (i % 41) * 4);
+            let target = Pc::new(0x8000 + (i % 23) * 4);
+            b.branch(match i % 5 {
+                0 => BranchRecord::conditional(pc, target, i % 3 == 0),
+                1 => BranchRecord::always_taken(pc, target, BranchKind::Unconditional),
+                2 => BranchRecord::always_taken(pc, target, BranchKind::Call),
+                3 => BranchRecord::always_taken(pc, target, BranchKind::Return),
+                _ => BranchRecord::always_taken(pc, target, BranchKind::IndirectJump),
+            });
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn chunk_decode_matches_its_reader_twin_on_mutated_wire_bytes() {
+        let trace = escape_heavy_sample(2_000);
+        let mut writer = CorpusWriter::with_chunk_len(trace.name(), 256);
+        for r in trace.records() {
+            writer.push(r);
+        }
+        writer.seal_chunk();
+        let chunks = writer.chunks;
+        let raws: Vec<Vec<u8>> = chunks
+            .iter()
+            .map(|(entry, stored)| match entry.method {
+                METHOD_STORED => stored.clone(),
+                _ => {
+                    let mut raw = Vec::new();
+                    lz::decompress(stored, entry.raw_len as usize, &mut raw).unwrap();
+                    raw
+                }
+            })
+            .collect();
+        let (mut ok, mut err, mut reached) = (0u32, 0u32, 0u32);
+        for seed in 0..10_000u64 {
+            let k = seed as usize % chunks.len();
+            let records = chunks[k].0.records;
+            let mutated = ev8_faults::fuzz::corrupt(&raws[k], seed);
+            let same = |got: Result<FlatTrace, TraceError>, want: Result<FlatTrace, TraceError>| {
+                match (got, want) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "seed {seed}"),
+                    // Kind, `what` and offset: the whole Debug rendering.
+                    (Err(a), Err(b)) => {
+                        assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed {seed}")
+                    }
+                    (got, want) => panic!("seed {seed}: slice parser {got:?}, twin {want:?}"),
+                }
+            };
+            let want = decode_chunk_twin(trace.name(), &mutated, records, 1_000);
+            match &want {
+                Ok(_) => ok += 1,
+                Err(_) => err += 1,
+            }
+            same(decode_chunk(trace.name(), &mutated, records, 1_000), want);
+
+            // The same bytes inside a corpus, re-stored with a fresh
+            // chunk CRC (and so a fresh prologue CRC), reach the parser
+            // through `next_block` unless the index refuses the new
+            // length at open.
+            let mut file = CorpusWriter::with_chunk_len(trace.name(), 256);
+            file.record_count = trace.len() as u64;
+            file.instruction_count = trace.instruction_count();
+            file.chunks = chunks.clone();
+            file.chunks[k] = store_chunk(&mutated, records);
+            let mut bytes = Vec::new();
+            file.finish(&mut bytes).unwrap();
+            let Ok(mut reader) = CorpusReader::new(bytes.as_slice()) else {
+                continue;
+            };
+            for _ in 0..k {
+                reader.next_block().unwrap().unwrap();
+            }
+            let chunk_at = reader.r.offset();
+            same(
+                reader.next_block().map(Option::unwrap),
+                decode_chunk_twin(trace.name(), &mutated, records, chunk_at),
+            );
+            reached += 1;
+        }
+        // Both outcomes occur, and all but the length-changing mutations
+        // the index refuses reach the parser through `next_block`.
+        assert_eq!((ok, err, reached), (1_570, 8_430, 8_792));
     }
 
     #[test]

@@ -38,7 +38,8 @@
 //! and every experiment walks; the AoS [`Trace`] is what generators and
 //! corpus writers produce. Both ways of building one pack records by the
 //! same rules: [`FlatTrace::from_trace`] is [`FlatTraceBuilder::push`]
-//! over a whole trace, and the corpus decoder pushes as it decodes.
+//! over a whole trace, and the corpus decoder hands each record's fields
+//! to the same packing body as it decodes them.
 //!
 //! # Example
 //!
@@ -126,14 +127,7 @@ impl FlatTrace {
     /// side tables index records with `u32`; a 4-billion-record trace is
     /// two orders of magnitude past full-scale SPECINT95).
     pub fn from_trace(trace: &Trace) -> Self {
-        let n = trace.len();
-        let mut builder = FlatTraceBuilder::new(trace.name());
-        let f = &mut builder.flat;
-        f.outcomes.reserve_exact(n.div_ceil(64));
-        f.pc_words.reserve_exact(n);
-        f.target_words.reserve_exact(n);
-        f.kinds.reserve_exact(n);
-        f.gaps.reserve_exact(n);
+        let mut builder = FlatTraceBuilder::with_capacity(trace.name(), trace.len());
         for r in trace.records() {
             builder.push(r);
         }
@@ -362,14 +356,17 @@ impl FlatTrace {
     }
 }
 
-/// Incrementally builds a [`FlatTrace`] one record at a time; its
-/// [`push`](FlatTraceBuilder::push) is the one place the packing rules
-/// (u32 words, wide-PC and wide-gap escapes, outcome bits) are written.
+/// Incrementally builds a [`FlatTrace`] one record at a time. One
+/// crate-internal body, `push_fields`, is the one place the packing
+/// rules (u32 words, wide-PC and wide-gap escapes, outcome bits) are
+/// written; [`push`](FlatTraceBuilder::push) hands it a
+/// [`BranchRecord`]'s fields.
 ///
-/// The corpus streaming decoder ([`crate::corpus::CorpusReader`]) packs
-/// each record into the flat columns as it is decoded, so a corpus
-/// replay never materializes the 24 B/record representation, and
-/// [`FlatTrace::from_trace`] is this builder run over a whole AoS trace.
+/// The corpus streaming decoder ([`crate::corpus::CorpusReader`]) hands
+/// `push_fields` each record's fields as the wire parser decodes them,
+/// so a corpus replay never builds a [`BranchRecord`], let alone the
+/// 24 B/record AoS trace, and [`FlatTrace::from_trace`] is this builder
+/// run over a whole AoS trace.
 ///
 /// # Example
 ///
@@ -402,6 +399,19 @@ impl FlatTraceBuilder {
         }
     }
 
+    /// A builder with every column reserved for `records` records, so
+    /// packing that many never reallocates.
+    pub(crate) fn with_capacity(name: &str, records: usize) -> Self {
+        let mut builder = FlatTraceBuilder::new(name);
+        let f = &mut builder.flat;
+        f.outcomes.reserve_exact(records.div_ceil(64));
+        f.pc_words.reserve_exact(records);
+        f.target_words.reserve_exact(records);
+        f.kinds.reserve_exact(records);
+        f.gaps.reserve_exact(records);
+        builder
+    }
+
     /// Appends one record to the packed columns.
     ///
     /// # Panics
@@ -410,35 +420,53 @@ impl FlatTraceBuilder {
     /// side tables index records with `u32`).
     #[inline]
     pub fn push(&mut self, r: &BranchRecord) {
+        self.push_fields(r.pc, r.target, r.kind, r.outcome.is_taken(), r.gap);
+    }
+
+    /// Appends one record, given as its fields, to the packed columns:
+    /// the packing body behind [`FlatTraceBuilder::push`] and the corpus
+    /// decoder.
+    ///
+    /// # Panics
+    ///
+    /// As [`FlatTraceBuilder::push`].
+    #[inline(always)]
+    pub(crate) fn push_fields(
+        &mut self,
+        pc: Pc,
+        target: Pc,
+        kind: BranchKind,
+        taken: bool,
+        gap: u32,
+    ) {
         let f = &mut self.flat;
         let i = f.kinds.len();
         assert!(
             i < u32::MAX as usize,
             "trace too long for the flat view's u32 record indices"
         );
-        let pc_word = r.pc.as_u64() >> 2;
-        let target_word = r.target.as_u64() >> 2;
+        let pc_word = pc.as_u64() >> 2;
+        let target_word = target.as_u64() >> 2;
         if pc_word > u32::MAX as u64 || target_word > u32::MAX as u64 {
-            f.wide_pcs
-                .push((i as u32, r.pc.as_u64(), r.target.as_u64()));
+            f.wide_pcs.push((i as u32, pc.as_u64(), target.as_u64()));
         }
         f.pc_words.push(pc_word as u32);
         f.target_words.push(target_word as u32);
-        f.kinds.push(kind_code(r.kind));
-        if r.gap >= GAP_ESCAPE as u32 {
-            f.wide_gaps.push((i as u32, r.gap));
+        f.kinds.push(kind_code(kind));
+        if gap >= GAP_ESCAPE as u32 {
+            f.wide_gaps.push((i as u32, gap));
             f.gaps.push(GAP_ESCAPE);
         } else {
-            f.gaps.push(r.gap as u8);
+            f.gaps.push(gap as u8);
         }
         if i & 63 == 0 {
             f.outcomes.push(0);
         }
         // Branchless: outcomes are data, and a taken/not-taken branch here
         // would mispredict on every hard-to-predict record.
-        f.outcomes[i >> 6] |= u64::from(r.outcome.is_taken()) << (i & 63);
-        f.conditional_count += u64::from(r.kind.is_conditional());
-        f.instruction_count += 1 + r.gap as u64;
+        f.outcomes[i >> 6] |= u64::from(taken) << (i & 63);
+        f.conditional_count += u64::from(kind.is_conditional());
+        f.instruction_count += 1 + gap as u64;
     }
 
     /// Instructions accounted so far: one per record plus its gap, the

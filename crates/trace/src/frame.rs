@@ -11,9 +11,11 @@
 //! ```
 //!
 //! Frame *kinds* are opaque to this module (the server's protocol module
-//! assigns meanings); what lives here is the hostile-input hardening,
-//! built on the same [`CountingReader`] offset discipline as the corpus
-//! decoder:
+//! assigns meanings); what lives here is the hostile-input hardening.
+//! [`FrameReader`] reads the stream through the same byte-counting reader
+//! as the corpus prologue, and [`decode_records`] parses a payload with
+//! the corpus chunks' slice parser, so every error carries its offset in
+//! the session stream:
 //!
 //! * a declared payload length is validated against the per-frame cap
 //!   **before** any allocation ([`TraceError::FrameTooLarge`]);
@@ -36,8 +38,8 @@ use std::io::{Read, Write};
 use ev8_util::bytebuf::ByteBuf;
 
 use crate::error::TraceError;
-use crate::types::{BranchRecord, Pc};
-use crate::wire::{self, CountingReader, SessionBudget};
+use crate::types::{BranchRecord, Outcome, Pc};
+use crate::wire::{self, CountingReader, SessionBudget, WireCursor};
 
 /// Encoded size of a frame header (kind byte + u32 length).
 pub const FRAME_HEADER_LEN: usize = 5;
@@ -190,9 +192,9 @@ pub fn decode_records(
     base_offset: u64,
     out: &mut Vec<BranchRecord>,
 ) -> Result<(), TraceError> {
-    let mut r = CountingReader::new_at(payload, base_offset);
+    let mut r = WireCursor::new_at(payload, base_offset);
     let count_at = r.offset();
-    let count = r.read_varint()?;
+    let count = r.varint()?;
     // Structural bound: the smallest record encoding is 4 bytes, so an
     // honest count can never exceed payload_len / 4. A forged count is
     // rejected before it buys any allocation.
@@ -206,11 +208,15 @@ pub fn decode_records(
     budget.charge_records(count, count_at)?;
     out.reserve(count as usize);
     for _ in 0..count {
-        let tag_at = r.offset();
-        let tag = r.read_u8()?;
-        let rec = wire::read_record_body(&mut r, tag, tag_at, *prev_next)?;
-        *prev_next = rec.next_pc();
-        out.push(rec);
+        *prev_next = r.record(*prev_next, |pc, target, kind, taken, gap| {
+            out.push(BranchRecord {
+                pc,
+                target,
+                kind,
+                outcome: Outcome::from(taken),
+                gap,
+            })
+        })?;
     }
     Ok(())
 }
@@ -219,6 +225,89 @@ pub fn decode_records(
 mod tests {
     use super::*;
     use crate::types::BranchKind;
+
+    /// [`decode_records`] as it was before the slice parser: the
+    /// `CountingReader` record parser, kept as the slow twin.
+    fn decode_records_twin(
+        payload: &[u8],
+        prev_next: &mut Pc,
+        budget: &mut SessionBudget,
+        base_offset: u64,
+        out: &mut Vec<BranchRecord>,
+    ) -> Result<(), TraceError> {
+        let mut r = CountingReader::new_at(payload, base_offset);
+        let count_at = r.offset();
+        let count = r.read_varint()?;
+        let bound = (payload.len() / 4) as u64;
+        if count > bound {
+            return Err(TraceError::Corrupt {
+                what: "record count exceeds payload structural bound",
+                offset: count_at,
+            });
+        }
+        budget.charge_records(count, count_at)?;
+        out.reserve(count as usize);
+        for _ in 0..count {
+            let tag_at = r.offset();
+            let tag = r.read_u8()?;
+            let rec = wire::read_record_body(&mut r, tag, tag_at, *prev_next)?;
+            *prev_next = rec.next_pc();
+            out.push(rec);
+        }
+        Ok(())
+    }
+
+    /// The 2,000-branch `RECORDS` payload the workspace's
+    /// `fault_injection` sweep corrupts, built the same way.
+    fn fault_sweep_payload() -> Vec<u8> {
+        let records: Vec<BranchRecord> = (0..2_000u64)
+            .map(|i| {
+                BranchRecord::conditional(
+                    Pc::new(0x40_0000 + (i % 97) * 4),
+                    Pc::new(0x41_0000 + (i % 31) * 4),
+                    (i * 2654435761) % 5 != 0,
+                )
+                .with_gap((i % 7) as u32)
+            })
+            .collect();
+        let mut buf = ByteBuf::new();
+        encode_records(&mut buf, &records, &mut Pc::default());
+        buf.into_vec()
+    }
+
+    #[test]
+    fn slice_parser_matches_its_reader_twin_over_ten_thousand_mutations() {
+        let base = fault_sweep_payload();
+        let (mut ok, mut err) = (0u32, 0u32);
+        for seed in 0..10_000u64 {
+            let mutated = ev8_faults::fuzz::corrupt(&base, seed);
+            let (mut cursor, mut twin_cursor) = (Pc::default(), Pc::default());
+            let (mut records, mut twin_records) = (Vec::new(), Vec::new());
+            let got = decode_records(
+                &mutated,
+                &mut cursor,
+                &mut SessionBudget::unlimited(),
+                17,
+                &mut records,
+            );
+            let want = decode_records_twin(
+                &mutated,
+                &mut twin_cursor,
+                &mut SessionBudget::unlimited(),
+                17,
+                &mut twin_records,
+            );
+            match (got, want) {
+                (Ok(()), Ok(())) => ok += 1,
+                // Kind, `what` and offset: the whole Debug rendering.
+                (Err(a), Err(b)) if format!("{a:?}") == format!("{b:?}") => err += 1,
+                (got, want) => panic!("seed {seed}: slice parser {got:?}, twin {want:?}"),
+            }
+            assert_eq!(records, twin_records, "seed {seed}");
+            assert_eq!(cursor, twin_cursor, "seed {seed}");
+        }
+        assert_eq!((ok, err), (1_765, 8_235));
+    }
 
     fn sample_records(n: u64) -> Vec<BranchRecord> {
         (0..n)

@@ -184,12 +184,16 @@ pub(crate) fn decompress(
         if out.len() + match_len > expected_len {
             return Err("output exceeds declared chunk size");
         }
-        // Byte-wise copy: overlapping matches (offset < match_len)
-        // replicate the produced prefix, which is the RLE case.
+        // Block copy, every bound above already checked. A match at
+        // least as far back as it is long is one copy. An overlapping
+        // one (offset < match_len, the RLE case) repeats the last
+        // `offset` bytes: each step copies everything from `start` on,
+        // a whole number of periods, so the copied span doubles.
         let start = out.len() - offset;
-        for src in start..start + match_len {
-            let b = out[src];
-            out.push(b);
+        let end = out.len() + match_len;
+        while out.len() < end {
+            let n = (out.len() - start).min(end - out.len());
+            out.extend_from_within(start..start + n);
         }
         if out.len() == expected_len {
             // Stream may end on a match with no final literal sequence.
@@ -204,6 +208,126 @@ pub(crate) fn decompress(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`decompress`] as it was with a byte-at-a-time match copy: the
+    /// reference the block copy is pinned against.
+    fn decompress_bytewise(
+        input: &[u8],
+        expected_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), &'static str> {
+        out.reserve(expected_len);
+        let mut pos = 0usize;
+        loop {
+            let &token = input.get(pos).ok_or("token runs past end of chunk")?;
+            pos += 1;
+            let mut lit_len = (token >> 4) as usize;
+            if lit_len == 15 {
+                lit_len += read_ext_len(input, &mut pos, expected_len)?;
+            }
+            let lit_end = pos.checked_add(lit_len).ok_or("literal length overflow")?;
+            if lit_end > input.len() {
+                return Err("literals run past end of chunk");
+            }
+            if out.len() + lit_len > expected_len {
+                return Err("output exceeds declared chunk size");
+            }
+            out.extend_from_slice(&input[pos..lit_end]);
+            pos = lit_end;
+            if out.len() == expected_len {
+                if pos != input.len() {
+                    return Err("trailing bytes after final sequence");
+                }
+                return Ok(());
+            }
+            let off = input
+                .get(pos..pos + 2)
+                .ok_or("match offset runs past end of chunk")?;
+            pos += 2;
+            let offset = u16::from_le_bytes([off[0], off[1]]) as usize;
+            if offset == 0 {
+                return Err("zero match offset");
+            }
+            if offset > out.len() {
+                return Err("match offset before start of output");
+            }
+            let mut match_len = (token & 0x0F) as usize + MIN_MATCH;
+            if match_len == 15 + MIN_MATCH {
+                match_len += read_ext_len(input, &mut pos, expected_len)?;
+            }
+            if out.len() + match_len > expected_len {
+                return Err("output exceeds declared chunk size");
+            }
+            let start = out.len() - offset;
+            for src in start..start + match_len {
+                let b = out[src];
+                out.push(b);
+            }
+            if out.len() == expected_len {
+                if pos != input.len() {
+                    return Err("trailing bytes after final sequence");
+                }
+                return Ok(());
+            }
+        }
+    }
+
+    /// Both decoders on one stream: equal result, and equal output bytes.
+    fn assert_same_as_bytewise(stream: &[u8], expected_len: usize) -> Result<(), &'static str> {
+        let (mut fast, mut slow) = (Vec::new(), Vec::new());
+        let got = decompress(stream, expected_len, &mut fast);
+        assert_eq!(
+            got,
+            decompress_bytewise(stream, expected_len, &mut slow),
+            "stream {stream:?}"
+        );
+        assert_eq!(fast, slow, "stream {stream:?}");
+        got
+    }
+
+    #[test]
+    fn block_match_copy_matches_bytewise_on_hand_built_streams() {
+        let literals: Vec<u8> = (1..=16u8).map(|b| b.wrapping_mul(37)).collect();
+        let mut decoded = 0usize;
+        for offset in 1..=16usize {
+            let lengths = (MIN_MATCH..=19).chain([20, 33, 64, 255, 274, 275, 529, 1000]);
+            for match_len in lengths {
+                // One literal run of `offset` bytes, then one match that
+                // ends the stream; a nibble of 15 carries on in extension
+                // bytes (literal runs of 15 and 16, match lengths >= 19).
+                let lit_nibble = offset.min(15);
+                let match_nibble = (match_len - MIN_MATCH).min(15);
+                let mut stream = vec![((lit_nibble as u8) << 4) | match_nibble as u8];
+                if lit_nibble == 15 {
+                    put_ext_len(&mut stream, offset - 15);
+                }
+                stream.extend_from_slice(&literals[..offset]);
+                let offset_at = stream.len();
+                stream.extend_from_slice(&(offset as u16).to_le_bytes());
+                if match_nibble == 15 {
+                    put_ext_len(&mut stream, match_len - MIN_MATCH - 15);
+                }
+                let total = offset + match_len;
+                assert_same_as_bytewise(&stream, total).expect("well-formed stream");
+                // The same stream against wrong declared sizes, cut
+                // short, and with its offset reaching before the output.
+                for declared in [total - 1, total + 1, total + 5] {
+                    assert!(assert_same_as_bytewise(&stream, declared).is_err());
+                }
+                for cut in 0..stream.len() {
+                    assert!(assert_same_as_bytewise(&stream[..cut], total).is_err());
+                }
+                let mut far = stream.clone();
+                far[offset_at..offset_at + 2].copy_from_slice(&((offset + 1) as u16).to_le_bytes());
+                assert_eq!(
+                    assert_same_as_bytewise(&far, total),
+                    Err("match offset before start of output")
+                );
+                decoded += 1;
+            }
+        }
+        assert_eq!(decoded, 16 * (16 + 8));
+    }
 
     fn roundtrip(data: &[u8]) -> Vec<u8> {
         let packed = compress(data);

@@ -6,17 +6,23 @@
 //! the record encode/decode logic, so hardening against corrupt inputs
 //! lands in one place.
 //!
-//! All decoding goes through [`CountingReader`], which tracks the byte
-//! offset consumed so far: every corrupt-path [`TraceError`] reports
-//! *where* in the input the problem was detected, which is what makes
-//! fuzzer findings and truncated-download reports actionable.
+//! Records are parsed by one slice parser, [`WireCursor`]: corpus chunks
+//! and `RECORDS` payloads are both in memory by the time their records
+//! are read, so the parser walks a byte slice with a position instead of
+//! pulling bytes through [`std::io::Read`]. What reads a *stream* — the
+//! corpus prologue and [`crate::frame::FrameReader`] — goes through
+//! [`CountingReader`]. Both track the byte offset consumed so far, so
+//! every corrupt-path [`TraceError`] reports *where* in the input the
+//! problem was detected, which is what makes fuzzer findings and
+//! truncated-download reports actionable. The `Read`-based record
+//! parser the slice parser replaced stays in the tests as its slow twin.
 
 use std::io::Read;
 
 use ev8_util::bytebuf::ByteBuf;
 
 use crate::error::TraceError;
-use crate::types::{BranchKind, BranchRecord, Outcome, Pc};
+use crate::types::{BranchKind, BranchRecord, Pc};
 
 /// Trace names longer than this are rejected as corrupt rather than
 /// allocated: a flipped bit in the name-length varint must not buy a
@@ -86,9 +92,9 @@ impl<R: Read> CountingReader<R> {
         CountingReader { inner, offset: 0 }
     }
 
-    /// A reader whose offset starts at `offset` instead of 0 — used when
-    /// decoding a payload extracted from a larger stream (a frame body),
-    /// so errors report positions in the *session* stream, not the slice.
+    /// A reader whose offset starts at `offset` instead of 0 — the slow
+    /// twin's view of a payload extracted from a larger stream.
+    #[cfg(test)]
     pub(crate) fn new_at(inner: R, offset: u64) -> Self {
         CountingReader { inner, offset }
     }
@@ -169,6 +175,128 @@ impl<R: Read> CountingReader<R> {
             }
             shift += 7;
         }
+    }
+}
+
+/// The one wire-record parser: a cursor over bytes already in memory.
+///
+/// `base` is the slice's position in the enclosing stream, so error
+/// offsets are stream positions — session offsets for a `RECORDS`
+/// payload, the chunk's file offset plus the position in its
+/// decompressed wire bytes for a corpus chunk. It makes the checks of
+/// the `Read`-based parser it replaced, in the same order and with the
+/// same error and offset for each (pinned against that parser, kept as a
+/// test-only twin, over seeded mutations of frame payloads and corpus
+/// chunks).
+pub(crate) struct WireCursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    base: u64,
+}
+
+impl<'a> WireCursor<'a> {
+    /// A cursor at the start of `bytes`, which sit at stream offset
+    /// `base`.
+    pub(crate) fn new_at(bytes: &'a [u8], base: u64) -> Self {
+        WireCursor {
+            bytes,
+            pos: 0,
+            base,
+        }
+    }
+
+    /// Stream offset of the next unread byte.
+    #[inline]
+    pub(crate) fn offset(&self) -> u64 {
+        self.base + self.pos as u64
+    }
+
+    /// Builds a [`TraceError::Corrupt`] at the current offset.
+    pub(crate) fn corrupt(&self, what: &'static str) -> TraceError {
+        TraceError::Corrupt {
+            what,
+            offset: self.offset(),
+        }
+    }
+
+    /// Reads one byte; running out reports [`TraceError::UnexpectedEof`]
+    /// at the bytes consumed so far.
+    #[inline(always)]
+    fn byte(&mut self) -> Result<u8, TraceError> {
+        match self.bytes.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(TraceError::UnexpectedEof {
+                offset: self.offset(),
+            }),
+        }
+    }
+
+    /// Reads an LEB128 varint, rejecting encodings wider than 64 bits at
+    /// the varint's first byte.
+    #[inline(always)]
+    pub(crate) fn varint(&mut self) -> Result<u64, TraceError> {
+        let start = self.offset();
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let b = self.byte()?;
+            if shift >= 64 || (shift == 63 && (b & 0x7f) > 1) {
+                return Err(TraceError::Corrupt {
+                    what: "varint overflow",
+                    offset: start,
+                });
+            }
+            v |= ((b & 0x7f) as u64) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// Parses one record whose PC delta chain continues from `prev_next`
+    /// and hands its fields — pc, target, kind, taken, gap — to `put`,
+    /// with no [`BranchRecord`] built in between. Returns the address
+    /// that executes after the record (its target when taken, else its
+    /// fall-through): the next record's `prev_next`.
+    ///
+    /// Tag bits 4–7 are ignored. Errors: an unknown kind tag, or an
+    /// always-taken kind marked not-taken, at the tag; a varint overflow
+    /// at the varint's first byte; a gap over `u32` at the gap; running
+    /// out of bytes at the bytes consumed so far.
+    #[inline(always)]
+    pub(crate) fn record(
+        &mut self,
+        prev_next: Pc,
+        put: impl FnOnce(Pc, Pc, BranchKind, bool, u32),
+    ) -> Result<Pc, TraceError> {
+        let tag_at = self.offset();
+        let tag = self.byte()?;
+        let kind = kind_from_tag(tag & KIND_MASK).ok_or(TraceError::Corrupt {
+            what: "unknown branch kind tag",
+            offset: tag_at,
+        })?;
+        let taken = tag & TAKEN_BIT != 0;
+        if kind.is_always_taken() && !taken {
+            return Err(TraceError::Corrupt {
+                what: "non-conditional branch marked not-taken",
+                offset: tag_at,
+            });
+        }
+        let pc_delta = zigzag_decode(self.varint()?);
+        let pc = Pc::new(prev_next.as_u64().wrapping_add(pc_delta as u64));
+        let tgt_delta = zigzag_decode(self.varint()?);
+        let target = Pc::new(pc.as_u64().wrapping_add(tgt_delta as u64));
+        let gap_at = self.offset();
+        let gap = u32::try_from(self.varint()?).map_err(|_| TraceError::Corrupt {
+            what: "gap exceeds u32",
+            offset: gap_at,
+        })?;
+        put(pc, target, kind, taken, gap);
+        Ok(if taken { target } else { pc.next() })
     }
 }
 
@@ -310,8 +438,9 @@ pub(crate) fn put_record(buf: &mut ByteBuf, rec: &BranchRecord, prev_next: Pc) {
 }
 
 /// Decodes the body of one record, `tag` having already been read at
-/// offset `tag_at`. Shared by the corpus chunk decoder and
-/// [`crate::frame::decode_records`].
+/// offset `tag_at`: the `Read`-based record parser [`WireCursor::record`]
+/// replaced, kept as its slow twin.
+#[cfg(test)]
 pub(crate) fn read_record_body<R: Read>(
     r: &mut CountingReader<R>,
     tag: u8,
@@ -343,7 +472,7 @@ pub(crate) fn read_record_body<R: Read>(
         pc,
         target,
         kind,
-        outcome: Outcome::from(taken),
+        outcome: crate::types::Outcome::from(taken),
         gap,
     })
 }

@@ -3,7 +3,9 @@
 //! The wire encoders of the trace crate (corpus chunks and prologue,
 //! session `RECORDS` payloads) append primitive values to a growable
 //! buffer; [`ByteBuf`] provides that on top of `Vec<u8>`, nothing more.
-//! Decoding reads through `std::io::Read`, so there is no cursor type.
+//! Decoding needs no counterpart here: the trace crate parses records
+//! from byte slices with its own wire cursor, and reads stream headers
+//! through `std::io::Read`.
 //!
 //! # Example
 //!

@@ -319,7 +319,9 @@ impl CorpusStore {
 
     /// Generates `spec` at `scale`, writes it as a corpus file and
     /// catalogs it, replacing any existing entry with the same identity.
-    /// Returns the new entry.
+    /// Returns the new entry. The file is written under a temporary name
+    /// and renamed into place, so a build that fails leaves an existing
+    /// entry's file and the catalog as they were.
     ///
     /// # Errors
     ///
@@ -335,14 +337,20 @@ impl CorpusStore {
         let (instructions, fingerprint) = (scaled.instructions, scaled.fingerprint());
         let trace = scaled.generate();
         let file = format!("{}-{}-{:016x}.ev8c", spec.name, instructions, fingerprint);
-        let path = self.dir.join(&file);
         let mut writer = CorpusWriter::new(trace.name());
         for rec in trace.records() {
             writer.push(rec);
         }
-        let mut out = BufWriter::new(File::create(&path)?);
+        // Write-then-rename, as for the catalog: a rebuild of an entry
+        // reuses its file name, so writing in place would destroy the
+        // live file before the new one is complete, and a failed write
+        // would leave the catalog pointing at a torn file.
+        let tmp = self.dir.join(format!("{file}.tmp"));
+        let mut out = BufWriter::new(File::create(&tmp)?);
         writer.finish(&mut out)?;
         out.flush()?;
+        drop(out);
+        fs::rename(&tmp, self.dir.join(&file))?;
         let entry = CatalogEntry {
             benchmark: spec.name.clone(),
             seed: spec.seed,
@@ -465,6 +473,22 @@ mod tests {
         store.build(&spec, 0.5).unwrap();
         store.build(&spec, 0.5).unwrap();
         assert_eq!(store.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_rebuild_leaves_the_live_file_intact() {
+        let dir = tmp_dir("torn");
+        let mut store = CorpusStore::open(&dir).unwrap();
+        let spec = tiny_spec();
+        let entry = store.build(&spec, 0.5).unwrap();
+        // A directory where the rebuild's temporary file would go makes
+        // the rebuild's write fail.
+        fs::create_dir(dir.join(format!("{}.tmp", entry.file))).unwrap();
+        assert!(store.build(&spec, 0.5).is_err());
+        assert_eq!(store.entries(), std::slice::from_ref(&entry));
+        assert_eq!(store.verify(&entry).unwrap(), entry.record_count);
+        CorpusStore::open(&dir).unwrap().verify_all().unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -85,11 +85,15 @@ paper_shapes_elapsed=$(stage_seconds "$(date +%s)" paper_shapes)
 check_budget paper_shapes "$PAPER_SHAPES_BUDGET" "$paper_shapes_elapsed"
 
 # Robustness smoke, also budgeted: ten thousand fixed-seed corruptions
-# of a session RECORDS payload through frame::decode_records, the one
-# record parser with no CRC in front of it (far past the 256-mutation
-# floor the fuzz contract requires), plus the SEU fault-injection
-# campaign across three benchmarks. Every case replays from a literal
-# seed, so a failure here is a one-line reproduction.
+# of a session RECORDS payload through frame::decode_records — the wire
+# record slice parser corpus chunks share, reached here with no CRC in
+# front of it (far past the 256-mutation floor the fuzz contract
+# requires) — plus the SEU fault-injection campaign across three
+# benchmarks. Every case replays from a literal seed, so a failure here
+# is a one-line reproduction. (That the slice parser returns exactly
+# what its test-only io::Read twin returns, on the same ten thousand
+# mutations and on mutated corpus chunks, is pinned by ev8-trace's unit
+# tests in the workspace run above.)
 FAULTS_BUDGET="${EV8_FAULTS_BUDGET:-120}"
 faults_elapsed=$(stage_seconds "$(date +%s)" fault_injection)
 check_budget fault_injection "$FAULTS_BUDGET" "$faults_elapsed"
@@ -146,11 +150,13 @@ check_budget server_chaos "$SERVER_BUDGET" "$server_elapsed"
 # property roundtrip suite (arbitrary traces across chunk sizes), the
 # golden byte-level format pin (re-bless intended format changes with
 # EV8_BLESS_GOLDEN=1 after bumping CORPUS_VERSION), the corruption sweep
-# (10k seeded body mutations, all caught by the chunk CRC), and the
-# differential pipeline pin (streaming decode → simulate bit-identical
-# to the in-RAM path, cache tier, server BEGIN_WORKLOAD end-to-end).
-# Then the builder binary round-trips a real store on disk at smoke
-# scale and re-verifies every chunk checksum through the catalog.
+# (10k seeded body mutations, all caught by the slicing-by-8 chunk CRC
+# before the block-copy LZ decoder or the slice parser runs), and the
+# differential pipeline pin (streaming decode straight into packed
+# blocks → simulate bit-identical to the in-RAM path, server
+# BEGIN_WORKLOAD end-to-end). Then the builder binary round-trips a real
+# store on disk at smoke scale and re-verifies every chunk checksum
+# through the catalog.
 CORPUS_BUDGET="${EV8_CORPUS_BUDGET:-120}"
 corpus_start=$(date +%s)
 corpus_smoke_dir="$PWD/target/corpus-smoke"
