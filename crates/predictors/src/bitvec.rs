@@ -266,7 +266,7 @@ impl Counter2Table {
     ///
     /// Single read-modify-write of the backing word: the lane shift is
     /// computed once and the word access compiles without a bounds check
-    /// (see [`word_index`](Self::word_index) — the get-then-set
+    /// (see the private `word_index` — the get-then-set
     /// formulation paid the shift and two checked accesses, which showed
     /// up in the table-layout bench).
     #[inline]

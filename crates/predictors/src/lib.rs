@@ -48,6 +48,7 @@ pub mod egskew;
 pub mod gshare;
 pub mod history;
 pub mod introspect;
+pub mod linear;
 pub mod observe;
 pub mod perceptron;
 mod predictor;

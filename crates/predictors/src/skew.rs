@@ -19,9 +19,14 @@
 //! * [`InfoVector`] — packs (PC, global history) into the two halves
 //!   consumed by [`skew_index`].
 //!
-//! The skewed predictors compute these on every branch, so the per-branch
-//! forms are the fast ones, each pinned by the tests against a plain
-//! reference written straight from the definition:
+//! e-gskew computes these on every branch, and so does the EV8's
+//! complete-hash arm in `ev8-core`. [`TwoBcGskew`](crate::twobcgskew::TwoBcGskew)
+//! computes them per branch only for geometries its tabulated index map
+//! cannot hold (an index over 16 bits or a history over 32); otherwise it
+//! evaluates them on unit vectors once, in `new`, to build that map (see
+//! [`crate::linear`]), and indexes through eight table lookups. The
+//! per-branch forms are the fast ones, each pinned by the tests against a
+//! plain reference written straight from the definition:
 //!
 //! | fast form | reference |
 //! |---|---|

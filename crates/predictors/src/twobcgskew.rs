@@ -14,6 +14,15 @@
 //! per-table sizes, and smaller (shared) hysteresis tables, plus the choice
 //! between the paper's partial update policy and a naive total update
 //! policy (for the ablation benches).
+//!
+//! Each table is indexed by a skewing function of its own (PC, history)
+//! information vector ([`crate::skew`]). [`TwoBcGskew`] evaluates all
+//! four through one tabulated linear map of them ([`crate::linear`]);
+//! a geometry the map cannot hold (an index over 16 bits or a history
+//! over 32) evaluates the skewing functions themselves.
+
+use std::fmt;
+use std::sync::Arc;
 
 use ev8_trace::{BranchRecord, Outcome, Pc};
 
@@ -21,6 +30,7 @@ use crate::counter::Counter2;
 use crate::egskew::majority;
 use crate::history::GlobalHistory;
 use crate::introspect::{ArrayInfo, FaultTarget};
+use crate::linear::{self, Span};
 use crate::predictor::BranchPredictor;
 use crate::provenance::{Provenance, UpdateAction};
 use crate::skew::InfoVector;
@@ -218,6 +228,27 @@ impl TwoBcGskewConfig {
         let table = |t: &TableConfig| (1u64 << t.index_bits) + (1u64 << t.hysteresis_index_bits);
         table(&self.bim) + table(&self.g0) + table(&self.g1) + table(&self.meta)
     }
+
+    /// The four indices of `pc` under the global history `h`, straight
+    /// from the definition: the BIM from the PC alone (or, with history,
+    /// skewed as bank 0), G0, G1 and Meta as banks 1..3 of the skewing
+    /// family over their own information vectors. The reference that
+    /// [`IndexMap`] is built from and pinned against, and the index path
+    /// of the configs the map cannot hold.
+    fn reference_indices(&self, pc: Pc, h: u64) -> Indices {
+        let bim = if self.bim.history_length == 0 {
+            pc.bits(2, self.bim.index_bits) as usize
+        } else {
+            InfoVector::new(pc, h, self.bim.history_length, self.bim.index_bits).index(0) as usize
+        };
+        let g0 =
+            InfoVector::new(pc, h, self.g0.history_length, self.g0.index_bits).index(1) as usize;
+        let g1 =
+            InfoVector::new(pc, h, self.g1.history_length, self.g1.index_bits).index(2) as usize;
+        let meta = InfoVector::new(pc, h, self.meta.history_length, self.meta.index_bits).index(3)
+            as usize;
+        Indices { bim, g0, g1, meta }
+    }
 }
 
 /// Which component produced the overall prediction.
@@ -259,6 +290,107 @@ pub struct Indices {
     pub g1: usize,
     /// Meta table index.
     pub meta: usize,
+}
+
+impl Indices {
+    /// The four indices as 16-bit lanes of one `u64`, BIM in the low lane
+    /// and then G0, G1 and Meta: the word a tabulated index map
+    /// ([`crate::linear`]) stores and XORs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index does not fit 16 bits.
+    pub fn to_lanes(self) -> u64 {
+        let lanes = [self.bim, self.g0, self.g1, self.meta];
+        assert!(
+            lanes.iter().all(|&i| i < 1 << 16),
+            "indices must fit 16-bit lanes"
+        );
+        lanes
+            .into_iter()
+            .enumerate()
+            .fold(0, |word, (lane, i)| word | (i as u64) << (16 * lane))
+    }
+
+    /// The indices packed in `word` by [`Indices::to_lanes`].
+    #[inline]
+    pub fn from_lanes(word: u64) -> Self {
+        Indices {
+            bim: (word & 0xFFFF) as usize,
+            g0: (word >> 16 & 0xFFFF) as usize,
+            g1: (word >> 32 & 0xFFFF) as usize,
+            meta: (word >> 48) as usize,
+        }
+    }
+}
+
+/// Widest table index [`IndexMap`]'s 16-bit lanes hold.
+const MAP_INDEX_BITS: u32 = 16;
+/// Longest history [`IndexMap`]'s four history bytes hold.
+const MAP_HISTORY: u32 = 32;
+
+/// The four indices of a [`TwoBcGskewConfig`] as one tabulated
+/// GF(2)-linear map (see [`crate::linear`]), built from
+/// [`TwoBcGskewConfig::reference_indices`].
+///
+/// Every index bit of the reference is an XOR of PC and history bits:
+/// the information vector XOR-folds the masked history onto the PC bits,
+/// the halves are bit fields of it, and `H^{k+1}` and `H^{-(k+1)}` shift
+/// bits and XOR them in. So the four indices packed by
+/// [`Indices::to_lanes`] are a linear function of `a2..` and `h0..`:
+/// four byte tables over the PC bits `a2..a33` and four over the history
+/// bits `h0..h31`, 16 KB, each entry the reference on unit vectors. A
+/// config takes the map when every index fits a lane (at most 16 bits,
+/// so no table reads a PC bit above `a33`) and every history length is
+/// at most 32; other configs index through the reference.
+#[derive(Clone, PartialEq, Eq)]
+struct IndexMap {
+    /// Images of `a2..a9`, `a10..a17`, `a18..a25` and `a26..a33`.
+    pc: [Span<256>; 4],
+    /// Images of `h0..h7`, `h8..h15`, `h16..h23` and `h24..h31`.
+    history: [Span<256>; 4],
+}
+
+impl IndexMap {
+    /// Tabulates `config`'s reference indices, or `None` when they do not
+    /// fit the map.
+    fn new(config: &TwoBcGskewConfig) -> Option<Self> {
+        let tables = [config.bim, config.g0, config.g1, config.meta];
+        if tables
+            .iter()
+            .any(|t| t.index_bits > MAP_INDEX_BITS || t.history_length > MAP_HISTORY)
+        {
+            return None;
+        }
+        let image = |pc: u64, h: u64| config.reference_indices(Pc::new(pc), h).to_lanes();
+        Some(IndexMap {
+            pc: linear::byte_spans(|bit| image(1 << (2 + bit), 0)),
+            history: linear::byte_spans(|bit| image(0, 1 << bit)),
+        })
+    }
+
+    /// The four indices of `pc` under the history `h`: eight lookups
+    /// XORed together.
+    #[inline]
+    fn indices(&self, pc: Pc, h: u64) -> Indices {
+        let a = pc.as_u64() >> 2;
+        Indices::from_lanes(
+            self.pc[0].get(a)
+                ^ self.pc[1].get(a >> 8)
+                ^ self.pc[2].get(a >> 16)
+                ^ self.pc[3].get(a >> 24)
+                ^ self.history[0].get(h)
+                ^ self.history[1].get(h >> 8)
+                ^ self.history[2].get(h >> 16)
+                ^ self.history[3].get(h >> 24),
+        )
+    }
+}
+
+impl fmt::Debug for IndexMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IndexMap").finish_non_exhaustive()
+    }
 }
 
 /// Fault-array names, table-major in EV8 bank order (BIM, G0, G1, Meta),
@@ -528,6 +660,9 @@ pub struct TwoBcGskew {
     config: TwoBcGskewConfig,
     tables: Tables,
     history: GlobalHistory,
+    /// The config's indices as a tabulated map, shared by clones; `None`
+    /// when they do not fit it, and the reference computes them.
+    map: Option<Arc<IndexMap>>,
     /// Commit-time update queue: (indices captured at prediction time,
     /// resolved outcome). Empty when `commit_window == 0`.
     pending: std::collections::VecDeque<(Indices, Outcome)>,
@@ -539,6 +674,7 @@ impl TwoBcGskew {
         TwoBcGskew {
             tables: Tables::new(config.bim, config.g0, config.g1, config.meta),
             history: GlobalHistory::new(config.max_history().min(64)),
+            map: IndexMap::new(&config).map(Arc::new),
             pending: std::collections::VecDeque::with_capacity(config.commit_window + 1),
             config,
         }
@@ -565,41 +701,14 @@ impl TwoBcGskew {
         self.tables.write_traffic()
     }
 
+    /// The four indices of `pc` under the current history: through the
+    /// map when the config has one, else through the reference.
     fn indices(&self, pc: Pc) -> Indices {
         let h = self.history.bits();
-        let bim = if self.config.bim.history_length == 0 {
-            pc.bits(2, self.config.bim.index_bits) as usize
-        } else {
-            InfoVector::new(
-                pc,
-                h,
-                self.config.bim.history_length,
-                self.config.bim.index_bits,
-            )
-            .index(0) as usize
-        };
-        let g0 = InfoVector::new(
-            pc,
-            h,
-            self.config.g0.history_length,
-            self.config.g0.index_bits,
-        )
-        .index(1) as usize;
-        let g1 = InfoVector::new(
-            pc,
-            h,
-            self.config.g1.history_length,
-            self.config.g1.index_bits,
-        )
-        .index(2) as usize;
-        let meta = InfoVector::new(
-            pc,
-            h,
-            self.config.meta.history_length,
-            self.config.meta.index_bits,
-        )
-        .index(3) as usize;
-        Indices { bim, g0, g1, meta }
+        match &self.map {
+            Some(map) => map.indices(pc, h),
+            None => self.config.reference_indices(pc, h),
+        }
     }
 
     /// The one lookup per branch: the four indices under the current
@@ -1165,5 +1274,240 @@ mod tests {
         let n = p.name();
         assert!(n.contains("BIM") && n.contains("G0") && n.contains("G1") && n.contains("Meta"));
         assert!(n.contains("352Kb"));
+    }
+
+    /// Every 2Bc-gskew geometry the tree builds, named by where it is
+    /// built, and the server's and the tests' equal-table configs over
+    /// every width and history length the map holds.
+    fn tree_configs() -> Vec<(String, TwoBcGskewConfig)> {
+        let size_512k = TwoBcGskewConfig::size_512k();
+        let mut configs = vec![
+            ("Fig 5 256K".into(), TwoBcGskewConfig::size_256k()),
+            ("Fig 5 512K".into(), size_512k),
+            (
+                "Fig 6 256K h15".into(),
+                TwoBcGskewConfig::size_256k().with_history_lengths(0, 15, 15, 15),
+            ),
+            (
+                "Fig 6 512K h16".into(),
+                size_512k.with_history_lengths(0, 16, 16, 16),
+            ),
+            (
+                "Fig 8 small BIM".into(),
+                TwoBcGskewConfig::size_512k_small_bim(),
+            ),
+            ("EV8 size".into(), TwoBcGskewConfig::ev8_size()),
+            (
+                "ablation h20".into(),
+                size_512k.with_history_lengths(0, 20, 20, 20),
+            ),
+            (
+                "ablation private hysteresis".into(),
+                TwoBcGskewConfig {
+                    g0: TableConfig::new(16, 13),
+                    meta: TableConfig::new(16, 15),
+                    ..TwoBcGskewConfig::ev8_size()
+                },
+            ),
+            (
+                "SEU subject".into(),
+                TwoBcGskewConfig {
+                    bim: TableConfig::new(10, 0),
+                    g0: TableConfig::with_half_hysteresis(10, 8),
+                    g1: TableConfig::new(10, 12),
+                    meta: TableConfig::with_half_hysteresis(10, 10),
+                    update_policy: UpdatePolicy::Partial,
+                    commit_window: 0,
+                },
+            ),
+        ];
+        // The history-length sweep scales G0 and Meta with G1.
+        for h in [0, 4, 8, 12, 16, 20, 24, 27] {
+            let (g0, meta) = ((h * 17 / 27).min(h), (h * 20 / 27).min(h));
+            configs.push((
+                format!("history sweep G1 h{h}"),
+                size_512k.with_history_lengths(0, g0, h, meta),
+            ));
+        }
+        // The history-tuning example's G1 lengths that fit the map.
+        for h in [0, 4, 8, 12, 16, 20, 24, 27, 32] {
+            configs.push((
+                format!("history tuning G1 h{h}"),
+                size_512k.with_history_lengths(0, 17, h, 20),
+            ));
+        }
+        for index_bits in 1..=MAP_INDEX_BITS {
+            for history in 0..=MAP_HISTORY {
+                configs.push((
+                    format!("equal({index_bits}, {history})"),
+                    TwoBcGskewConfig::equal(index_bits, history),
+                ));
+            }
+        }
+        // Per-table geometry, as the batched-equivalence suite draws it,
+        // within the map's widths.
+        let mut xs = lcg_stream(0x5EED_0005);
+        for i in 0..64 {
+            let mut table = || {
+                let x = xs.next().unwrap();
+                let (index_bits, history) = (1 + (x % 16) as u32, (x >> 8) as u32 % 33);
+                if index_bits > 1 && x >> 20 & 1 == 1 {
+                    TableConfig::with_half_hysteresis(index_bits, history)
+                } else {
+                    TableConfig::new(index_bits, history)
+                }
+            };
+            let config = TwoBcGskewConfig {
+                bim: table(),
+                g0: table(),
+                g1: table(),
+                meta: table(),
+                ..TwoBcGskewConfig::equal(1, 0)
+            };
+            configs.push((format!("random geometry {i}: {config:?}"), config));
+        }
+        configs
+    }
+
+    /// A deterministic stream of 64-bit values.
+    fn lcg_stream(seed: u64) -> impl Iterator<Item = u64> {
+        std::iter::successors(Some(seed), |x| {
+            Some(
+                x.wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407),
+            )
+        })
+        .map(|x| x ^ (x >> 29))
+    }
+
+    fn map_of(name: &str, config: &TwoBcGskewConfig) -> IndexMap {
+        IndexMap::new(config).unwrap_or_else(|| panic!("{name} must take the map"))
+    }
+
+    #[test]
+    fn configs_take_the_path_their_widths_allow() {
+        for (name, config) in tree_configs() {
+            assert!(IndexMap::new(&config).is_some(), "{name}");
+        }
+        // Fig 10's 20-bit tables, histories past 32 bits and the
+        // server's widest equal-table configs keep the reference.
+        let wide = [
+            TwoBcGskewConfig::size_4x1m(),
+            TwoBcGskewConfig::size_512k().with_history_lengths(0, 17, 40, 20),
+            TwoBcGskewConfig::equal(17, 0),
+            TwoBcGskewConfig::equal(16, 33),
+            TwoBcGskewConfig::equal(24, 64),
+        ];
+        for config in wide {
+            assert!(IndexMap::new(&config).is_none(), "{config:?}");
+            assert!(TwoBcGskew::new(config).map.is_none());
+        }
+        assert!(TwoBcGskew::new(TwoBcGskewConfig::size_512k()).map.is_some());
+    }
+
+    #[test]
+    fn index_map_matches_the_reference_on_every_table_entry() {
+        for (name, config) in tree_configs() {
+            let map = map_of(&name, &config);
+            let check = |pc: u64, h: u64| {
+                assert_eq!(
+                    map.indices(Pc::new(pc), h),
+                    config.reference_indices(Pc::new(pc), h),
+                    "{name}: pc {pc:#x} history {h:#x}"
+                );
+            };
+            // Every value of each tabulated byte alone.
+            for byte in 0..4 {
+                for v in 0..256u64 {
+                    check(v << (2 + 8 * byte), 0);
+                    check(0, v << (8 * byte));
+                }
+            }
+            // Every single input bit, read by the reference or not.
+            for bit in 0..64 {
+                check(1 << bit, 0);
+                check(0, 1 << bit);
+            }
+        }
+    }
+
+    #[test]
+    fn index_map_matches_the_reference_on_random_inputs() {
+        let mut xs = lcg_stream(0x5EED_0003);
+        for (name, config) in tree_configs() {
+            let map = map_of(&name, &config);
+            for _ in 0..64 {
+                let (pc, h) = (Pc::new(xs.next().unwrap()), xs.next().unwrap());
+                assert_eq!(
+                    map.indices(pc, h),
+                    config.reference_indices(pc, h),
+                    "{name}: pc {pc:?} history {h:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bits_the_reference_does_not_read_never_move_the_map() {
+        let mut xs = lcg_stream(0x5EED_0004);
+        for (name, config) in tree_configs() {
+            let map = map_of(&name, &config);
+            let reference = |pc: u64, h: u64| config.reference_indices(Pc::new(pc), h);
+            let unread = |pc: u64, h: u64| reference(pc, h) == Indices::from_lanes(0);
+            let (pc, h) = (xs.next().unwrap(), xs.next().unwrap());
+            let base = map.indices(Pc::new(pc), h);
+            for bit in 0..64 {
+                if unread(1 << bit, 0) {
+                    assert_eq!(
+                        map.indices(Pc::new(pc ^ 1 << bit), h),
+                        base,
+                        "{name}: a{bit}"
+                    );
+                }
+                if unread(0, 1 << bit) {
+                    assert_eq!(
+                        map.indices(Pc::new(pc), h ^ 1 << bit),
+                        base,
+                        "{name}: h{bit}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_round_trip_the_indices() {
+        let idx = Indices {
+            bim: 0x3FFF,
+            g0: 0x8001,
+            g1: 0,
+            meta: 0xFFFF,
+        };
+        assert_eq!(idx.to_lanes(), 0xFFFF_0000_8001_3FFF);
+        assert_eq!(Indices::from_lanes(idx.to_lanes()), idx);
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit lanes")]
+    fn lanes_refuse_wide_indices() {
+        let _ = Indices {
+            bim: 1 << 16,
+            g0: 0,
+            g1: 0,
+            meta: 0,
+        }
+        .to_lanes();
+    }
+
+    #[test]
+    fn clones_share_the_map_and_debug_prints_no_tables() {
+        let p = TwoBcGskew::new(TwoBcGskewConfig::size_256k());
+        let q = p.clone();
+        assert!(Arc::ptr_eq(
+            p.map.as_ref().expect("map"),
+            q.map.as_ref().expect("map")
+        ));
+        assert_eq!(p, q);
+        assert_eq!(format!("{:?}", p.map), "Some(IndexMap { .. })");
     }
 }

@@ -192,7 +192,7 @@ impl Client {
     /// # Errors
     ///
     /// [`ServerError::Remote`] with
-    /// [`code::UNKNOWN_WORKLOAD`](crate::proto::code::UNKNOWN_WORKLOAD)
+    /// [`code::UNKNOWN_WORKLOAD`]
     /// when the server has no matching catalog entry; the usual
     /// transport/protocol errors otherwise.
     pub fn run_workload(

@@ -118,7 +118,8 @@ pub const MAX_HISTORY: u32 = 64;
 ///
 /// A closed enum rather than free-form parameters: the server only
 /// instantiates configurations whose resource footprint it can bound up
-/// front ([`MAX_INDEX_BITS`], [`MAX_HISTORY`]).
+/// front ([`MAX_INDEX_BITS`], [`MAX_HISTORY`]), and decoding refuses a
+/// table index width of zero, which no predictor can be built with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PredictorSpec {
@@ -237,8 +238,14 @@ impl PredictorSpec {
                 index_bits,
                 history,
             } => (index_bits, history),
-            _ => (0, 0),
+            _ => return Ok(spec),
         };
+        if bits == 0 {
+            return Err(ServerError::Protocol {
+                what: "predictor index width of zero",
+                offset: r.offset(),
+            });
+        }
         if bits > MAX_INDEX_BITS {
             return Err(ServerError::Protocol {
                 what: "predictor index width over server cap",
@@ -737,6 +744,45 @@ mod tests {
         );
         let err = decode_hello(&buf, 0).expect_err("history cap must hold");
         assert!(err.to_string().contains("history length"), "{err}");
+    }
+
+    #[test]
+    fn zero_width_spec_requests_are_protocol_errors() {
+        let specs = [
+            PredictorSpec::Bimodal { index_bits: 0 },
+            PredictorSpec::Gshare {
+                index_bits: 0,
+                history: 8,
+            },
+            PredictorSpec::TwoBcGskewEqual {
+                index_bits: 0,
+                history: 8,
+            },
+        ];
+        let mut buf = Vec::new();
+        for spec in specs {
+            encode_hello(
+                &Hello {
+                    spec,
+                    attribution: false,
+                },
+                &mut buf,
+            );
+            match decode_hello(&buf, 100) {
+                Err(ServerError::Protocol { what, offset }) => {
+                    assert!(what.contains("width of zero"), "{spec:?}: {what}");
+                    // Past the spec's last field (version, flag, tag, then
+                    // one or two u32s), as for the caps.
+                    let fields = if matches!(spec, PredictorSpec::Bimodal { .. }) {
+                        1
+                    } else {
+                        2
+                    };
+                    assert_eq!(offset, 100 + 4 + 4 * fields, "{spec:?}");
+                }
+                other => panic!("{spec:?}: expected a protocol error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

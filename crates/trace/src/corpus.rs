@@ -25,8 +25,8 @@
 //! encoding that session `RECORDS` payloads also use ([`crate::frame`]),
 //! with the PC-delta cursor **reset at every chunk boundary** so chunks
 //! decode independently. A chunk's stored payload is either the raw wire
-//! bytes (`method` 0) or an in-tree LZ77 token stream (`method` 1, see
-//! [`crate::lz`]) — whichever is smaller. `crc` is the CRC-32 of the
+//! bytes (`method` 0) or an in-tree LZ77 token stream (`method` 1, the
+//! crate's private `lz` module) — whichever is smaller. `crc` is the CRC-32 of the
 //! *stored* payload, so every storage-level mutation of a chunk body is
 //! caught before decompression or record decode runs; the prologue CRC
 //! does the same for the header and index. The index precedes the

@@ -15,7 +15,7 @@
 //! * [`prop`] — a deterministic property-testing mini-harness with seeded
 //!   case generation, shrinking-lite and failure-seed reporting (replaces
 //!   `proptest`).
-//! * [`bench`] — a lightweight `std::time::Instant`-based benchmark
+//! * [`bench`](mod@bench) — a lightweight `std::time::Instant`-based benchmark
 //!   harness for `harness = false` bench targets (replaces `criterion`).
 //! * [`crc`] — table-driven CRC-32 (IEEE) checksums for the on-disk
 //!   corpus format (replaces `crc32fast`).

@@ -101,7 +101,9 @@ check_budget fault_injection "$FAULTS_BUDGET" "$faults_elapsed"
 # Observability smoke, budgeted like the suites above: the golden
 # misprediction fixture (exact counters for every benchmark × predictor
 # pair: EV8, gshare, bimodal and TAGE, then the Fig 5 families 2Bc-gskew
-# 512 Kbit, bi-mode and YAGS 288 Kbit — re-bless intended changes with
+# 512 Kbit, bi-mode and YAGS 288 Kbit, then the other 2Bc-gskew
+# geometries: Fig 5's 256 Kbit, the EV8-budget config, Fig 8's small
+# BIM and Fig 10's 4×1M — re-bless intended changes with
 # EV8_BLESS_GOLDEN=1) plus one
 # pass of the attribution experiment at one-sample scale, which
 # exercises the observed simulation loop end-to-end and asserts the
@@ -227,6 +229,9 @@ fi
 
 run cargo clippy --all-targets --workspace --offline -- -D warnings
 run cargo clippy --all-targets --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- -D warnings
+# Rustdoc over every member, warnings fatal: broken or private
+# intra-doc links (the cross-crate ones included) fail here.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo fmt --check
 run cargo fmt --check --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 

@@ -36,11 +36,18 @@ const SCALE: f64 = 0.002;
 
 /// Stable fixture keys (decoupled from `BranchPredictor::name`, which
 /// embeds configuration and may be reworded), in blocks. The fixture
-/// holds the whole suite for the first block, then for the second, so
-/// the Fig 5 families were appended without moving any earlier line.
-const BLOCKS: [&[&str]; 2] = [
+/// holds the whole suite for the first block, then for the second, and
+/// so on, so the Fig 5 families and then the other 2Bc-gskew geometries
+/// were appended without moving any earlier line.
+const BLOCKS: [&[&str]; 3] = [
     &["ev8", "gshare", "bimodal", "tage"],
     &["twobcgskew_512k", "bimode_544k", "yags_288k"],
+    &[
+        "twobcgskew_256k",
+        "twobcgskew_ev8",
+        "twobcgskew_512k_small_bim",
+        "twobcgskew_4x1m",
+    ],
 ];
 
 fn build(key: &str) -> Box<dyn BranchPredictor> {
@@ -57,6 +64,15 @@ fn build(key: &str) -> Box<dyn BranchPredictor> {
         "twobcgskew_512k" => Box::new(TwoBcGskew::new(TwoBcGskewConfig::size_512k())),
         "bimode_544k" => Box::new(Bimode::paper_544k()),
         "yags_288k" => Box::new(Yags::paper_288k()),
+        // The other 2Bc-gskew geometries the experiments build: Fig 5's
+        // 256 Kbit point, the EV8-budget logical config (shootout and the
+        // server's `TwoBcGskewEv8`), Fig 8's small BIM and Fig 10's 4×1M.
+        "twobcgskew_256k" => Box::new(TwoBcGskew::new(TwoBcGskewConfig::size_256k())),
+        "twobcgskew_ev8" => Box::new(TwoBcGskew::new(TwoBcGskewConfig::ev8_size())),
+        "twobcgskew_512k_small_bim" => {
+            Box::new(TwoBcGskew::new(TwoBcGskewConfig::size_512k_small_bim()))
+        }
+        "twobcgskew_4x1m" => Box::new(TwoBcGskew::new(TwoBcGskewConfig::size_4x1m())),
         _ => unreachable!("unknown fixture key {key}"),
     }
 }

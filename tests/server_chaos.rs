@@ -458,6 +458,49 @@ fn graceful_drain_closes_idle_session() {
     assert_eq!(stats.sessions_active, 0);
 }
 
+/// A HELLO asking for a zero-width table is refused at the handshake
+/// with a `PROTOCOL` close; the one worker goes on serving, and `serve`
+/// returns with the session counted failed.
+#[test]
+fn zero_width_hello_is_a_protocol_close() {
+    let path = sock_path("zero-width");
+    let mut server = Server::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    server.bind_unix(&path).unwrap();
+    let handle = server.handle();
+    let join = thread::spawn(move || server.serve());
+
+    let zero = PredictorSpec::TwoBcGskewEqual {
+        index_bits: 0,
+        history: 8,
+    };
+    match Client::connect_unix(&path, zero, false) {
+        Err(ServerError::Remote { code, .. }) => {
+            assert_eq!(code, proto::code::PROTOCOL, "expected PROTOCOL close")
+        }
+        Err(other) => panic!("expected a PROTOCOL close, got {other:?}"),
+        Ok(_) => panic!("a zero-width predictor was admitted"),
+    }
+
+    let spec = PredictorSpec::TwoBcGskewEqual {
+        index_bits: 9,
+        history: 8,
+    };
+    let trace = patterned_trace("after-zero-width", 4, 1200);
+    let mut client = Client::connect_unix(&path, spec, false).unwrap();
+    let summary = client.run_trace(&trace, 256).unwrap();
+    assert_eq!(summary.result, simulate(spec.build(), &trace));
+    client.bye().unwrap();
+
+    handle.shutdown();
+    let stats = join.join().expect("serve must return its stats");
+    assert_eq!(stats.sessions_failed, 1);
+    assert_eq!(stats.sessions_active, 0);
+    assert_eq!(stats.sessions_completed, 1);
+}
+
 /// A pure fuzz sweep against a live server: many seeds, one session
 /// each, server stays up and every healthy probe afterwards still works.
 #[test]
