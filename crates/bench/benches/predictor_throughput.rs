@@ -1,10 +1,13 @@
-//! Per-branch cost of the Fig 5 roster, fused step against the composed
-//! reference, recorded into the shared `BENCH_sim.json` under the
-//! `predictor_throughput` group.
+//! Per-branch cost of the Fig 5 roster and of TAGE, fused step against
+//! the composed reference, recorded into the shared `BENCH_sim.json`
+//! under the `predictor_throughput` group.
 //!
 //! Every family in `fig5::configs()` — the roster Figs 5, 6 and 10 and
-//! the shootout run through `run_grid` — runs over the `gcc` trace at the
-//! sweep scale, boxed behind the same `Factory` the grid uses, two ways:
+//! the shootout run through `run_grid` — plus TAGE at
+//! `TageConfig::ev8_budget()` (the successor design the shootout and the
+//! sampled suite pit against the EV8 at its 352 Kbit) runs over the
+//! `gcc` trace at the sweep scale, boxed behind the same `Factory` the
+//! grid uses, two ways:
 //!
 //! * **fused** — `simulate_flat`: the `Plain` hook over the cached
 //!   packed trace, one `predict_and_update` per record, the path every
@@ -29,7 +32,8 @@ use std::time::{Duration, Instant};
 use ev8_util::bench::black_box;
 use ev8_util::json::JsonObject;
 
-use ev8_sim::experiments::fig5;
+use ev8_predictors::tage::{Tage, TageConfig};
+use ev8_sim::experiments::{factory, fig5};
 use ev8_sim::{drive, simulate_flat, SimResult, StaleCommit};
 use ev8_trace::FlatTrace;
 use ev8_workloads::spec95;
@@ -43,7 +47,7 @@ const BENCHMARK: &str = "gcc";
 
 /// Stable keys for `fig5::configs()`, in its order (the keys the
 /// pipeline benchmark's per-layer panel uses).
-const FAMILIES: [(&str, &str); 6] = [
+const FIG5_FAMILIES: [(&str, &str); 6] = [
     ("2Bc-gskew 256Kb", "twobcgskew_256k"),
     ("2Bc-gskew 512Kb", "twobcgskew_512k"),
     ("bimode 544Kb", "bimode_544k"),
@@ -51,6 +55,9 @@ const FAMILIES: [(&str, &str); 6] = [
     ("YAGS 288Kb", "yags_288k"),
     ("YAGS 576Kb", "yags_576k"),
 ];
+
+/// The key of TAGE at the EV8 budget, timed after the Fig 5 roster.
+const TAGE_KEY: &str = "tage_352k";
 
 fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name)
@@ -87,13 +94,14 @@ fn main() {
     let labels: Vec<&str> = configs.iter().map(|(label, _)| label.as_str()).collect();
     assert_eq!(
         labels,
-        FAMILIES.map(|(label, _)| label),
+        FIG5_FAMILIES.map(|(label, _)| label),
         "the Fig 5 roster changed"
     );
-    let roster: Vec<_> = FAMILIES
+    let roster: Vec<_> = FIG5_FAMILIES
         .iter()
         .map(|(_, key)| *key)
         .zip(configs.into_iter().map(|(_, f)| f))
+        .chain([(TAGE_KEY, factory(|| Tage::new(TageConfig::ev8_budget())))])
         .filter(|(key, _)| {
             filter
                 .as_deref()

@@ -41,6 +41,22 @@
 //! deterministic: the allocation LFSR is seeded by construction and
 //! advances only as a function of the branch stream, so serial and
 //! batched simulation are bit-identical.
+//!
+//! **Folded-history registers.** A table's index folds its `L`-bit
+//! history window to the index width `n` (`xor_fold64`), and its tag
+//! folds the same window twice more (to the tag width and one bit
+//! less). Re-folding up to 64 bits three times per table per branch
+//! cost about a quarter of the step, so each fold is kept as a register
+//! that a history push updates in O(1): rotate left by one within `n`
+//! bits, XOR the new bit in at position 0, and XOR the bit leaving the
+//! window (history bit `L - 1` before the push) in at position
+//! `L mod n`. Every table's index and tag are read from the registers
+//! once per branch, and allocation reuses them; the tag compares form
+//! one hit mask, so no host branch depends on a compare.
+//! [`Tage::table_index`] and [`Tage::table_tag`] still
+//! fold the history register from scratch: they are the reference the
+//! registers ([`Tage::table_coords`]) are pinned against after every
+//! step of arbitrary streams (`tests/tage_properties.rs`).
 
 use ev8_trace::{BranchRecord, Outcome, Pc};
 
@@ -189,7 +205,43 @@ impl TageConfig {
     }
 }
 
-/// One tagged bank's state: parallel counter/tag/useful arrays.
+/// `xor_fold64(history[0..length], width)`, kept up to date in O(1) per
+/// history push instead of re-folded per lookup (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct FoldedHistory {
+    value: u64,
+    /// `width` low bits set.
+    mask: u64,
+    /// Bit `width - 1`, the one a rotation carries round to bit 0.
+    top: u64,
+    /// Bit `length mod width`, where the bit leaving the window lands.
+    out_bit: u64,
+}
+
+impl FoldedHistory {
+    fn new(length: u32, width: u32) -> Self {
+        assert!((1..=64).contains(&width), "fold width must be 1..=64");
+        FoldedHistory {
+            value: 0,
+            mask: u64::MAX >> (64 - width),
+            top: 1 << (width - 1),
+            out_bit: 1 << (length % width),
+        }
+    }
+
+    /// Shifts `new` into the window while `out` (the window's oldest
+    /// bit before the push) leaves it. Both are 0 or 1; the precomputed
+    /// bits keep variable shifts off the per-branch path.
+    #[inline]
+    fn push(&mut self, new: u64, out: u64) {
+        let v = self.value;
+        let rotated = ((v << 1) & self.mask) | u64::from(v & self.top != 0);
+        self.value = rotated ^ new ^ (self.out_bit & out.wrapping_neg());
+    }
+}
+
+/// One tagged bank's state: parallel counter/tag/useful arrays, plus the
+/// folded-history registers its index and tag are computed from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct TaggedBank {
     ctr: Vec<Counter3>,
@@ -198,19 +250,51 @@ struct TaggedBank {
     index_bits: u32,
     tag_bits: u32,
     history_length: u32,
+    /// The history folded to `index_bits`.
+    index_fold: FoldedHistory,
+    /// The history folded to `tag_bits` and to `tag_bits - 1`.
+    tag_folds: [FoldedHistory; 2],
 }
 
 impl TaggedBank {
     fn new(config: TaggedTableConfig) -> Self {
         let entries = 1usize << config.index_bits;
+        let l = config.history_length;
         TaggedBank {
             ctr: vec![Counter3::weakly_not_taken(); entries],
             tag: vec![0; entries],
             useful: vec![UsefulCounter::new(0); entries],
             index_bits: config.index_bits,
             tag_bits: config.tag_bits,
-            history_length: config.history_length,
+            history_length: l,
+            index_fold: FoldedHistory::new(l, config.index_bits),
+            tag_folds: [
+                FoldedHistory::new(l, config.tag_bits),
+                FoldedHistory::new(l, config.tag_bits - 1),
+            ],
         }
+    }
+
+    /// The `(index, tag)` of `pc` under the current history, from the
+    /// registers: the same values as [`Tage::table_index`] and
+    /// [`Tage::table_tag`].
+    #[inline]
+    fn coords(&self, pc: Pc) -> (usize, u16) {
+        let word = pc.as_u64() >> 2;
+        let index = (word ^ self.index_fold.value) & self.index_fold.mask;
+        let tag = (word ^ self.tag_folds[0].value ^ (self.tag_folds[1].value << 1))
+            & self.tag_folds[0].mask;
+        (index as usize, tag as u16)
+    }
+
+    /// Advances the registers by one history push of `new`, given the
+    /// global history before the push.
+    #[inline]
+    fn push_history(&mut self, new: u64, history_before: u64) {
+        let out = (history_before >> (self.history_length - 1)) & 1;
+        self.index_fold.push(new, out);
+        self.tag_folds[0].push(new, out);
+        self.tag_folds[1].push(new, out);
     }
 }
 
@@ -273,7 +357,9 @@ pub struct Tage {
     history: GlobalHistory,
     use_alt_on_na: UseAltCounter,
     lfsr: u64,
-    ticks: u64,
+    /// Conditional branches left until the next useful reset (0 when
+    /// the period is 0: never).
+    until_reset: u64,
     reset_clears_high_bit: bool,
     base_index_bits: u32,
     useful_reset_period: u64,
@@ -312,7 +398,7 @@ impl Tage {
             // Fixed non-zero seed: the allocation tie-break stream is part
             // of the deterministic predictor state.
             lfsr: 0x2545_F491_4F6C_DD1D,
-            ticks: 0,
+            until_reset: config.useful_reset_period,
             reset_clears_high_bit: true,
             base_index_bits: config.base_index_bits,
             useful_reset_period: config.useful_reset_period,
@@ -387,23 +473,57 @@ impl Tage {
         (v & mask) as u16
     }
 
+    /// The `(index, tag)` of `pc` in tagged table `j` as the step
+    /// computes them, from the table's folded-history registers: always
+    /// `(table_index(j, pc), table_tag(j, pc))`, without re-folding the
+    /// history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range.
+    #[inline]
+    pub fn table_coords(&self, j: usize, pc: Pc) -> (usize, u16) {
+        self.tables[j].coords(pc)
+    }
+
+    /// Every tagged table's `(index, tag)` for `pc`, computed once per
+    /// branch; entries past the table count are unused.
+    #[inline]
+    fn all_coords(&self, pc: Pc) -> [(usize, u16); MAX_TABLES] {
+        let mut coords = [(0, 0); MAX_TABLES];
+        for (c, bank) in coords.iter_mut().zip(&self.tables) {
+            *c = bank.coords(pc);
+        }
+        coords
+    }
+
     /// The full lookup decision under the current history, with no state
     /// change (the prediction path).
     pub fn predict_detail(&self, pc: Pc) -> TageDetail {
-        let mut provider = None;
-        let mut alternate = None;
-        for j in (0..self.tables.len()).rev() {
-            let index = self.table_index(j, pc);
-            if self.tables[j].tag[index] == self.table_tag(j, pc) {
-                let hit = Hit { table: j, index };
-                if provider.is_none() {
-                    provider = Some(hit);
-                } else {
-                    alternate = Some(hit);
-                    break;
-                }
-            }
+        self.lookup(pc, &self.all_coords(pc))
+    }
+
+    /// [`Tage::predict_detail`] over precomputed table coordinates.
+    #[inline]
+    fn lookup(&self, pc: Pc, coords: &[(usize, u16); MAX_TABLES]) -> TageDetail {
+        // Every table's tag compare folds into one hit mask, so no host
+        // branch depends on a compare.
+        let mut hits = 0u32;
+        for (j, bank) in self.tables.iter().enumerate() {
+            let (index, tag) = coords[j];
+            hits |= u32::from(bank.tag[index] == tag) << j;
         }
+        let longest = |hits: u32| {
+            (hits != 0).then(|| {
+                let table = (31 - hits.leading_zeros()) as usize;
+                Hit {
+                    table,
+                    index: coords[table].0,
+                }
+            })
+        };
+        let provider = longest(hits);
+        let alternate = provider.and_then(|p| longest(hits & !(1 << p.table)));
         let base = self.base.get(self.base_index(pc)).prediction();
         let (provider_pred, newly_allocated) = match provider {
             Some(h) => {
@@ -452,7 +572,8 @@ impl Tage {
     /// the pre-update history (as in every predictor here, the index of
     /// the update equals the index of the preceding predict).
     fn advance(&mut self, pc: Pc, outcome: Outcome) -> Step {
-        let detail = self.predict_detail(pc);
+        let coords = self.all_coords(pc);
+        let detail = self.lookup(pc, &coords);
         let mut meta_trained = false;
         let mut wrote = false;
 
@@ -511,8 +632,8 @@ impl Tage {
             if start < self.tables.len() {
                 let mut candidates = [(0usize, 0usize); MAX_TABLES];
                 let mut n = 0;
-                for j in start..self.tables.len() {
-                    let idx = self.table_index(j, pc);
+                let longer = coords[..self.tables.len()].iter().enumerate().skip(start);
+                for (j, &(idx, _)) in longer.clone() {
                     if self.tables[j].useful[idx].value() == 0 {
                         candidates[n] = (j, idx);
                         n += 1;
@@ -521,8 +642,7 @@ impl Tage {
                 if n == 0 {
                     // Nothing replaceable: decay every candidate's guard
                     // so the entry drought is temporary.
-                    for j in start..self.tables.len() {
-                        let idx = self.table_index(j, pc);
+                    for (j, &(idx, _)) in longer {
                         self.tables[j].useful[idx].train(Outcome::NotTaken);
                     }
                 } else {
@@ -533,7 +653,7 @@ impl Tage {
                         pick += 1;
                     }
                     let (j, idx) = candidates[pick];
-                    self.tables[j].tag[idx] = self.table_tag(j, pc);
+                    self.tables[j].tag[idx] = coords[j].1;
                     self.tables[j].ctr[idx] = if outcome.is_taken() {
                         Counter3::weakly_taken()
                     } else {
@@ -545,23 +665,33 @@ impl Tage {
         }
 
         // 6. Periodic graceful useful reset: clear one of the two bits,
-        //    alternating which, so protection decays in two stages.
-        self.ticks += 1;
-        if self.useful_reset_period > 0 && self.ticks.is_multiple_of(self.useful_reset_period) {
-            let mask = if self.reset_clears_high_bit {
-                0b01
-            } else {
-                0b10
-            };
-            for bank in &mut self.tables {
-                for u in &mut bank.useful {
-                    *u = UsefulCounter::new(u.value() & mask);
+        //    alternating which, so protection decays in two stages. The
+        //    countdown stays 0 when the period is 0.
+        if self.until_reset != 0 {
+            self.until_reset -= 1;
+            if self.until_reset == 0 {
+                self.until_reset = self.useful_reset_period;
+                let mask = if self.reset_clears_high_bit {
+                    0b01
+                } else {
+                    0b10
+                };
+                for bank in &mut self.tables {
+                    for u in &mut bank.useful {
+                        *u = UsefulCounter::new(u.value() & mask);
+                    }
                 }
+                self.reset_clears_high_bit = !self.reset_clears_high_bit;
             }
-            self.reset_clears_high_bit = !self.reset_clears_high_bit;
         }
 
-        // 7. Speculative history update (immediate, §8.1.1 methodology).
+        // 7. Speculative history update (immediate, §8.1.1 methodology),
+        //    folded-history registers first: they need the bit that the
+        //    push drops from each table's window.
+        let (new, before) = (outcome.as_bit(), self.history.bits());
+        for bank in &mut self.tables {
+            bank.push_history(new, before);
+        }
         self.history.push(outcome);
 
         let action = if mispredicted {
@@ -1025,7 +1155,7 @@ mod tests {
             // A PC far from entry 0's index neighborhood... entry 0 may
             // still be touched by aliasing; accept any value >= 1 is not
             // guaranteed, so just check the reset machinery never ran by
-            // driving non-conditional state: ticks advance, no reset.
+            // driving non-conditional state: branches count, no reset.
             p.update(Pc::new(0x4_0000 + i * 8), Outcome::Taken);
         }
         // The bit can only have been cleared by a (never-run) reset or

@@ -30,10 +30,12 @@
 //!   stream.
 //! * [`sampling`] — SimPoint-style weighted phase sampling:
 //!   [`simulate_sampled`] profiles per-interval branch-behaviour
-//!   vectors in one streaming pass, clusters them with a deterministic
-//!   in-tree k-means, drives one warm representative per phase and
-//!   returns a population-weighted estimate with the |sampled − full|
-//!   misp/KI delta recorded next to every number.
+//!   vectors in one streaming pass and clusters them with a
+//!   deterministic in-tree k-means on a helper thread, while one
+//!   predictor simulates an exact anchored prefix; it then measures
+//!   phase-stratified tail samples on the same predictor and returns an
+//!   age-corrected estimate, with the |sampled − full| misp/KI delta
+//!   recorded next to every number.
 //! * [`session`] — [`SessionSim`], the streaming per-session driver the
 //!   prediction server feeds record by record.
 //! * [`metrics`] — [`Tally`] and [`SimResult`] with misp/KI,

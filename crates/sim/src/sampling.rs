@@ -32,6 +32,15 @@
 //!    re-warmed over a short window of the records just before it, then
 //!    measured — and everything between samples is skipped.
 //!
+//!    Stages 1 and 2, plus the sample allocation, make the *plan*, which
+//!    does not depend on the predictor; the anchored prefix's interval
+//!    bounds follow from [`SamplingConfig::interval_len`] alone. So a
+//!    call uses two threads: one scoped helper thread builds the plan
+//!    while the calling thread simulates the prefix, and the tail runs
+//!    once both are done. The ranges, their order and the predictor are
+//!    those of a serial plan-then-simulate, so every estimate is
+//!    bit-identical to it.
+//!
 //!    A sampled interval at position `p` is measured by a predictor
 //!    that has only trained on `t_eff < p` records, so its rate reads
 //!    high by the training-curve gap `m(t_eff) − m(p)`. The estimator
@@ -275,11 +284,17 @@ impl SampledVsFull {
 }
 
 /// Projection bucket and sign for a static branch PC: deterministic,
-/// platform-independent, shared by every interval.
+/// platform-independent, shared by every interval. `dims_mask` is
+/// `Some(dims - 1)` when `dims` is a power of two (every
+/// [`SamplingConfig::auto`] plan), where the bucket `h % dims` is
+/// `h & (dims - 1)` without a division.
 #[inline]
-fn project(seed: u64, pc_word: u64, dims: usize) -> (usize, i64) {
+fn project(seed: u64, pc_word: u64, dims: usize, dims_mask: Option<u64>) -> (usize, i64) {
     let h = ev8_util::rng::mix(seed ^ pc_word);
-    let bucket = (h % dims as u64) as usize;
+    let bucket = match dims_mask {
+        Some(mask) => h & mask,
+        None => h % dims as u64,
+    } as usize;
     let sign = if (h >> 63) & 1 == 1 { 1 } else { -1 };
     (bucket, sign)
 }
@@ -294,6 +309,10 @@ fn project(seed: u64, pc_word: u64, dims: usize) -> (usize, i64) {
 pub fn profile_intervals(trace: &FlatTrace, config: &SamplingConfig) -> Vec<Interval> {
     config.validate();
     let len = trace.len();
+    let dims_mask = config
+        .dims
+        .is_power_of_two()
+        .then(|| config.dims as u64 - 1);
     let mut intervals = Vec::with_capacity(config.intervals(len));
     let mut start = 0usize;
     while start < len {
@@ -306,12 +325,13 @@ pub fn profile_intervals(trace: &FlatTrace, config: &SamplingConfig) -> Vec<Inte
             features: vec![0i64; config.dims],
         };
         trace.for_each_in(start..end, |r| {
+            // Branch-free: every record is projected and only the
+            // conditional ones count, so the host never predicts a kind.
+            let conditional = r.kind.is_conditional();
             iv.instructions += 1 + u64::from(r.gap);
-            if r.kind.is_conditional() {
-                iv.conditional_branches += 1;
-                let (bucket, sign) = project(config.seed, r.pc.as_u64() >> 2, config.dims);
-                iv.features[bucket] += sign;
-            }
+            iv.conditional_branches += u64::from(conditional);
+            let (bucket, sign) = project(config.seed, r.pc.as_u64() >> 2, config.dims, dims_mask);
+            iv.features[bucket] += sign * i64::from(conditional);
         });
         intervals.push(iv);
         start = end;
@@ -592,31 +612,55 @@ fn allocate_samples(phases: &[Phase], anchor: usize, target: usize) -> Vec<(usiz
 /// instruction-weighted sample residual; measured intervals keep their
 /// exact counts.
 ///
+/// A call uses two threads. The prefix's interval bounds follow from
+/// `config.interval_len` alone, so while the calling thread simulates
+/// the prefix, one scoped helper thread builds the plan (profile,
+/// clustering and sample allocation), which does not depend on the
+/// predictor. The tail starts once both are done, so the result is the
+/// same as building the plan first.
+///
 /// # Panics
 ///
-/// Panics if the config fails validation.
+/// Panics if the config fails validation (on the calling thread,
+/// before the helper starts), and re-raises a panic of the helper with
+/// its own payload.
 pub fn simulate_sampled(
     factory: &Factory,
     trace: &FlatTrace,
     config: &SamplingConfig,
 ) -> SampledRun {
     config.validate();
-    let intervals = profile_intervals(trace, config);
-    let n = intervals.len();
-    let phases = cluster_intervals(&intervals, config);
-    let anchor = config.anchor_intervals.min(n);
     let len = trace.len();
+    let n = config.intervals(len);
+    let anchor = config.anchor_intervals.min(n);
+    let anchor_end = (anchor * config.interval_len).min(len);
 
     let mut predictor = factory();
-    let anchor_misps: Vec<u64> = intervals[..anchor]
-        .iter()
-        .map(|iv| drive(&mut predictor, (trace, iv.start..iv.end), Plain).mispredictions)
-        .collect();
-    let anchor_end = intervals.get(anchor).map_or(len, |iv| iv.start);
+    let ((intervals, phases, chosen), anchor_misps) = std::thread::scope(|s| {
+        // The plan: profile → cluster → sample allocation.
+        let plan = s.spawn(|| {
+            let intervals = profile_intervals(trace, config);
+            let phases = cluster_intervals(&intervals, config);
+            let chosen = allocate_samples(&phases, anchor, config.tail_samples);
+            (intervals, phases, chosen)
+        });
+        let anchor_misps: Vec<u64> = (0..anchor)
+            .map(|j| {
+                let start = j * config.interval_len;
+                let end = (start + config.interval_len).min(len);
+                drive(&mut predictor, (trace, start..end), Plain).mispredictions
+            })
+            .collect();
+        let plan = plan
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        (plan, anchor_misps)
+    });
+    debug_assert_eq!(intervals.len(), n);
+    debug_assert_eq!(intervals.get(anchor).map_or(len, |iv| iv.start), anchor_end);
     let mut consumed = anchor_end; // records the chained predictor has seen
     let mut simulated = anchor_end;
 
-    let chosen = allocate_samples(&phases, anchor, config.tail_samples);
     let mut samples: Vec<TailSample> = Vec::with_capacity(chosen.len());
     let mut prev_end = anchor_end;
     for &(j, pi) in &chosen {
@@ -916,6 +960,85 @@ mod tests {
         assert!(run.samples.is_empty());
         assert_eq!(run.estimate.mispredictions, 0);
         assert_eq!(run.reduction(), 1.0);
+    }
+
+    /// The overlapped schedule against its serial twin: the run's phases
+    /// are exactly the profile's clustering, and its anchor
+    /// mispredictions are serial `drive`s over the profiled anchor
+    /// intervals on a fresh predictor.
+    fn assert_schedule_is_serial(trace: &FlatTrace, config: &SamplingConfig) {
+        let fac = factory(|| Gshare::new(12, 10));
+        let run = simulate_sampled(&fac, trace, config);
+        let intervals = profile_intervals(trace, config);
+        assert_eq!(run.intervals, intervals.len());
+        assert_eq!(run.phases, cluster_intervals(&intervals, config));
+        let anchor = config.anchor_intervals.min(intervals.len());
+        assert_eq!(run.anchor_intervals, anchor);
+        let mut serial = fac();
+        let anchor_misps: u64 = intervals[..anchor]
+            .iter()
+            .map(|iv| drive(&mut serial, (trace, iv.start..iv.end), Plain).mispredictions)
+            .sum();
+        assert_eq!(run.anchor_mispredictions, anchor_misps);
+    }
+
+    #[test]
+    fn overlapped_schedule_matches_serial_when_the_anchor_covers_the_trace() {
+        let trace = compress(0.001);
+        let mut config = tiny_config(&trace);
+        let n = config.intervals(trace.len());
+        for anchor in [n, n + 1, usize::MAX] {
+            config.anchor_intervals = anchor;
+            assert_schedule_is_serial(&trace, &config);
+        }
+    }
+
+    #[test]
+    fn overlapped_schedule_matches_serial_with_a_ragged_last_interval() {
+        let trace = compress(0.001);
+        let mut config = tiny_config(&trace);
+        config.interval_len = trace.len() / 10 + 7;
+        assert_ne!(
+            trace.len() % config.interval_len,
+            0,
+            "last interval is short"
+        );
+        config.anchor_intervals = 3;
+        assert_schedule_is_serial(&trace, &config);
+        config.anchor_intervals = config.intervals(trace.len()); // ends on the short one
+        assert_schedule_is_serial(&trace, &config);
+    }
+
+    #[test]
+    fn overlapped_schedule_matches_serial_on_a_trace_shorter_than_an_interval() {
+        let trace = compress(0.001);
+        let mut config = tiny_config(&trace);
+        config.interval_len = trace.len() + 100;
+        assert_eq!(config.intervals(trace.len()), 1);
+        assert_schedule_is_serial(&trace, &config);
+        config.anchor_intervals = 0;
+        assert_schedule_is_serial(&trace, &config);
+    }
+
+    #[test]
+    fn overlapped_schedule_matches_serial_on_an_empty_trace() {
+        let trace = FlatTrace::from_trace(&ev8_trace::Trace::default());
+        let config = tiny_config(&trace);
+        assert_schedule_is_serial(&trace, &config);
+    }
+
+    #[test]
+    fn non_power_of_two_dims_bucket_by_remainder() {
+        // The masked projection is taken only for powers of two; any
+        // other width divides, and both cover exactly `dims` buckets.
+        for dims in [1usize, 3, 12, 32] {
+            let mask = dims.is_power_of_two().then(|| dims as u64 - 1);
+            for pc_word in 0..256u64 {
+                let (bucket, _) = project(7, pc_word, dims, mask);
+                let h = ev8_util::rng::mix(7 ^ pc_word);
+                assert_eq!(bucket as u64, h % dims as u64);
+            }
+        }
     }
 
     #[test]

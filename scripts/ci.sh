@@ -219,6 +219,13 @@ if [ "$QUICK" -eq 0 ]; then
     # collisions (the goldens pin the EV8 only at scale 0.002).
     run cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
         ev8_corpus --seed 0 --seconds 1
+    # And one pass of its phase-sampling workload: simulate_sampled with
+    # SamplingConfig::auto for the EV8, gshare and TAGE at the EV8 budget
+    # over the suite at scale 0.2, all 24 estimates checked against
+    # reference.tsv's full runs (instruction and branch counts exact,
+    # mispredictions within half to double the full run's).
+    run cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+        sampled_suite --seed 0 --seconds 1
     # Two examples run end to end, not only compile: the corpus file
     # round trip (asserts the reloaded trace equals the generated one)
     # and the front-end walkthrough (asserts zero successive-block bank

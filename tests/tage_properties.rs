@@ -1,5 +1,6 @@
 //! Property/fuzz suite for TAGE's tagged tables: tag-match, allocation
 //! and useful-bit invariants under arbitrary branch streams, the
+//! folded-history registers against the from-scratch folds, the
 //! observed-path state identity, and the `FaultTarget` accounting
 //! contract — all driven by the in-tree deterministic harness
 //! (`ev8_util::prop`), so a failure panics with an
@@ -11,9 +12,10 @@ use ev8_util::{prop_assert, prop_assert_eq};
 
 use ev8_predictors::introspect::FaultTarget;
 use ev8_predictors::observe::ObservedPredictor;
-use ev8_predictors::tage::{Tage, TageConfig};
+use ev8_predictors::tage::{Tage, TageConfig, TaggedTableConfig};
 use ev8_predictors::BranchPredictor;
 use ev8_trace::{BranchRecord, Outcome, Pc};
+use ev8_workloads::spec95;
 
 const CASES: u64 = 64;
 
@@ -190,6 +192,100 @@ fn useful_counters_move_only_on_provider_alt_disagreement_or_decay() {
             Ok(())
         },
     );
+}
+
+/// Fold geometries `arb_config` never draws: histories shorter than,
+/// equal to and a multiple of the index width; histories equal to a tag
+/// width and to the second tag fold's width (one less); tag width 2,
+/// whose second fold is one bit wide; the full 64-bit history; reset
+/// period 0.
+fn fold_edge_configs() -> Vec<TageConfig> {
+    let table = |index_bits, tag_bits, history_length| TaggedTableConfig {
+        index_bits,
+        tag_bits,
+        history_length,
+    };
+    vec![
+        TageConfig {
+            base_index_bits: 6,
+            tables: vec![table(10, 8, 3), table(10, 8, 10), table(5, 8, 20)],
+            useful_reset_period: 64,
+        },
+        TageConfig {
+            base_index_bits: 5,
+            tables: vec![
+                table(6, 2, 1),
+                table(6, 2, 2),
+                table(6, 9, 8),
+                table(6, 9, 9),
+                table(4, 16, 16),
+            ],
+            useful_reset_period: 16,
+        },
+        TageConfig {
+            base_index_bits: 6,
+            tables: vec![table(7, 12, 33), table(3, 2, 63), table(7, 12, 64)],
+            useful_reset_period: 0,
+        },
+    ]
+}
+
+/// The step's `(index, tag)` per table, read from the folded-history
+/// registers, must equal the reference folds of the history register.
+fn registers_match(p: &Tage, tables: usize, pc: Pc) -> Result<(), String> {
+    for j in 0..tables {
+        prop_assert_eq!(
+            p.table_coords(j, pc),
+            (p.table_index(j, pc), p.table_tag(j, pc))
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn folded_history_registers_equal_the_reference_folds() {
+    // After every step of an arbitrary stream, for every table: the O(1)
+    // register update (rotate, new bit at 0, outgoing bit at L mod n)
+    // must have kept exactly xor_fold64 of the current window.
+    check(
+        "folded_history_registers_equal_the_reference_folds",
+        CASES,
+        |g| {
+            let mut configs = fold_edge_configs();
+            configs.push(arb_config(g));
+            for config in configs {
+                let tables = config.tables.len();
+                let mut p = Tage::new(config);
+                let stream = arb_stream(g, 80..400);
+                registers_match(&p, tables, stream[0].0)?;
+                for (pc, outcome) in stream {
+                    p.update(pc, outcome);
+                    registers_match(&p, tables, pc)?;
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn ev8_budget_registers_track_a_suite_trace() {
+    // The shipping geometry (histories 5..64 over 11-bit indexes and
+    // 14-16-bit tags) on a real branch stream.
+    let config = TageConfig::ev8_budget();
+    let tables = config.tables.len();
+    let mut p = Tage::new(config);
+    let trace = spec95::cached("gcc", 0.002).expect("known benchmark");
+    let mut steps = 0;
+    for record in trace.iter() {
+        if p.predict_and_update(&record).is_some() {
+            steps += 1;
+            if let Err(e) = registers_match(&p, tables, record.pc) {
+                panic!("after conditional branch {steps}: {e}");
+            }
+        }
+    }
+    assert!(steps > 10_000, "only {steps} conditional branches");
 }
 
 #[test]
