@@ -5,7 +5,8 @@
 //! the shared `BENCH_sim.json` under the `server` group.
 //!
 //! This measures the *service* overhead stack — framing, per-session
-//! supervision, the work-stealing pool, summary encoding — on top of the
+//! supervision, the two accept threads (one per transport) feeding the
+//! shared session queue, the worker pool, summary encoding — on top of the
 //! raw simulation rate `sim_hot_loop` records, so the gap between the
 //! two groups is the price of the wire. The bench asserts every
 //! session's summary is bit-identical to the serial simulator before

@@ -536,7 +536,7 @@ pub struct ServerStats {
     pub sessions_drained: u64,
     /// Sessions currently being served.
     pub sessions_active: u64,
-    /// Accepted sessions waiting in worker queues.
+    /// Accepted sessions waiting in the session queue.
     pub sessions_queued: u64,
     /// Traces summarized across all sessions.
     pub traces_simulated: u64,

@@ -226,6 +226,13 @@ if [ "$QUICK" -eq 0 ]; then
     # mispredictions within half to double the full run's).
     run cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
         sampled_suite --seed 0 --seconds 1
+    # And one pass of its server workload: two closed-loop clients run
+    # 400 gshare sessions against a live server over a Unix socket, every
+    # session's summary checked against the serial simulation of its
+    # trace, and the drain must count zero stalled and zero failed
+    # sessions.
+    run cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+        server_gshare --seed 0 --seconds 1
     # Two examples run end to end, not only compile: the corpus file
     # round trip (asserts the reloaded trace equals the generated one)
     # and the front-end walkthrough (asserts zero successive-block bank

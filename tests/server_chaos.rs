@@ -17,12 +17,13 @@ use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
 use ev8_faults::fuzz;
 use ev8_server::proto::{self, kind, Hello, PredictorSpec};
-use ev8_server::{Client, Server, ServerConfig, ServerError, ServerHandle};
+use ev8_server::{Client, Server, ServerConfig, ServerError, ServerHandle, ServerStats};
 use ev8_sim::simulate;
 use ev8_trace::frame::{encode_records, write_frame};
 use ev8_trace::{BranchRecord, Pc, Trace, TraceBuilder};
@@ -33,6 +34,35 @@ fn sock_path(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("ev8-chaos-{}-{tag}-{n}.sock", std::process::id()))
+}
+
+/// A server serving on a thread of its own.
+struct Serving {
+    thread: thread::JoinHandle<ServerStats>,
+    /// Disconnects when `serve` returns or unwinds.
+    done: mpsc::Receiver<()>,
+}
+
+impl Serving {
+    fn start(server: Server) -> Serving {
+        let (tx, done) = mpsc::channel::<()>();
+        let thread = thread::spawn(move || {
+            let _tx = tx;
+            server.serve()
+        });
+        Serving { thread, done }
+    }
+
+    /// The final stats; fails the test if `serve` has not returned
+    /// within ten seconds.
+    fn join(self) -> ServerStats {
+        if let Err(mpsc::RecvTimeoutError::Timeout) =
+            self.done.recv_timeout(Duration::from_secs(10))
+        {
+            panic!("serve did not return after shutdown");
+        }
+        self.thread.join().expect("server thread must not panic")
+    }
 }
 
 /// A small deterministic trace whose branch pattern varies with `salt`,
@@ -542,4 +572,120 @@ fn fuzz_sweep_leaves_server_healthy() {
 fn handle_is_send_and_clone() {
     fn assert_send_clone<T: Send + Clone>() {}
     assert_send_clone::<ServerHandle>();
+}
+
+/// Shutdown wakes every blocked accept. A server that never got a
+/// client, listening on loopback TCP, on the unspecified TCP address and
+/// on a Unix path, returns from `serve` without counting the wake
+/// connections, and removes its socket file.
+#[test]
+fn shutdown_wakes_every_idle_listener() {
+    let path = sock_path("idle");
+    let mut server = Server::new(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    server.bind_tcp("127.0.0.1:0").unwrap();
+    server.bind_tcp("0.0.0.0:0").unwrap();
+    server.bind_unix(&path).unwrap();
+    let handle = server.handle();
+    let serving = Serving::start(server);
+    // Give the accept threads time to block in `accept`; a shutdown that
+    // comes first is caught by their check of the flag instead.
+    thread::sleep(Duration::from_millis(50));
+
+    handle.shutdown();
+    let stats = serving.join();
+    assert_eq!(stats.sessions_accepted, 0, "{stats:?}");
+    assert_eq!(stats.sessions_failed, 0, "{stats:?}");
+    assert!(!path.exists(), "socket file left behind");
+}
+
+/// A second server may rebind a Unix path: `bind_unix` replaces the
+/// socket file. The first server's shutdown must still wake its own
+/// accept (the path now names the second server's socket), the second
+/// server must not see that wake connection, and the first server must
+/// not remove the second server's socket file on its way out.
+#[test]
+fn shutdown_after_rebind_leaves_the_new_socket_alone() {
+    let path = sock_path("rebind");
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let mut first = Server::new(config);
+    first.bind_unix(&path).unwrap();
+    let first_handle = first.handle();
+    let first_serving = Serving::start(first);
+    let mut second = Server::new(config);
+    second.bind_unix(&path).unwrap();
+    let second_handle = second.handle();
+    let second_serving = Serving::start(second);
+    thread::sleep(Duration::from_millis(50));
+
+    first_handle.shutdown();
+    let first_stats = first_serving.join();
+    assert_eq!(first_stats.sessions_accepted, 0, "{first_stats:?}");
+
+    // The path still reaches the second server, which has counted
+    // nothing so far.
+    let spec = PredictorSpec::Gshare {
+        index_bits: 10,
+        history: 8,
+    };
+    let trace = patterned_trace("after-rebind", 5, 800);
+    let mut client = Client::connect_unix(&path, spec, false)
+        .expect("second server unreachable after the first returned");
+    let summary = client.run_trace(&trace, 256).unwrap();
+    assert_eq!(summary.result, simulate(spec.build(), &trace));
+    let during = client.server_stats().unwrap();
+    assert_eq!(during.sessions_accepted, 1, "{during:?}");
+    assert_eq!(during.sessions_failed, 0, "{during:?}");
+    client.bye().unwrap();
+
+    second_handle.shutdown();
+    let second_stats = second_serving.join();
+    assert_eq!(second_stats.sessions_accepted, 1, "{second_stats:?}");
+    assert_eq!(second_stats.sessions_completed, 1, "{second_stats:?}");
+    assert_eq!(second_stats.sessions_failed, 0, "{second_stats:?}");
+    assert!(!path.exists(), "socket file left behind");
+}
+
+/// The admission cap is exact: with `max_sessions` sessions held open, the
+/// next connect is refused, and STATS counts every held session active
+/// and none queued.
+#[test]
+fn admission_cap_is_exact() {
+    let path = sock_path("cap");
+    let mut server = Server::new(ServerConfig {
+        workers: 2,
+        max_sessions: 2,
+        retry_backoff: Duration::from_millis(10),
+        ..ServerConfig::default()
+    });
+    server.bind_unix(&path).unwrap();
+    let handle = server.handle();
+    let join = thread::spawn(move || server.serve());
+
+    let spec = PredictorSpec::Bimodal { index_bits: 8 };
+    let mut first = Client::connect_unix(&path, spec, false).unwrap();
+    let second = Client::connect_unix(&path, spec, false).unwrap();
+    match Client::connect_unix(&path, spec, false) {
+        Err(ServerError::Overloaded { retry_after }) => {
+            assert!(retry_after > Duration::ZERO, "retry delay must be positive")
+        }
+        Err(other) => panic!("expected Overloaded, got {other:?}"),
+        Ok(_) => panic!("a third session was admitted past max_sessions = 2"),
+    }
+    let stats = first.server_stats().unwrap();
+    assert_eq!(stats.sessions_active, 2, "{stats:?}");
+    assert_eq!(stats.sessions_queued, 0, "{stats:?}");
+    assert_eq!(stats.sessions_rejected, 1, "{stats:?}");
+    first.bye().unwrap();
+    second.bye().unwrap();
+
+    handle.shutdown();
+    let stats = join.join().unwrap();
+    assert_eq!(stats.sessions_completed, 2);
+    assert_eq!(stats.sessions_rejected, 1);
 }
