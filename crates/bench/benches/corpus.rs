@@ -20,14 +20,12 @@
 //! equivalent computations. Sampling is paired per the `sweep_batched`
 //! rationale (this host's cross-run wall-clock swings exceed the
 //! measured effects); `EV8_BENCH_SAMPLES` overrides the sample count
-//! and `EV8_CORPUS_SCALE` the trace scale (defaults: 5 samples, 0.02).
-
-use std::time::{Duration, Instant};
+//! and `EV8_SCALE` the trace scale (defaults: 5 samples, 0.02).
 
 use ev8_predictors::gshare::Gshare;
 use ev8_sim::{drive, Plain};
 use ev8_trace::corpus::{write_corpus, CorpusReader};
-use ev8_util::bench::black_box;
+use ev8_util::bench::{samples_from_env, time, PairedSamples};
 use ev8_util::json::JsonObject;
 use ev8_workloads::spec95;
 
@@ -41,53 +39,14 @@ const BENCHMARKS: [&str; 8] = [
     "go", "ijpeg", "gcc", "m88ksim", "compress", "li", "perl", "vortex",
 ];
 
-fn corpus_scale() -> f64 {
-    std::env::var("EV8_CORPUS_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SCALE)
-}
-
-fn time<R>(mut f: impl FnMut() -> R) -> Duration {
-    let start = Instant::now();
-    black_box(f());
-    start.elapsed()
-}
-
-fn median_of(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.total_cmp(b));
-    values[values.len() / 2]
-}
-
-fn median_ns(samples: &[[Duration; 4]], series: usize) -> u64 {
-    median_of(
-        samples
-            .iter()
-            .map(|s| s[series].as_nanos() as f64)
-            .collect(),
-    ) as u64
-}
-
-fn paired_ratio(samples: &[[Duration; 4]], num: usize, den: usize) -> f64 {
-    median_of(
-        samples
-            .iter()
-            .map(|s| s[num].as_secs_f64() / s[den].as_secs_f64())
-            .collect(),
-    )
-}
-
 fn predictor() -> Gshare {
     Gshare::new(14, 12)
 }
 
 fn main() {
-    let samples_per_series: usize = std::env::var("EV8_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SAMPLES);
+    let samples_per_series = samples_from_env().unwrap_or(DEFAULT_SAMPLES);
     let filter = std::env::args().nth(1).filter(|a| !a.starts_with('-'));
-    let scale = corpus_scale();
+    let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
     let mut entries: Vec<(String, String)> = Vec::new();
     let mut worst_ratio = 0.0f64;
 
@@ -126,9 +85,9 @@ fn main() {
             );
         }
 
-        let mut samples: Vec<[Duration; 4]> = Vec::with_capacity(samples_per_series);
+        let mut samples = PairedSamples::new(4);
         for _ in 0..samples_per_series {
-            samples.push([
+            samples.push(&[
                 time(|| {
                     let mut out: Vec<u8> = Vec::new();
                     write_corpus(&mut out, &trace).expect("encode");
@@ -153,9 +112,9 @@ fn main() {
         let corpus_bpr = bytes.len() as f64 / records.max(1) as f64;
         let flat_bpr = flat.packed_bytes() as f64 / records.max(1) as f64;
         worst_ratio = worst_ratio.max(corpus_bpr);
-        let encode_ns = median_ns(&samples, 0);
-        let decode_ns = median_ns(&samples, 1);
-        let overhead = paired_ratio(&samples, 2, 3);
+        let encode_ns = samples.median_ns(0);
+        let decode_ns = samples.median_ns(1);
+        let overhead = samples.ratio(2, 3);
         let mrec_s = |ns: u64| records as f64 / (ns as f64 / 1e9) / 1e6;
         println!(
             "corpus_{name:<9} {records:>8} records  {corpus_bpr:>5.2} B/rec (aos {AOS_BYTES_PER_RECORD}, flat {flat_bpr:.2})  \
@@ -168,7 +127,7 @@ fn main() {
         out.field("benchmark", &name)
             .field("scale", &scale)
             .field("records", &records)
-            .field("samples", &(samples.len() as u64))
+            .field("samples", &(samples_per_series as u64))
             .field("corpus_bytes", &(bytes.len() as u64))
             .field("corpus_bytes_per_record", &corpus_bpr)
             .field("aos_bytes_per_record", &AOS_BYTES_PER_RECORD)
@@ -176,8 +135,8 @@ fn main() {
             .field("ratio_vs_aos", &(AOS_BYTES_PER_RECORD / corpus_bpr))
             .field("encode_ns", &encode_ns)
             .field("decode_ns", &decode_ns)
-            .field("corpus_simulate_ns", &median_ns(&samples, 2))
-            .field("cached_simulate_ns", &median_ns(&samples, 3))
+            .field("corpus_simulate_ns", &samples.median_ns(2))
+            .field("cached_simulate_ns", &samples.median_ns(3))
             .field("corpus_simulate_overhead", &overhead);
         entries.push((format!("corpus/{name}"), out.finish()));
     }

@@ -16,20 +16,21 @@
 //!   `update_record` per record, the trait's reference composition.
 //!
 //! Before timing, the bench asserts both return the same `SimResult`.
-//! Each sample interleaves one run of each (family, path), and the
-//! recorded `composed_over_fused` is the median of per-sample ratios, so
-//! a host slowdown that covers one sample cancels out of the ratio (see
+//! Each sample interleaves one run of each (family, path)
+//! (`ev8_util::bench::PairedSamples`), and the recorded
+//! `composed_over_fused` is the median of per-sample ratios, so a host
+//! slowdown that covers one sample cancels out of the ratio (see
 //! `sweep_batched` for why this host needs paired sampling).
 //!
-//! `EV8_SWEEP_SCALE` overrides the trace scale (default 0.2, CI smoke
-//! sets 0.02) and `EV8_BENCH_SAMPLES` the sample count (CI smoke sets
-//! 1). The first non-dash argument filters families by substring of
-//! `predictor_throughput/<family>`.
+//! `EV8_SCALE` overrides the trace scale (default 0.2, CI smoke sets
+//! 0.002) and `EV8_BENCH_SAMPLES` the sample count (default 7, CI smoke
+//! sets 1). The first non-dash argument filters families by substring
+//! of `predictor_throughput/<family>`.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ev8_util::bench::black_box;
+use ev8_util::bench::{samples_from_env, time, PairedSamples};
 use ev8_util::json::JsonObject;
 
 use ev8_predictors::tage::{Tage, TageConfig};
@@ -38,7 +39,7 @@ use ev8_sim::{drive, simulate_flat, SimResult, StaleCommit};
 use ev8_trace::FlatTrace;
 use ev8_workloads::spec95;
 
-const DEFAULT_SWEEP_SCALE: f64 = 0.2;
+const DEFAULT_SCALE: f64 = 0.2;
 const DEFAULT_SAMPLES: usize = 7;
 
 /// The largest-footprint benchmark of the suite: the most distinct
@@ -59,24 +60,6 @@ const FIG5_FAMILIES: [(&str, &str); 6] = [
 /// The key of TAGE at the EV8 budget, timed after the Fig 5 roster.
 const TAGE_KEY: &str = "tage_352k";
 
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-fn time<R>(f: impl FnOnce() -> R) -> Duration {
-    let start = Instant::now();
-    black_box(f());
-    start.elapsed()
-}
-
-fn median_of(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.total_cmp(b));
-    values[values.len() / 2]
-}
-
 /// `predict` then `update_record` on every record: the composition the
 /// fused step must equal.
 fn composed(predictor: Box<dyn ev8_predictors::BranchPredictor>, trace: &FlatTrace) -> SimResult {
@@ -86,8 +69,8 @@ fn composed(predictor: Box<dyn ev8_predictors::BranchPredictor>, trace: &FlatTra
 }
 
 fn main() {
-    let samples_per_series: usize = env_or("EV8_BENCH_SAMPLES", DEFAULT_SAMPLES).max(1);
-    let scale: f64 = env_or("EV8_SWEEP_SCALE", DEFAULT_SWEEP_SCALE);
+    let samples_per_series = samples_from_env().unwrap_or(DEFAULT_SAMPLES);
+    let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
     let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
 
     let configs = fig5::configs();
@@ -125,42 +108,36 @@ fn main() {
         );
     }
 
-    // samples[s][family] = (fused, composed)
-    let mut samples: Vec<Vec<(Duration, Duration)>> = Vec::with_capacity(samples_per_series);
+    // Series 2i is family i fused, 2i + 1 the same family composed.
+    let mut samples = PairedSamples::new(2 * roster.len());
     for _ in 0..samples_per_series {
-        samples.push(
-            roster
-                .iter()
-                .map(|(_, make)| {
-                    (
-                        time(|| simulate_flat(make(), &trace)),
-                        time(|| composed(make(), &trace)),
-                    )
-                })
-                .collect(),
-        );
+        let sample: Vec<Duration> = roster
+            .iter()
+            .flat_map(|(_, make)| {
+                [
+                    time(|| simulate_flat(make(), &trace)),
+                    time(|| composed(make(), &trace)),
+                ]
+            })
+            .collect();
+        samples.push(&sample);
     }
 
-    let ns_per_branch = |d: Duration| d.as_nanos() as f64 / branches.max(1) as f64;
+    let ns_per_branch = |series| samples.median_ns(series) as f64 / branches.max(1) as f64;
     let mut entries = Vec::new();
     for (i, (key, _)) in roster.iter().enumerate() {
-        let fused = median_of(samples.iter().map(|s| ns_per_branch(s[i].0)).collect());
-        let composed = median_of(samples.iter().map(|s| ns_per_branch(s[i].1)).collect());
-        let ratio = median_of(
-            samples
-                .iter()
-                .map(|s| s[i].1.as_secs_f64() / s[i].0.as_secs_f64())
-                .collect(),
-        );
+        let fused = ns_per_branch(2 * i);
+        let composed = ns_per_branch(2 * i + 1);
+        let ratio = samples.ratio(2 * i + 1, 2 * i);
         println!(
             "predictor_throughput/{key:<16} fused {fused:>7.2} ns/branch  composed {composed:>7.2} ns/branch  composed/fused {ratio:.2}x  ({} paired samples)",
-            samples.len()
+            samples_per_series
         );
         let mut out = JsonObject::new();
         out.field("benchmark", &BENCHMARK)
             .field("scale", &scale)
             .field("conditional_branches", &branches)
-            .field("samples", &(samples.len() as u64))
+            .field("samples", &(samples_per_series as u64))
             .field("fused_ns_per_branch", &fused)
             .field("composed_ns_per_branch", &composed)
             .field("composed_over_fused", &ratio);

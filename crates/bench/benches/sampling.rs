@@ -16,8 +16,8 @@
 //! * every EV8 (Table 2) cell lands within 2% relative error,
 //! * the median cell across the whole roster lands within 2%.
 //!
-//! `EV8_SAMPLING_SCALE` overrides the trace scale (default 1.0 — the
-//! paper's full 100M-instruction traces; the recorded envelope is only
+//! `EV8_SCALE` overrides the trace scale (default 1.0 — the paper's
+//! full 100M-instruction traces; the recorded envelope is only
 //! meaningful at full scale).
 
 use std::sync::Arc;
@@ -50,16 +50,9 @@ fn build(key: &str) -> Factory {
     }
 }
 
-fn sampling_scale() -> f64 {
-    std::env::var("EV8_SAMPLING_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SCALE)
-}
-
 fn main() {
     let filter = std::env::args().nth(1).filter(|a| !a.starts_with('-'));
-    let scale = sampling_scale();
+    let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
     let mut entries: Vec<(String, String)> = Vec::new();
 
     // One job per (benchmark, family) cell; the serial full-trace truth

@@ -1,4 +1,4 @@
-//! Load bench for the prediction service: N concurrent client sessions
+//! Load bench for the prediction service: 8 concurrent client sessions
 //! stream a spec95 trace through a live server over Unix-domain and TCP
 //! transports, recording aggregate throughput (branch records per
 //! second across all sessions) and per-session latency percentiles into
@@ -14,10 +14,9 @@
 //! wrong answers is worse than no number.
 //!
 //! Knobs: `EV8_BENCH_SAMPLES` (batches per transport, default 5; CI
-//! smoke sets 1), `EV8_SERVER_SCALE` (trace scale, default 0.02 —
-//! service overhead per record is scale-invariant, so the smoke-sized
-//! trace measures the same thing the paper-sized one would),
-//! `EV8_SERVER_SESSIONS` (concurrent clients per batch, default 8).
+//! smoke sets 1) and `EV8_SCALE` (trace scale, default 0.02 — service
+//! overhead per record is scale-invariant, so the smoke-sized trace
+//! measures the same thing the paper-sized one would).
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -27,21 +26,16 @@ use std::time::{Duration, Instant};
 use ev8_server::proto::PredictorSpec;
 use ev8_server::{Client, Server, ServerConfig, ServerHandle};
 use ev8_sim::simulate;
+use ev8_util::bench::samples_from_env;
 use ev8_util::json::JsonObject;
 use ev8_workloads::spec95;
 
 const BENCHMARK: &str = "compress";
 const DEFAULT_SCALE: f64 = 0.02;
-const DEFAULT_SESSIONS: usize = 8;
+/// Concurrent client sessions per batch.
+const SESSIONS: usize = 8;
 const DEFAULT_SAMPLES: usize = 5;
 const CHUNK: usize = 4096;
-
-fn env_or<T: std::str::FromStr>(var: &str, default: T) -> T {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 /// How each batch of sessions reaches the server.
 #[derive(Clone)]
@@ -103,9 +97,8 @@ fn percentile_ms(sorted: &[Duration], p: f64) -> f64 {
 }
 
 fn main() {
-    let samples: usize = env_or("EV8_BENCH_SAMPLES", DEFAULT_SAMPLES);
-    let scale: f64 = env_or("EV8_SERVER_SCALE", DEFAULT_SCALE);
-    let sessions: usize = env_or("EV8_SERVER_SESSIONS", DEFAULT_SESSIONS);
+    let samples = samples_from_env().unwrap_or(DEFAULT_SAMPLES);
+    let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
     let filter = std::env::args().nth(1).filter(|a| !a.starts_with('-'));
 
     // `Client::run_trace` streams an AoS trace.
@@ -135,24 +128,24 @@ fn main() {
         }
         // Warm the path (predictor allocation, page faults, listener)
         // outside measurement.
-        run_batch(transport, 1.min(sessions), &trace, &expect);
+        run_batch(transport, 1, &trace, &expect);
 
         let mut latencies: Vec<Duration> = Vec::new();
         let mut batch_walls: Vec<Duration> = Vec::new();
         for _ in 0..samples {
-            let (wall, lats) = run_batch(transport, sessions, &trace, &expect);
+            let (wall, lats) = run_batch(transport, SESSIONS, &trace, &expect);
             batch_walls.push(wall);
             latencies.extend(lats);
         }
         latencies.sort();
         batch_walls.sort();
         let median_wall = batch_walls[batch_walls.len() / 2];
-        let total_records = records * sessions as u64;
+        let total_records = records * SESSIONS as u64;
         let records_per_sec = total_records as f64 / median_wall.as_secs_f64();
         let p50 = percentile_ms(&latencies, 0.50);
         let p99 = percentile_ms(&latencies, 0.99);
         println!(
-            "server_{label}: {sessions} sessions x {records} records  \
+            "server_{label}: {SESSIONS} sessions x {records} records  \
              {:.2} Mrec/s aggregate  p50 {p50:.1} ms  p99 {p99:.1} ms  \
              (median of {samples} batches)",
             records_per_sec / 1e6,
@@ -162,7 +155,7 @@ fn main() {
         out.field("benchmark", &BENCHMARK)
             .field("scale", &scale)
             .field("transport", label)
-            .field("sessions", &(sessions as u64))
+            .field("sessions", &(SESSIONS as u64))
             .field("records_per_session", &records)
             .field("samples", &(samples as u64))
             .field("batch_wall_ns", &(median_wall.as_nanos() as u64))

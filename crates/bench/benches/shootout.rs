@@ -10,26 +10,21 @@
 //! engine — one trace pass per benchmark for all four predictors — so a
 //! full-suite shootout costs about one serial simulation sweep.
 //!
-//! `EV8_SHOOTOUT_SCALE` overrides the trace scale (CI smoke sets a small
-//! value; the committed numbers come from a manual run at the default).
+//! `EV8_SCALE` overrides the trace scale (default 0.05; CI smoke sets
+//! 0.002, and the committed numbers come from a manual run at the
+//! default).
 
 use ev8_util::json::JsonObject;
 
 use ev8_sim::experiments::shootout;
+use ev8_sim::sweep::default_workers;
 
 const DEFAULT_SCALE: f64 = 0.05;
 
-fn shootout_scale() -> f64 {
-    std::env::var("EV8_SHOOTOUT_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SCALE)
-}
-
 fn main() {
     let filter = std::env::args().nth(1).filter(|a| !a.starts_with('-'));
-    let scale = shootout_scale();
-    let workers = ev8_bench::workers();
+    let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
+    let workers = default_workers();
 
     // [config][benchmark], in shootout::configs() roster order.
     let labels: Vec<String> = shootout::configs().into_iter().map(|(l, _)| l).collect();

@@ -40,20 +40,22 @@
 //! on — the recorded `table_layout_speedup` once came out 0.91 and
 //! `observe_hook_noop_overhead` 0.90 (a no-op observer "faster" than no
 //! observer, which is structurally impossible). So, like the
-//! `sweep_batched` bench, every sample now interleaves the series and
-//! each recorded ratio is the **median of per-sample ratios**: a
+//! `sweep_batched` bench, every sample interleaves the series
+//! (`ev8_util::bench::PairedSamples`) and each recorded ratio is the
+//! **median of per-sample ratios**: a
 //! slowdown covering one sample inflates both sides of that sample's
 //! ratio and cancels. Each before/after pair goes further than
 //! `sweep_batched`: the two sides run A,B,B,A,A,B,B,A within the sample
 //! and each side keeps its *minimum* leg, cancelling the icache/front-end
 //! edge a fixed order hands to whichever side runs second and shedding
 //! additive noise spikes. `EV8_BENCH_SAMPLES` overrides the sample
-//! count (CI smoke sets 1).
+//! count (default 7, CI smoke sets 1); the trace scale is fixed at
+//! 0.002.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ev8_util::bench::black_box;
+use ev8_util::bench::{black_box, samples_from_env, time, PairedSamples};
 use ev8_util::json::JsonObject;
 
 use ev8_core::Ev8Predictor;
@@ -172,41 +174,25 @@ const SERIES_NAMES: [&str; SERIES] = [
     "observe_hook/noop_observer",
 ];
 
-fn time<R>(mut f: impl FnMut() -> R) -> Duration {
-    let start = Instant::now();
-    black_box(f());
-    start.elapsed()
-}
-
-fn median_of(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.total_cmp(b));
-    values[values.len() / 2]
-}
-
-fn median_ns(samples: &[[Duration; SERIES]], series: usize) -> u64 {
-    median_of(
-        samples
-            .iter()
-            .map(|s| s[series].as_nanos() as f64)
-            .collect(),
-    ) as u64
-}
-
-/// Median over samples of the within-sample `num / den` time ratio.
-fn paired_ratio(samples: &[[Duration; SERIES]], num: usize, den: usize) -> f64 {
-    median_of(
-        samples
-            .iter()
-            .map(|s| s[num].as_secs_f64() / s[den].as_secs_f64())
-            .collect(),
-    )
+/// Times `a` and `b` in the order A,B,B,A,A,B,B,A and keeps each side's
+/// fastest run: running B right after A leaves A's shared code hot in
+/// the front-end caches (a systematic edge a fixed A,B order hands to B
+/// every sample), and host noise is strictly additive, so the minimum is
+/// the robust per-sample estimate.
+fn abba_min<R, S>(mut a: impl FnMut() -> R, mut b: impl FnMut() -> S) -> (Duration, Duration) {
+    let (mut ta, mut tb) = (Duration::MAX, Duration::MAX);
+    for leg in [0, 1, 1, 0, 0, 1, 1, 0] {
+        if leg == 0 {
+            ta = ta.min(time(&mut a));
+        } else {
+            tb = tb.min(time(&mut b));
+        }
+    }
+    (ta, tb)
 }
 
 fn main() {
-    let samples_per_series: usize = std::env::var("EV8_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SAMPLES);
+    let samples_per_series = samples_from_env().unwrap_or(DEFAULT_SAMPLES);
     let spec = spec95::benchmark("m88ksim").expect("known benchmark");
 
     // Warm the cache outside measurement so "cached_hit" times the hit
@@ -231,77 +217,49 @@ fn main() {
     let _ = drive_packed(&mut packed_tables, ACCESSES);
     let _ = simulate_flat(Ev8Predictor::ev8(), &trace);
 
-    // Every before/after pair is timed A,B,B,A *within* each sample and
-    // each side keeps the MINIMUM of its two runs: running B right after
-    // A leaves A's shared code hot in the front-end caches (a systematic
-    // edge a fixed A,B order hands to B every sample), and host noise is
-    // strictly additive, so the min is the robust per-sample estimate.
-    // The per-sample ratio then feeds the median as in `sweep_batched`.
-    let mut samples: Vec<[Duration; SERIES]> = Vec::with_capacity(samples_per_series);
+    // Every before/after pair is timed by `abba_min` within each sample;
+    // the per-sample ratio then feeds the median as in `sweep_batched`.
+    let mut samples = PairedSamples::new(SERIES);
     for _ in 0..samples_per_series {
-        let mut t = [Duration::MAX; SERIES];
+        let mut t = [Duration::ZERO; SERIES];
         t[FRESH] = time(|| spec.generate_scaled(BENCH_SCALE));
         t[CACHED] = time(|| spec95::cached("m88ksim", BENCH_SCALE).expect("known benchmark"));
-        for leg in [0, 1, 1, 0, 0, 1, 1, 0] {
-            match leg {
-                0 => {
-                    let d = time(|| black_box(drive_bytes(&mut byte_tables, ACCESSES)));
-                    t[BYTES] = t[BYTES].min(d);
-                }
-                _ => {
-                    let d = time(|| black_box(drive_packed(&mut packed_tables, ACCESSES)));
-                    t[PACKED] = t[PACKED].min(d);
-                }
-            }
-        }
-        for leg in [0, 1, 1, 0, 0, 1, 1, 0] {
-            match leg {
-                0 => {
-                    let d = time(|| {
-                        drive(
-                            TwoBcGskew::new(TwoBcGskewConfig::ev8_size()),
-                            &*trace,
-                            Plain,
-                        )
-                    });
-                    t[FAULT_DISABLED] = t[FAULT_DISABLED].min(d);
-                }
-                _ => {
-                    let d = time(|| {
-                        let predictor = TwoBcGskew::new(TwoBcGskewConfig::ev8_size());
-                        let mut injector = FaultInjector::new(FaultPlan::seu(0.0), &predictor);
-                        drive(predictor, &*trace, &mut injector)
-                    });
-                    t[FAULT_ZERO] = t[FAULT_ZERO].min(d);
-                }
-            }
-        }
-        for leg in [0, 1, 1, 0, 0, 1, 1, 0] {
-            match leg {
-                0 => {
-                    let d = time(|| drive(Ev8Predictor::ev8(), &*trace, Plain));
-                    t[OBSERVE_DISABLED] = t[OBSERVE_DISABLED].min(d);
-                }
-                _ => {
-                    let d = time(|| drive(Ev8Predictor::ev8(), &*trace, NullObserver));
-                    t[OBSERVE_NOOP] = t[OBSERVE_NOOP].min(d);
-                }
-            }
-        }
+        (t[BYTES], t[PACKED]) = abba_min(
+            || black_box(drive_bytes(&mut byte_tables, ACCESSES)),
+            || black_box(drive_packed(&mut packed_tables, ACCESSES)),
+        );
+        (t[FAULT_DISABLED], t[FAULT_ZERO]) = abba_min(
+            || {
+                drive(
+                    TwoBcGskew::new(TwoBcGskewConfig::ev8_size()),
+                    &*trace,
+                    Plain,
+                )
+            },
+            || {
+                let predictor = TwoBcGskew::new(TwoBcGskewConfig::ev8_size());
+                let mut injector = FaultInjector::new(FaultPlan::seu(0.0), &predictor);
+                drive(predictor, &*trace, &mut injector)
+            },
+        );
+        (t[OBSERVE_DISABLED], t[OBSERVE_NOOP]) = abba_min(
+            || drive(Ev8Predictor::ev8(), &*trace, Plain),
+            || drive(Ev8Predictor::ev8(), &*trace, NullObserver),
+        );
         t[SIM_EV8] = time(|| simulate_flat(Ev8Predictor::ev8(), &trace));
-        samples.push(t);
+        samples.push(&t);
     }
 
     for (i, series) in SERIES_NAMES.iter().enumerate() {
         println!(
             "sim_hot_loop/{series:<38} {:>12} ns/iter  (median of {} paired samples)",
-            median_ns(&samples, i),
-            samples.len(),
+            samples.median_ns(i),
+            samples_per_series,
         );
     }
-    let table_layout_speedup = paired_ratio(&samples, BYTES, PACKED);
-    let fault_overhead = paired_ratio(&samples, FAULT_ZERO, FAULT_DISABLED);
-    let observe_overhead = paired_ratio(&samples, OBSERVE_NOOP, OBSERVE_DISABLED);
+    let table_layout_speedup = samples.ratio(BYTES, PACKED);
+    let fault_overhead = samples.ratio(FAULT_ZERO, FAULT_DISABLED);
+    let observe_overhead = samples.ratio(OBSERVE_NOOP, OBSERVE_DISABLED);
     println!(
         "sim_hot_loop: table_layout_speedup {table_layout_speedup:.2}x  \
          fault_hook_zero_rate_overhead {fault_overhead:.3}  \
@@ -311,34 +269,28 @@ fn main() {
     let mut out = JsonObject::new();
     out.field("benchmark", &"m88ksim")
         .field("scale", &BENCH_SCALE)
-        .field("samples", &(samples.len() as u64))
-        .field("trace_provider_fresh_ns", &median_ns(&samples, FRESH))
-        .field("trace_provider_cached_ns", &median_ns(&samples, CACHED))
-        .field(
-            "trace_provider_speedup",
-            &paired_ratio(&samples, FRESH, CACHED),
-        )
+        .field("samples", &(samples_per_series as u64))
+        .field("trace_provider_fresh_ns", &samples.median_ns(FRESH))
+        .field("trace_provider_cached_ns", &samples.median_ns(CACHED))
+        .field("trace_provider_speedup", &samples.ratio(FRESH, CACHED))
         .field("table_layout_accesses", &(ACCESSES as u64))
-        .field("table_layout_byte_ns", &median_ns(&samples, BYTES))
-        .field("table_layout_packed_ns", &median_ns(&samples, PACKED))
+        .field("table_layout_byte_ns", &samples.median_ns(BYTES))
+        .field("table_layout_packed_ns", &samples.median_ns(PACKED))
         .field("table_layout_speedup", &table_layout_speedup)
-        .field("simulate_ev8_ns", &median_ns(&samples, SIM_EV8))
+        .field("simulate_ev8_ns", &samples.median_ns(SIM_EV8))
         .field(
             "simulate_branches_per_sec",
             &(trace.conditional_count() as f64
-                / Duration::from_nanos(median_ns(&samples, SIM_EV8).max(1)).as_secs_f64()),
+                / Duration::from_nanos(samples.median_ns(SIM_EV8).max(1)).as_secs_f64()),
         )
-        .field(
-            "fault_hook_disabled_ns",
-            &median_ns(&samples, FAULT_DISABLED),
-        )
-        .field("fault_hook_zero_rate_ns", &median_ns(&samples, FAULT_ZERO))
+        .field("fault_hook_disabled_ns", &samples.median_ns(FAULT_DISABLED))
+        .field("fault_hook_zero_rate_ns", &samples.median_ns(FAULT_ZERO))
         .field("fault_hook_zero_rate_overhead", &fault_overhead)
         .field(
             "observe_hook_disabled_ns",
-            &median_ns(&samples, OBSERVE_DISABLED),
+            &samples.median_ns(OBSERVE_DISABLED),
         )
-        .field("observe_hook_noop_ns", &median_ns(&samples, OBSERVE_NOOP))
+        .field("observe_hook_noop_ns", &samples.median_ns(OBSERVE_NOOP))
         .field("observe_hook_noop_overhead", &observe_overhead);
     let json = out.finish();
     // Merge-on-write: this group's entry is keyed so other bench groups'

@@ -42,11 +42,10 @@
 //! at 0.2 the AoS traces run tens of MB and the serial sweep pays the
 //! same per-config memory traffic it pays in real experiment runs,
 //! which walk the full 25M-instruction (scale 1.0) traces.
-//! `EV8_BENCH_SAMPLES` overrides the sample count (CI smoke sets 1).
+//! `EV8_BENCH_SAMPLES` overrides the sample count (default 7, CI smoke
+//! sets 1) and `EV8_SCALE` the trace scale (default 0.2).
 
-use std::time::{Duration, Instant};
-
-use ev8_util::bench::black_box;
+use ev8_util::bench::{samples_from_env, time, PairedSamples};
 use ev8_util::json::JsonObject;
 
 use ev8_predictors::gshare::Gshare;
@@ -54,18 +53,9 @@ use ev8_sim::{simulate, simulate_flat, simulate_gshare_sweep, simulate_many};
 use ev8_workloads::spec95;
 
 /// Default trace scale for recorded runs; see the module doc for why it
-/// must be large. `EV8_SWEEP_SCALE` overrides it — CI smoke sets 0.02
-/// so the one-sample pass doesn't spend minutes generating traces whose
-/// timings it discards anyway.
-const DEFAULT_SWEEP_SCALE: f64 = 0.2;
+/// must be large.
+const DEFAULT_SCALE: f64 = 0.2;
 const DEFAULT_SAMPLES: usize = 7;
-
-fn sweep_scale() -> f64 {
-    std::env::var("EV8_SWEEP_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SWEEP_SCALE)
-}
 
 /// The Fig 6/7-shaped sweep axis: one predictor geometry, eight history
 /// lengths. 64K entries (128 Kbit) sits in the middle of the paper's
@@ -87,43 +77,18 @@ fn sweep_configs() -> Vec<Gshare> {
         .collect()
 }
 
-fn time<R>(mut f: impl FnMut() -> R) -> Duration {
-    let start = Instant::now();
-    black_box(f());
-    start.elapsed()
-}
-
-fn median_of(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.total_cmp(b));
-    values[values.len() / 2]
-}
-
-fn median_ns(samples: &[[Duration; 5]], series: usize) -> u64 {
-    median_of(
-        samples
-            .iter()
-            .map(|s| s[series].as_nanos() as f64)
-            .collect(),
-    ) as u64
-}
-
-/// Median over samples of the within-sample `num / den` time ratio.
-fn paired_ratio(samples: &[[Duration; 5]], num: usize, den: usize) -> f64 {
-    median_of(
-        samples
-            .iter()
-            .map(|s| s[num].as_secs_f64() / s[den].as_secs_f64())
-            .collect(),
-    )
-}
+const SERIES: [&str; 5] = [
+    "serial_8_configs",
+    "batched_8_configs",
+    "generic_8_configs",
+    "aos_single_config",
+    "flat_single_config",
+];
 
 fn main() {
-    let samples_per_series: usize = std::env::var("EV8_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SAMPLES);
+    let samples_per_series = samples_from_env().unwrap_or(DEFAULT_SAMPLES);
     let filter = std::env::args().nth(1).filter(|a| !a.starts_with('-'));
-    let scale = sweep_scale();
+    let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
     let mut entries: Vec<(String, String)> = Vec::new();
 
     for name in BENCHMARKS {
@@ -158,9 +123,9 @@ fn main() {
             );
         }
 
-        let mut samples: Vec<[Duration; 5]> = Vec::with_capacity(samples_per_series);
+        let mut samples = PairedSamples::new(SERIES.len());
         for _ in 0..samples_per_series {
-            samples.push([
+            samples.push(&[
                 time(|| {
                     sweep_configs()
                         .into_iter()
@@ -174,22 +139,15 @@ fn main() {
             ]);
         }
 
-        const SERIES: [&str; 5] = [
-            "serial_8_configs",
-            "batched_8_configs",
-            "generic_8_configs",
-            "aos_single_config",
-            "flat_single_config",
-        ];
         for (i, series) in SERIES.iter().enumerate() {
             println!(
                 "sweep_batched_{name}/{series:<20} {:>9.2} ms/iter  (median of {} paired samples)",
-                median_ns(&samples, i) as f64 / 1e6,
-                samples.len(),
+                samples.median_ns(i) as f64 / 1e6,
+                samples_per_series,
             );
         }
-        let batched_speedup = paired_ratio(&samples, 0, 1);
-        let flat_speedup = paired_ratio(&samples, 3, 4);
+        let batched_speedup = samples.ratio(0, 1);
+        let flat_speedup = samples.ratio(3, 4);
         println!(
             "sweep_batched_{name}: batched_speedup {batched_speedup:.2}x  flat_speedup {flat_speedup:.2}x"
         );
@@ -199,13 +157,13 @@ fn main() {
             .field("scale", &scale)
             .field("configs", &(HISTORIES.len() as u64))
             .field("conditional_branches", &flat.conditional_count())
-            .field("samples", &(samples.len() as u64))
-            .field("serial_sweep_ns", &median_ns(&samples, 0))
-            .field("batched_sweep_ns", &median_ns(&samples, 1))
+            .field("samples", &(samples_per_series as u64))
+            .field("serial_sweep_ns", &samples.median_ns(0))
+            .field("batched_sweep_ns", &samples.median_ns(1))
             .field("batched_speedup", &batched_speedup)
-            .field("generic_sweep_ns", &median_ns(&samples, 2))
-            .field("aos_single_ns", &median_ns(&samples, 3))
-            .field("flat_single_ns", &median_ns(&samples, 4))
+            .field("generic_sweep_ns", &samples.median_ns(2))
+            .field("aos_single_ns", &samples.median_ns(3))
+            .field("flat_single_ns", &samples.median_ns(4))
             .field("flat_speedup", &flat_speedup);
         entries.push((format!("sweep_batched/{name}"), out.finish()));
     }

@@ -8,7 +8,7 @@
 //!
 //! `dir` defaults to `corpus/` in the current directory. `build` writes
 //! one corpus file per SPECINT95 benchmark at the `EV8_SCALE` scale
-//! (default 0.25, as for the experiment drivers) and catalogs them;
+//! (default 0.25, as for the experiment driver) and catalogs them;
 //! rebuilding an existing identity replaces it. `verify` fully decodes
 //! every cataloged file, checking each chunk checksum and the pinned
 //! record/instruction counts. `ls` prints the catalog.
@@ -22,19 +22,6 @@ use ev8_workloads::spec95;
 fn usage() -> ExitCode {
     eprintln!("usage: corpus <build|verify|ls> [dir]   (scale via EV8_SCALE)");
     ExitCode::FAILURE
-}
-
-fn scale() -> f64 {
-    match std::env::var("EV8_SCALE") {
-        Err(_) => 0.25,
-        Ok(s) => {
-            let v: f64 = s
-                .parse()
-                .unwrap_or_else(|_| panic!("invalid EV8_SCALE {s:?}"));
-            assert!(v > 0.0, "EV8_SCALE must be positive, got {v}");
-            v
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -52,7 +39,7 @@ fn main() -> ExitCode {
 }
 
 fn build(dir: &Path) -> ExitCode {
-    let scale = scale();
+    let scale = ev8_bench::scale_from_env(ev8_bench::DEFAULT_SCALE);
     let mut store = match CorpusStore::open(dir) {
         Ok(s) => s,
         Err(e) => {

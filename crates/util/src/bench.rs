@@ -28,6 +28,16 @@
 //! `EV8_BENCH_SAMPLES=1` is a true one-sample smoke run (this is what
 //! `scripts/ci.sh` uses) — and a positional command-line argument
 //! filters benchmarks by substring of `group/name`.
+//!
+//! # Paired sampling
+//!
+//! Benches that compare two ways of doing one job record their series
+//! in [`PairedSamples`] instead: every sample times each series once,
+//! back to back, so a host slowdown that covers one sample slows every
+//! series of that sample alike, and a within-sample ratio cancels it.
+//! [`PairedSamples::ratio`] reports the median of those per-sample
+//! ratios. Their sample count comes from the same
+//! [`samples_from_env`] as the harness's.
 
 use std::hint::black_box as hint_black_box;
 use std::time::{Duration, Instant};
@@ -58,15 +68,12 @@ impl Harness {
     ///
     /// Flags injected by `cargo bench` (`--bench`, `--nocapture`, ...)
     /// are ignored; the first non-flag argument is a substring filter on
-    /// `group/name`. `EV8_BENCH_SAMPLES` sets the per-benchmark sample
-    /// count (default 10) and, when present, overrides per-group
-    /// [`Group::sample_size`] calls too.
+    /// `group/name`. `EV8_BENCH_SAMPLES` ([`samples_from_env`]) sets the
+    /// per-benchmark sample count (default 10) and, when present,
+    /// overrides per-group [`Group::sample_size`] calls too.
     pub fn from_env() -> Self {
         let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        let env_sample_size = std::env::var("EV8_BENCH_SAMPLES")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .filter(|&n: &usize| n > 0);
+        let env_sample_size = samples_from_env();
         Harness {
             filter,
             sample_size: env_sample_size.unwrap_or(10),
@@ -240,7 +247,7 @@ impl Bencher {
             per_iter.push(t.elapsed() / batch);
         }
         per_iter.sort_unstable();
-        let median = per_iter[per_iter.len() / 2];
+        let median = upper_median(&per_iter);
         let min = per_iter[0];
         self.result = Some(Measurement {
             median,
@@ -254,6 +261,121 @@ impl Bencher {
     pub fn measurement(&self) -> Option<&Measurement> {
         self.result.as_ref()
     }
+}
+
+/// The variable that sets every bench's sample count.
+const SAMPLES_VAR: &str = "EV8_BENCH_SAMPLES";
+
+/// The sample count `EV8_BENCH_SAMPLES` asks for, or `None` when it is
+/// unset: the one reader of the variable, for [`Harness::from_env`] and
+/// for every bench that fills [`PairedSamples`].
+///
+/// # Panics
+///
+/// Panics, naming the variable, when it is set to anything but a
+/// positive integer: zero samples have no median to report.
+pub fn samples_from_env() -> Option<usize> {
+    let raw = std::env::var_os(SAMPLES_VAR)?;
+    Some(parse_samples(&raw.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")))
+}
+
+fn parse_samples(raw: &str) -> Result<usize, String> {
+    match raw.trim().parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "{SAMPLES_VAR} must be a positive integer, got {raw:?}"
+        )),
+    }
+}
+
+/// Wall time of one call of `f`; the result goes through [`black_box`]
+/// so the work cannot be optimized away.
+pub fn time<R>(f: impl FnOnce() -> R) -> Duration {
+    let start = Instant::now();
+    black_box(f());
+    start.elapsed()
+}
+
+/// Interleaved paired samples of a fixed number of series (see the
+/// module doc): each [`push`](Self::push) records one sample, one time
+/// per series, all taken back to back.
+///
+/// Its methods are `#[inline]`, so they are compiled only into the
+/// benches that call them: ev8-util's own object code, which every
+/// binary of the workspace links, stays the same with or without the
+/// sampler, and so does those binaries' code layout.
+#[derive(Clone, Debug)]
+pub struct PairedSamples {
+    series: usize,
+    /// Sample-major: `times[s * series + i]` is series `i` in sample `s`.
+    times: Vec<Duration>,
+}
+
+impl PairedSamples {
+    /// An empty record of `series` series.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `series` is zero.
+    #[inline]
+    pub fn new(series: usize) -> Self {
+        assert!(series > 0, "paired samples need at least one series");
+        PairedSamples {
+            series,
+            times: Vec::new(),
+        }
+    }
+
+    /// Records one sample: one time per series, in series order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sample` does not hold exactly one time per series.
+    #[inline]
+    pub fn push(&mut self, sample: &[Duration]) {
+        assert_eq!(sample.len(), self.series, "one time per series");
+        self.times.extend_from_slice(sample);
+    }
+
+    /// Median time of `series` in nanoseconds: the middle sample for an
+    /// odd count, the upper of the two middle ones for an even count
+    /// (as [`Measurement::median`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when no sample has been recorded.
+    #[inline]
+    pub fn median_ns(&self, series: usize) -> u64 {
+        let mut column: Vec<Duration> = self.samples().map(|s| s[series]).collect();
+        column.sort_unstable();
+        upper_median(&column).as_nanos() as u64
+    }
+
+    /// Median over samples of the within-sample time ratio `num / den`
+    /// (same median as [`median_ns`](Self::median_ns)).
+    ///
+    /// # Panics
+    ///
+    /// Panics when no sample has been recorded.
+    #[inline]
+    pub fn ratio(&self, num: usize, den: usize) -> f64 {
+        let mut ratios: Vec<f64> = self
+            .samples()
+            .map(|s| s[num].as_secs_f64() / s[den].as_secs_f64())
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        upper_median(&ratios)
+    }
+
+    #[inline]
+    fn samples(&self) -> std::slice::ChunksExact<'_, Duration> {
+        self.times.chunks_exact(self.series)
+    }
+}
+
+fn upper_median<T: Copy>(sorted: &[T]) -> T {
+    assert!(!sorted.is_empty(), "no samples recorded");
+    sorted[sorted.len() / 2]
 }
 
 #[cfg(test)]
@@ -329,6 +451,54 @@ mod tests {
             b.iter(|| std::thread::sleep(Duration::from_millis(3)));
             assert_eq!(b.measurement().unwrap().batch, 1);
         });
+    }
+
+    #[test]
+    fn sample_count_must_be_a_positive_integer() {
+        assert_eq!(parse_samples("3"), Ok(3));
+        for bad in ["0", "abc", "-1", ""] {
+            let err = parse_samples(bad).unwrap_err();
+            assert!(err.contains("EV8_BENCH_SAMPLES"), "{bad:?}: {err}");
+        }
+    }
+
+    fn ns(n: u64) -> Duration {
+        Duration::from_nanos(n)
+    }
+
+    #[test]
+    fn paired_medians_over_odd_and_even_counts() {
+        let mut odd = PairedSamples::new(2);
+        for (a, b) in [(30, 1), (10, 2), (20, 3)] {
+            odd.push(&[ns(a), ns(b)]);
+        }
+        assert_eq!((odd.median_ns(0), odd.median_ns(1)), (20, 2));
+
+        let mut even = PairedSamples::new(1);
+        for t in [40, 10, 30, 20] {
+            even.push(&[ns(t)]);
+        }
+        assert_eq!(even.median_ns(0), 30, "upper median, as the harness's");
+    }
+
+    #[test]
+    fn ratio_is_the_median_of_per_sample_ratios() {
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+        let mut s = PairedSamples::new(2);
+        s.push(&[ns(100), ns(50)]); // 2
+        s.push(&[ns(400), ns(100)]); // 4
+        s.push(&[ns(300), ns(200)]); // 1.5
+                                     // The medians alone (300 / 100) would read 3.
+        assert!(close(s.ratio(0, 1), 2.0), "{}", s.ratio(0, 1));
+        assert!(close(s.ratio(1, 0), 0.5), "{}", s.ratio(1, 0));
+        s.push(&[ns(1000), ns(250)]); // 4
+        assert!(close(s.ratio(0, 1), 4.0), "upper median of 1.5, 2, 4, 4");
+    }
+
+    #[test]
+    #[should_panic(expected = "one time per series")]
+    fn a_sample_needs_one_time_per_series() {
+        PairedSamples::new(3).push(&[ns(1), ns(2)]);
     }
 
     #[test]

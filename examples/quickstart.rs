@@ -14,7 +14,7 @@ use ev8_workloads::spec95;
 
 fn main() {
     // A 2M-instruction slice of the compress analogue (the full suite
-    // uses 100M-instruction traces; see the ev8-bench experiment bins).
+    // uses 100M-instruction traces; see the ev8-bench `experiments` bin).
     let trace = spec95::benchmark("compress")
         .expect("compress is part of the suite")
         .generate_scaled(0.02);

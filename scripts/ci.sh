@@ -110,7 +110,7 @@ check_budget fault_injection "$FAULTS_BUDGET" "$faults_elapsed"
 # reconciliation and §6 zero-collision invariants in-process.
 OBSERVE_BUDGET="${EV8_OBSERVE_BUDGET:-120}"
 observe_start=$(date +%s)
-run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin attribution
+run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin experiments -- attribution
 observe_elapsed=$(stage_seconds "$observe_start" golden_misp)
 check_budget "observability smoke" "$OBSERVE_BUDGET" "$observe_elapsed"
 
@@ -132,7 +132,7 @@ check_budget batched_equivalence "$SWEEP_BUDGET" "$sweep_elapsed"
 # tage-beats-gshare acceptance gate lives in.
 SHOOTOUT_BUDGET="${EV8_SHOOTOUT_BUDGET:-120}"
 shootout_start=$(date +%s)
-run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin shootout
+run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin experiments -- shootout
 shootout_elapsed=$(stage_seconds "$shootout_start" tage_properties)
 check_budget "shootout smoke" "$SHOOTOUT_BUDGET" "$shootout_elapsed"
 
@@ -178,7 +178,7 @@ check_budget "corpus smoke" "$CORPUS_BUDGET" "$corpus_elapsed"
 # scale, which reconciles every per-PC histogram in-process.
 SAMPLING_BUDGET="${EV8_SAMPLING_BUDGET:-120}"
 sampling_start=$(date +%s)
-run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin h2p
+run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin experiments -- h2p
 sampling_elapsed=$(stage_seconds "$sampling_start" sampling_properties golden_sampling)
 check_budget "sampling smoke" "$SAMPLING_BUDGET" "$sampling_elapsed"
 
@@ -196,18 +196,22 @@ run cargo build --benches --workspace --offline
 if [ "$QUICK" -eq 0 ]; then
     # cargo runs bench binaries from the package directory, so the
     # redirect path must be absolute.
-    # EV8_SWEEP_SCALE drops the sweep bench to smoke-sized traces; the
-    # recorded numbers in BENCH_sim.json come from a manual run at the
-    # bench's default scale.
-    # EV8_SHOOTOUT_SCALE likewise keeps the accuracy-recording shootout
-    # group at smoke size.
-    # EV8_CORPUS_SCALE keeps the corpus codec group at smoke size too.
-    # EV8_SAMPLING_SCALE keeps the sampling accuracy grid at smoke size
-    # (the acceptance envelope only asserts at scale >= 0.5).
-    run env EV8_BENCH_SAMPLES=1 EV8_SWEEP_SCALE=0.02 EV8_SHOOTOUT_SCALE=0.002 \
-        EV8_CORPUS_SCALE=0.002 EV8_SAMPLING_SCALE=0.002 \
+    # EV8_SCALE drops every other bench that takes a trace scale to
+    # smoke-sized traces (the sampling group's acceptance envelope only
+    # asserts at scale >= 0.5); the recorded numbers in BENCH_sim.json
+    # come from manual runs at each bench's default scale.
+    run env EV8_BENCH_SAMPLES=1 EV8_SCALE=0.002 \
         EV8_BENCH_JSON="$PWD/target/bench-smoke.json" \
-        cargo bench --offline -p ev8-bench
+        cargo bench --offline -p ev8-bench \
+        --bench predictor_throughput --bench ev8_pipeline --bench index_functions \
+        --bench workload_generation --bench ablations --bench sim_hot_loop \
+        --bench sweep_batched --bench shootout --bench corpus --bench sampling
+    # server_load checks each of its 8 sessions against the serial
+    # simulation of its trace: it keeps its 0.02 scale (about 62 frames
+    # per session) so the check covers many frames.
+    run env EV8_BENCH_SAMPLES=1 EV8_SCALE=0.02 \
+        EV8_BENCH_JSON="$PWD/target/bench-smoke.json" \
+        cargo bench --offline -p ev8-bench --bench server_load
     # One pass of the pipeline benchmark's Fig 5 grid at the calibrated
     # seed: run_grid over the whole roster at scale 0.2, every one of its
     # 48 cells checked exactly against the benchmark's reference.tsv.
