@@ -22,10 +22,12 @@
 //! measured effects); `EV8_BENCH_SAMPLES` overrides the sample count
 //! and `EV8_SCALE` the trace scale (defaults: 5 samples, 0.02).
 
+use ev8_bench::measure::{
+    filter_from_args, merge_bench_json, samples_from_env, time, PairedSamples,
+};
 use ev8_predictors::gshare::Gshare;
 use ev8_sim::{drive, Plain};
 use ev8_trace::corpus::{write_corpus, CorpusReader};
-use ev8_util::bench::{samples_from_env, time, PairedSamples};
 use ev8_util::json::JsonObject;
 use ev8_workloads::spec95;
 
@@ -45,7 +47,7 @@ fn predictor() -> Gshare {
 
 fn main() {
     let samples_per_series = samples_from_env().unwrap_or(DEFAULT_SAMPLES);
-    let filter = std::env::args().nth(1).filter(|a| !a.starts_with('-'));
+    let filter = filter_from_args();
     let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
     let mut entries: Vec<(String, String)> = Vec::new();
     let mut worst_ratio = 0.0f64;
@@ -147,7 +149,7 @@ fn main() {
             "corpus compression must stay under 10 B/record (worst {worst_ratio:.2})"
         );
     }
-    match ev8_bench::merge_bench_json(&entries) {
+    match merge_bench_json(&entries) {
         Ok(path) => println!("merged {} corpus entries into {path}", entries.len()),
         Err(e) => eprintln!("could not write bench json: {e}"),
     }

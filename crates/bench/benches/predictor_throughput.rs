@@ -17,7 +17,7 @@
 //!
 //! Before timing, the bench asserts both return the same `SimResult`.
 //! Each sample interleaves one run of each (family, path)
-//! (`ev8_util::bench::PairedSamples`), and the recorded
+//! (`ev8_bench::measure::PairedSamples`), and the recorded
 //! `composed_over_fused` is the median of per-sample ratios, so a host
 //! slowdown that covers one sample cancels out of the ratio (see
 //! `sweep_batched` for why this host needs paired sampling).
@@ -30,9 +30,11 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use ev8_util::bench::{samples_from_env, time, PairedSamples};
 use ev8_util::json::JsonObject;
 
+use ev8_bench::measure::{
+    filter_from_args, merge_bench_json, samples_from_env, time, PairedSamples,
+};
 use ev8_predictors::tage::{Tage, TageConfig};
 use ev8_sim::experiments::{factory, fig5};
 use ev8_sim::{drive, simulate_flat, SimResult, StaleCommit};
@@ -71,7 +73,7 @@ fn composed(predictor: Box<dyn ev8_predictors::BranchPredictor>, trace: &FlatTra
 fn main() {
     let samples_per_series = samples_from_env().unwrap_or(DEFAULT_SAMPLES);
     let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
-    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    let filter = filter_from_args();
 
     let configs = fig5::configs();
     let labels: Vec<&str> = configs.iter().map(|(label, _)| label.as_str()).collect();
@@ -144,7 +146,7 @@ fn main() {
         entries.push((format!("predictor_throughput/{key}"), out.finish()));
     }
 
-    match ev8_bench::merge_bench_json(&entries) {
+    match merge_bench_json(&entries) {
         Ok(path) => println!(
             "merged {} predictor_throughput entries into {path}",
             entries.len()

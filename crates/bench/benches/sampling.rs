@@ -22,6 +22,7 @@
 
 use std::sync::Arc;
 
+use ev8_bench::measure::{filter_from_args, merge_bench_json, upper_median};
 use ev8_core::Ev8Predictor;
 use ev8_predictors::gshare::Gshare;
 use ev8_predictors::tage::{Tage, TageConfig};
@@ -51,7 +52,7 @@ fn build(key: &str) -> Factory {
 }
 
 fn main() {
-    let filter = std::env::args().nth(1).filter(|a| !a.starts_with('-'));
+    let filter = filter_from_args();
     let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
     let mut entries: Vec<(String, String)> = Vec::new();
 
@@ -124,7 +125,7 @@ fn main() {
     // traces with the whole grid present.
     if filter.is_none() && scale >= 0.5 && !errors.is_empty() {
         errors.sort_by(|a, b| a.total_cmp(b));
-        let median = errors[errors.len() / 2];
+        let median = upper_median(&errors);
         println!(
             "sampling envelope: min reduction {min_reduction:.2}x, worst EV8 relerr {worst_ev8:.4}, \
              median relerr {median:.4}"
@@ -143,7 +144,7 @@ fn main() {
         );
     }
 
-    match ev8_bench::merge_bench_json(&entries) {
+    match merge_bench_json(&entries) {
         Ok(path) => println!("merged {} sampling entries into {path}", entries.len()),
         Err(e) => eprintln!("could not write bench json: {e}"),
     }

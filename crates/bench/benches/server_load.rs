@@ -23,10 +23,10 @@ use std::path::PathBuf;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use ev8_bench::measure::{filter_from_args, merge_bench_json, samples_from_env, upper_median};
 use ev8_server::proto::PredictorSpec;
 use ev8_server::{Client, Server, ServerConfig, ServerHandle};
 use ev8_sim::simulate;
-use ev8_util::bench::samples_from_env;
 use ev8_util::json::JsonObject;
 use ev8_workloads::spec95;
 
@@ -99,7 +99,7 @@ fn percentile_ms(sorted: &[Duration], p: f64) -> f64 {
 fn main() {
     let samples = samples_from_env().unwrap_or(DEFAULT_SAMPLES);
     let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
-    let filter = std::env::args().nth(1).filter(|a| !a.starts_with('-'));
+    let filter = filter_from_args();
 
     // `Client::run_trace` streams an AoS trace.
     let trace = spec95::benchmark(BENCHMARK)
@@ -139,7 +139,7 @@ fn main() {
         }
         latencies.sort();
         batch_walls.sort();
-        let median_wall = batch_walls[batch_walls.len() / 2];
+        let median_wall = upper_median(&batch_walls);
         let total_records = records * SESSIONS as u64;
         let records_per_sec = total_records as f64 / median_wall.as_secs_f64();
         let p50 = percentile_ms(&latencies, 0.50);
@@ -177,7 +177,7 @@ fn main() {
         stats.sessions_failed,
     );
 
-    match ev8_bench::merge_bench_json(&entries) {
+    match merge_bench_json(&entries) {
         Ok(path) => println!("merged {} server entries into {path}", entries.len()),
         Err(e) => eprintln!("could not write bench json: {e}"),
     }

@@ -16,13 +16,14 @@
 
 use ev8_util::json::JsonObject;
 
+use ev8_bench::measure::{filter_from_args, merge_bench_json};
 use ev8_sim::experiments::shootout;
 use ev8_sim::sweep::default_workers;
 
 const DEFAULT_SCALE: f64 = 0.05;
 
 fn main() {
-    let filter = std::env::args().nth(1).filter(|a| !a.starts_with('-'));
+    let filter = filter_from_args();
     let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
     let workers = default_workers();
 
@@ -60,7 +61,7 @@ fn main() {
         entries.push((format!("shootout/{name}"), out.finish()));
     }
 
-    match ev8_bench::merge_bench_json(&entries) {
+    match merge_bench_json(&entries) {
         Ok(path) => println!("merged {} shootout entries into {path}", entries.len()),
         Err(e) => eprintln!("could not write bench json: {e}"),
     }

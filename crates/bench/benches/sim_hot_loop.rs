@@ -41,7 +41,7 @@
 //! `observe_hook_noop_overhead` 0.90 (a no-op observer "faster" than no
 //! observer, which is structurally impossible). So, like the
 //! `sweep_batched` bench, every sample interleaves the series
-//! (`ev8_util::bench::PairedSamples`) and each recorded ratio is the
+//! (`ev8_bench::measure::PairedSamples`) and each recorded ratio is the
 //! **median of per-sample ratios**: a
 //! slowdown covering one sample inflates both sides of that sample's
 //! ratio and cancels. Each before/after pair goes further than
@@ -52,12 +52,13 @@
 //! count (default 7, CI smoke sets 1); the trace scale is fixed at
 //! 0.002.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ev8_util::bench::{black_box, samples_from_env, time, PairedSamples};
 use ev8_util::json::JsonObject;
 
+use ev8_bench::measure::{merge_bench_json, samples_from_env, time, PairedSamples};
 use ev8_core::Ev8Predictor;
 use ev8_faults::{FaultInjector, FaultPlan};
 use ev8_predictors::counter::Counter2;
@@ -296,7 +297,7 @@ fn main() {
     // Merge-on-write: this group's entry is keyed so other bench groups'
     // history in the shared file survives this run (`EV8_BENCH_JSON`
     // redirects, e.g. for the CI one-sample smoke).
-    match ev8_bench::merge_bench_json(&[("sim_hot_loop/m88ksim".to_owned(), json)]) {
+    match merge_bench_json(&[("sim_hot_loop/m88ksim".to_owned(), json)]) {
         Ok(path) => println!("merged sim_hot_loop/m88ksim into {path}"),
         Err(e) => eprintln!("could not write bench json: {e}"),
     }

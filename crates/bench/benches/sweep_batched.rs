@@ -45,9 +45,11 @@
 //! `EV8_BENCH_SAMPLES` overrides the sample count (default 7, CI smoke
 //! sets 1) and `EV8_SCALE` the trace scale (default 0.2).
 
-use ev8_util::bench::{samples_from_env, time, PairedSamples};
 use ev8_util::json::JsonObject;
 
+use ev8_bench::measure::{
+    filter_from_args, merge_bench_json, samples_from_env, time, PairedSamples,
+};
 use ev8_predictors::gshare::Gshare;
 use ev8_sim::{simulate, simulate_flat, simulate_gshare_sweep, simulate_many};
 use ev8_workloads::spec95;
@@ -87,7 +89,7 @@ const SERIES: [&str; 5] = [
 
 fn main() {
     let samples_per_series = samples_from_env().unwrap_or(DEFAULT_SAMPLES);
-    let filter = std::env::args().nth(1).filter(|a| !a.starts_with('-'));
+    let filter = filter_from_args();
     let scale = ev8_bench::scale_from_env(DEFAULT_SCALE);
     let mut entries: Vec<(String, String)> = Vec::new();
 
@@ -168,7 +170,7 @@ fn main() {
         entries.push((format!("sweep_batched/{name}"), out.finish()));
     }
 
-    match ev8_bench::merge_bench_json(&entries) {
+    match merge_bench_json(&entries) {
         Ok(path) => println!("merged {} sweep_batched entries into {path}", entries.len()),
         Err(e) => eprintln!("could not write bench json: {e}"),
     }

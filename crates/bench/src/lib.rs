@@ -16,16 +16,18 @@
 //! The `corpus` binary builds, verifies and lists the on-disk trace
 //! corpus.
 //!
-//! Micro-benchmarks live in `benches/`, driven by the in-tree
-//! `ev8_util::bench` harness and its paired sampler, so `cargo bench`
-//! runs fully offline. Every bench that takes a trace scale reads
-//! `EV8_SCALE` through [`scale_from_env`], each with its own recorded
-//! default; `EV8_BENCH_SAMPLES` sets the sample count and
-//! `EV8_BENCH_JSON` redirects the recorded results
-//! ([`merge_bench_json`]).
+//! Benches live in `benches/`, plain `fn main()` binaries that measure
+//! and record through one module, [`measure`] (paired interleaved
+//! samples, recorded into `BENCH_sim.json`), so `cargo bench` runs fully
+//! offline. Every bench that takes a trace scale reads `EV8_SCALE`
+//! through [`scale_from_env`], each with its own recorded default;
+//! `EV8_BENCH_SAMPLES` sets the sample count and `EV8_BENCH_JSON`
+//! redirects the recorded results ([`measure::merge_bench_json`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod measure;
 
 use std::process::ExitCode;
 
@@ -58,18 +60,22 @@ fn scale_or(raw: Option<&str>, default: f64) -> Result<f64, String> {
     raw.map_or(Ok(default), parse_scale)
 }
 
-/// The trace scale `EV8_SCALE` sets, or `default` when it is unset: the
-/// one reader of the variable, for the experiment driver, the `corpus`
-/// binary and every bench that takes a scale. It reads the environment
-/// only, since `cargo bench` owns the command line.
+/// The trace scale `EV8_SCALE` sets, or `default` when it is unset, for
+/// the `corpus` binary and every bench that takes a scale. It reads the
+/// environment only, since `cargo bench` owns the command line.
 ///
 /// # Panics
 ///
 /// Panics, naming the variable, when its value is not a positive finite
 /// number.
 pub fn scale_from_env(default: f64) -> f64 {
-    let raw = std::env::var_os(SCALE_VAR).map(|v| v.to_string_lossy().into_owned());
-    scale_or(raw.as_deref(), default).unwrap_or_else(|e| panic!("{SCALE_VAR}: {e}"))
+    scale_or(env_scale().as_deref(), default).unwrap_or_else(|e| panic!("{SCALE_VAR}: {e}"))
+}
+
+/// The value of `EV8_SCALE`: the one reader of the variable, for
+/// [`scale_from_env`] and the experiment driver.
+fn env_scale() -> Option<String> {
+    std::env::var_os(SCALE_VAR).map(|v| v.to_string_lossy().into_owned())
 }
 
 /// One entry of the experiment registry.
@@ -184,25 +190,39 @@ fn usage(problem: &str) -> String {
 }
 
 /// Parses the `experiments` arguments, `<name|all> [scale]`, into the
-/// experiment to run (`None` for `all`) and the scale the command line
-/// gives, if any. Any other shape, an unknown name or a scale that
-/// [`parse_scale`] refuses yields the usage message.
-fn parse_args(args: &[String]) -> Result<(Option<&'static Experiment>, Option<f64>), String> {
+/// experiment to run (`None` for `all`) and its scale: the command
+/// line's, else `env_scale` (the value of `EV8_SCALE`), else
+/// [`DEFAULT_SCALE`]. Any other shape, an unknown name, a scale that
+/// [`parse_scale`] refuses, or a `scaling` scale below its smallest
+/// probe yields the usage message.
+fn parse_args(
+    args: &[String],
+    env_scale: Option<&str>,
+) -> Result<(Option<&'static Experiment>, f64), String> {
     let (name, scale) = match args {
-        [name] => (name, None),
-        [name, scale] => (
+        [name] => (
             name,
-            Some(parse_scale(scale).map_err(|e| usage(&format!("{e}\n")))?),
+            scale_or(env_scale, DEFAULT_SCALE).map_err(|e| format!("{SCALE_VAR}: {e}")),
         ),
+        [name, scale] => (name, parse_scale(scale)),
         _ => return Err(usage("")),
     };
+    let scale = scale.map_err(|e| usage(&format!("{e}\n")))?;
     if name == "all" {
         return Ok((None, scale));
     }
-    match EXPERIMENTS.iter().find(|e| e.name == name) {
-        Some(experiment) => Ok((Some(experiment), scale)),
-        None => Err(usage(&format!("unknown experiment {name:?}\n"))),
+    let Some(experiment) = EXPERIMENTS.iter().find(|e| e.name == name) else {
+        return Err(usage(&format!("unknown experiment {name:?}\n")));
+    };
+    // `scaling` compares the probe scales up to the requested one, so it
+    // needs at least the smallest.
+    let floor = scaling::SCALES[0];
+    if experiment.name == "scaling" && scale < floor {
+        return Err(usage(&format!(
+            "experiment scaling needs a scale of at least {floor}, its smallest probe; got {scale}\n"
+        )));
     }
+    Ok((Some(experiment), scale))
 }
 
 /// The `experiments` binary: given its arguments (without the program
@@ -210,14 +230,13 @@ fn parse_args(args: &[String]) -> Result<(Option<&'static Experiment>, Option<f6
 /// experiment or of every `all` entry at its `all` scale. A bad command
 /// line gets the usage message on stderr and exit status 2.
 pub fn experiments_main(args: &[String]) -> ExitCode {
-    let (experiment, scale) = match parse_args(args) {
+    let (experiment, scale) = match parse_args(args, env_scale().as_deref()) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::from(2);
         }
     };
-    let scale = scale.unwrap_or_else(|| scale_from_env(DEFAULT_SCALE));
     let workers = default_workers();
     match experiment {
         Some(e) => {
@@ -252,38 +271,6 @@ fn emit(report: ExperimentReport) {
         report.write_csv(&dir).expect("write CSV into EV8_CSV_DIR");
     }
     println!("{report}");
-}
-
-/// Merges bench-result entries into the shared `BENCH_sim.json` file
-/// (or the `EV8_BENCH_JSON` override) instead of overwriting it, so the
-/// bench trajectory accumulates across groups and runs.
-///
-/// Each entry is a `("group/benchmark", raw JSON value)` pair; entries
-/// with a key already in the file replace it, new keys append. Keys
-/// without a `/` (the pre-merge single-object schema) and unparseable
-/// files are discarded — the first merged write resets such files to
-/// the keyed schema.
-///
-/// Returns the path written to, or the I/O error (benches report it and
-/// continue; results on stdout are never lost to a read-only checkout).
-pub fn merge_bench_json(entries: &[(String, String)]) -> std::io::Result<String> {
-    let path = bench_json_path();
-    let existing = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| ev8_util::json::parse_raw_object(&text).ok())
-        .unwrap_or_default();
-    let merged = ev8_util::json::merge_raw_object(&existing, entries, |key| key.contains('/'));
-    std::fs::write(&path, merged)?;
-    Ok(path)
-}
-
-/// The bench-results path: `EV8_BENCH_JSON` if set (the CI smoke points
-/// it at a scratch file so one-sample runs never touch the committed,
-/// properly-sampled numbers), else `BENCH_sim.json` at the workspace
-/// root.
-pub fn bench_json_path() -> String {
-    std::env::var("EV8_BENCH_JSON")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json").into())
 }
 
 #[cfg(test)]
@@ -377,12 +364,14 @@ mod tests {
 
     #[test]
     fn arguments_name_an_experiment_or_all() {
-        let (one, scale) = parse_args(&args(&["fig5", "0.02"])).unwrap();
+        let (one, scale) = parse_args(&args(&["fig5", "0.02"]), Some("0.5")).unwrap();
         assert_eq!(one.map(|e| e.name), Some("fig5"));
-        assert_eq!(scale, Some(0.02));
-        let (all, scale) = parse_args(&args(&["all"])).unwrap();
+        assert_eq!(scale, 0.02, "the command line beats EV8_SCALE");
+        let (all, scale) = parse_args(&args(&["all"]), None).unwrap();
         assert!(all.is_none());
-        assert_eq!(scale, None);
+        assert_eq!(scale, DEFAULT_SCALE);
+        let (_, scale) = parse_args(&args(&["all"]), Some("0.5")).unwrap();
+        assert_eq!(scale, 0.5);
     }
 
     #[test]
@@ -393,12 +382,31 @@ mod tests {
             &["fig5", "0,002"],
             &["fig5", "0.02", "extra"],
         ] {
-            let err = parse_args(&args(bad)).unwrap_err();
+            let err = parse_args(&args(bad), None).unwrap_err();
             assert!(err.contains(USAGE), "{bad:?}: {err}");
             assert_eq!(experiments_main(&args(bad)), ExitCode::from(2), "{bad:?}");
         }
-        assert!(parse_args(&args(&["nope"]))
+        assert!(parse_args(&args(&["nope"]), None)
             .unwrap_err()
             .starts_with("unknown experiment \"nope\""));
+        let err = parse_args(&args(&["fig5"]), Some("0,002")).unwrap_err();
+        assert!(err.starts_with("EV8_SCALE: invalid trace scale"), "{err}");
+    }
+
+    #[test]
+    fn scaling_refuses_a_scale_below_its_smallest_probe() {
+        let floor = scaling::SCALES[0];
+        let too_small = args(&["scaling", "0.002"]);
+        for err in [
+            parse_args(&too_small, None).unwrap_err(),
+            parse_args(&args(&["scaling"]), Some("0.002")).unwrap_err(),
+        ] {
+            assert!(err.contains(&format!("at least {floor}")), "{err}");
+            assert!(err.lines().next().unwrap().contains("got 0.002"), "{err}");
+            assert!(err.contains(USAGE), "{err}");
+        }
+        assert_eq!(experiments_main(&too_small), ExitCode::from(2));
+        let (e, scale) = parse_args(&args(&["scaling"]), Some(&floor.to_string())).unwrap();
+        assert_eq!((e.map(|e| e.name), scale), (Some("scaling"), floor));
     }
 }

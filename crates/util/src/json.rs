@@ -1,17 +1,8 @@
-//! A minimal JSON writer, plus a raw top-level-object reader for
-//! merge-on-write result files.
+//! A minimal, write-only JSON writer.
 //!
 //! The workspace *emits* JSON (experiment results, trace metadata)
 //! through [`ToJson`] — "append your JSON form to this string" — and
 //! composite values use [`JsonObject`] / [`write_array`].
-//!
-//! The one place JSON is read back is bench-result accumulation:
-//! `BENCH_*.json` files hold one entry per (group, benchmark) key, and
-//! each bench run must *merge* its entries into the file instead of
-//! clobbering other groups' history. [`parse_raw_object`] splits a
-//! top-level object into `(key, raw value text)` pairs without
-//! interpreting the values — no number round-tripping, no data model —
-//! and [`merge_raw_object`] rebuilds the merged document.
 //!
 //! Numbers are emitted per RFC 8259 (non-finite floats become `null`),
 //! strings are escaped per the JSON grammar.
@@ -186,200 +177,6 @@ impl JsonObject {
     }
 }
 
-/// Splits the top-level JSON object in `text` into `(key, raw value)`
-/// pairs, in document order.
-///
-/// Values are returned as *verbatim source text* (trimmed of
-/// surrounding whitespace), not parsed into a data model — so merging
-/// and re-emitting entries never perturbs number formatting. Nested
-/// objects/arrays and escaped strings are skipped structurally.
-///
-/// Returns `Err` with a short description when `text` is not a single
-/// well-formed top-level object (callers typically treat that as "start
-/// a fresh file").
-pub fn parse_raw_object(text: &str) -> Result<Vec<(String, String)>, String> {
-    let mut entries = Vec::new();
-    let bytes = text.as_bytes();
-    let mut i = skip_ws(bytes, 0);
-    if bytes.get(i) != Some(&b'{') {
-        return Err("expected '{' at start of object".into());
-    }
-    i = skip_ws(bytes, i + 1);
-    if bytes.get(i) == Some(&b'}') {
-        i = skip_ws(bytes, i + 1);
-        return if i == bytes.len() {
-            Ok(entries)
-        } else {
-            Err("trailing data after object".into())
-        };
-    }
-    loop {
-        let (key, after_key) = parse_string(bytes, i)?;
-        i = skip_ws(bytes, after_key);
-        if bytes.get(i) != Some(&b':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        i = skip_ws(bytes, i + 1);
-        let value_start = i;
-        i = skip_value(bytes, i)?;
-        let value = text[value_start..i].trim().to_owned();
-        entries.push((key, value));
-        i = skip_ws(bytes, i);
-        match bytes.get(i) {
-            Some(&b',') => i = skip_ws(bytes, i + 1),
-            Some(&b'}') => {
-                i = skip_ws(bytes, i + 1);
-                return if i == bytes.len() {
-                    Ok(entries)
-                } else {
-                    Err("trailing data after object".into())
-                };
-            }
-            _ => return Err("expected ',' or '}' after value".into()),
-        }
-    }
-}
-
-/// Merges `updates` into the top-level object `existing` (verbatim raw
-/// values, as produced by [`parse_raw_object`]) and renders the result:
-/// keys already present are overwritten in place, new keys append, and
-/// the output puts one entry per line (stable diffs as the file
-/// accumulates runs).
-///
-/// `existing` entries whose key `retain` rejects are dropped — callers
-/// use this to shed entries from a superseded file schema.
-pub fn merge_raw_object(
-    existing: &[(String, String)],
-    updates: &[(String, String)],
-    retain: impl Fn(&str) -> bool,
-) -> String {
-    let mut merged: Vec<(String, String)> = existing
-        .iter()
-        .filter(|(k, _)| retain(k))
-        .cloned()
-        .collect();
-    for (key, value) in updates {
-        match merged.iter_mut().find(|(k, _)| k == key) {
-            Some(slot) => slot.1 = value.clone(),
-            None => merged.push((key.clone(), value.clone())),
-        }
-    }
-    let mut out = String::from("{");
-    for (i, (key, value)) in merged.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        write_escaped(&mut out, key);
-        out.push(':');
-        out.push_str(value);
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-fn skip_ws(bytes: &[u8], mut i: usize) -> usize {
-    while matches!(bytes.get(i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        i += 1;
-    }
-    i
-}
-
-/// Parses the JSON string starting at `i` (which must be a `"`),
-/// returning the unescaped content and the index just past the closing
-/// quote. Only the escapes this module emits are decoded; `\u` escapes
-/// are preserved verbatim (keys in this workspace are ASCII paths).
-fn parse_string(bytes: &[u8], i: usize) -> Result<(String, usize), String> {
-    if bytes.get(i) != Some(&b'"') {
-        return Err("expected '\"' at start of key".into());
-    }
-    let mut out = String::new();
-    let mut j = i + 1;
-    loop {
-        match bytes.get(j) {
-            None => return Err("unterminated string".into()),
-            Some(&b'"') => return Ok((out, j + 1)),
-            Some(&b'\\') => {
-                let esc = bytes.get(j + 1).ok_or("unterminated escape")?;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'/' => out.push('/'),
-                    _ => {
-                        out.push('\\');
-                        out.push(*esc as char);
-                    }
-                }
-                j += 2;
-            }
-            Some(&b) => {
-                // Multi-byte UTF-8 passes through byte-by-byte; keys are
-                // rebuilt as valid UTF-8 because input was a &str.
-                let ch_len = utf8_len(b);
-                let end = j + ch_len;
-                let slice = bytes.get(j..end).ok_or("truncated UTF-8 sequence")?;
-                out.push_str(std::str::from_utf8(slice).map_err(|e| e.to_string())?);
-                j = end;
-            }
-        }
-    }
-}
-
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
-/// Advances past one JSON value starting at `i`, tracking brace/bracket
-/// depth and skipping string contents; returns the index just past the
-/// value.
-fn skip_value(bytes: &[u8], mut i: usize) -> Result<usize, String> {
-    match bytes.get(i) {
-        None => Err("expected a value".into()),
-        Some(&b'"') => parse_string(bytes, i).map(|(_, end)| end),
-        Some(&b'{') | Some(&b'[') => {
-            let mut depth = 0usize;
-            loop {
-                match bytes.get(i) {
-                    None => return Err("unterminated container".into()),
-                    Some(&b'"') => i = parse_string(bytes, i)?.1,
-                    Some(&b'{') | Some(&b'[') => {
-                        depth += 1;
-                        i += 1;
-                    }
-                    Some(&b'}') | Some(&b']') => {
-                        depth -= 1;
-                        i += 1;
-                        if depth == 0 {
-                            return Ok(i);
-                        }
-                    }
-                    Some(_) => i += 1,
-                }
-            }
-        }
-        Some(_) => {
-            // Scalar: number, true/false/null. Runs to the next
-            // structural delimiter.
-            let start = i;
-            while let Some(&b) = bytes.get(i) {
-                if matches!(b, b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r') {
-                    break;
-                }
-                i += 1;
-            }
-            if i == start {
-                return Err("expected a value".into());
-            }
-            Ok(i)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,100 +223,5 @@ mod tests {
         let mut s = String::new();
         inner.finish_into(&mut s);
         assert_eq!(s, r#"{"a":1}"#);
-    }
-
-    #[test]
-    fn raw_object_roundtrips_own_output() {
-        let mut o = JsonObject::new();
-        o.field("name", &"gcc\"quoted")
-            .field("rate", &4.25f64)
-            .field("xs", &vec![1u32, 2])
-            .field("none", &Option::<u32>::None);
-        let text = o.finish();
-        let entries = parse_raw_object(&text).unwrap();
-        assert_eq!(
-            entries,
-            vec![
-                ("name".to_owned(), r#""gcc\"quoted""#.to_owned()),
-                ("rate".to_owned(), "4.25".to_owned()),
-                ("xs".to_owned(), "[1,2]".to_owned()),
-                ("none".to_owned(), "null".to_owned()),
-            ]
-        );
-    }
-
-    #[test]
-    fn raw_object_preserves_value_text_verbatim() {
-        // Number formatting must survive a parse/merge cycle untouched —
-        // the whole point of the raw representation.
-        let text = r#"{"a":1848599,"b":10668619.857524537,"c":{"nested":[1,{"x":"}"}]}}"#;
-        let entries = parse_raw_object(text).unwrap();
-        assert_eq!(entries[1].1, "10668619.857524537");
-        assert_eq!(entries[2].1, r#"{"nested":[1,{"x":"}"}]}"#);
-        let merged = merge_raw_object(&entries, &[], |_| true);
-        let reparsed = parse_raw_object(&merged).unwrap();
-        assert_eq!(entries, reparsed);
-    }
-
-    #[test]
-    fn raw_object_accepts_whitespace_and_empty() {
-        assert_eq!(parse_raw_object("{}").unwrap(), vec![]);
-        assert_eq!(parse_raw_object("  {\n}  \n").unwrap(), vec![]);
-        let entries = parse_raw_object("{ \"k\" :\n 7 ,\n\"l\": true }").unwrap();
-        assert_eq!(
-            entries,
-            vec![
-                ("k".to_owned(), "7".to_owned()),
-                ("l".to_owned(), "true".to_owned())
-            ]
-        );
-    }
-
-    #[test]
-    fn raw_object_rejects_malformed_documents() {
-        for bad in [
-            "",
-            "[1,2]",
-            "{",
-            "{\"k\"}",
-            "{\"k\":}",
-            "{\"k\":1",
-            "{\"k\":1} trailing",
-            "{\"k\" 1}",
-            "{\"unterminated",
-        ] {
-            assert!(parse_raw_object(bad).is_err(), "accepted: {bad:?}");
-        }
-    }
-
-    #[test]
-    fn merge_overwrites_appends_and_retains_order() {
-        let existing = vec![
-            ("a/x".to_owned(), "1".to_owned()),
-            ("b/y".to_owned(), "2".to_owned()),
-            ("legacy".to_owned(), "3".to_owned()),
-        ];
-        let updates = vec![
-            ("b/y".to_owned(), "20".to_owned()),
-            ("c/z".to_owned(), "30".to_owned()),
-        ];
-        let merged = merge_raw_object(&existing, &updates, |k| k.contains('/'));
-        let entries = parse_raw_object(&merged).unwrap();
-        assert_eq!(
-            entries,
-            vec![
-                ("a/x".to_owned(), "1".to_owned()),
-                ("b/y".to_owned(), "20".to_owned()),
-                ("c/z".to_owned(), "30".to_owned()),
-            ]
-        );
-        // One entry per line for stable diffs.
-        assert_eq!(merged.lines().count(), 2 + entries.len());
-    }
-
-    #[test]
-    fn merge_into_empty_is_just_the_updates() {
-        let merged = merge_raw_object(&[], &[("g/b".to_owned(), "{\"v\":1}".to_owned())], |_| true);
-        assert_eq!(merged, "{\n\"g/b\":{\"v\":1}\n}\n");
     }
 }

@@ -10,24 +10,22 @@
 //!   generator with a minimal [`rng::Rng`] trait (replaces `rand`).
 //! * [`bytebuf`] — a growable little-endian byte writer (replaces
 //!   `bytes`).
-//! * [`json`] — a minimal JSON value writer and [`json::ToJson`] trait
-//!   (replaces `serde` for the workspace's export needs).
+//! * [`json`] — a minimal write-only JSON writer and [`json::ToJson`]
+//!   trait (replaces `serde` for the workspace's export needs).
 //! * [`prop`] — a deterministic property-testing mini-harness with seeded
 //!   case generation, shrinking-lite and failure-seed reporting (replaces
 //!   `proptest`).
-//! * [`bench`](mod@bench) — a lightweight `std::time::Instant`-based benchmark
-//!   harness for `harness = false` bench targets (replaces `criterion`).
 //! * [`crc`] — table-driven CRC-32 (IEEE) checksums for the on-disk
 //!   corpus format (replaces `crc32fast`).
 //!
 //! Everything here is plain `std`; the crate forbids `unsafe` and has no
 //! dependencies, so `cargo build`/`test`/`bench` succeed with the network
-//! disabled and an empty cargo registry.
+//! disabled and an empty cargo registry. (`criterion`'s replacement, the
+//! benches' timing and recording, is `ev8_bench::measure`.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod bytebuf;
 pub mod crc;
 pub mod json;

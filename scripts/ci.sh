@@ -187,11 +187,11 @@ check_budget "sampling smoke" "$SAMPLING_BUDGET" "$sampling_elapsed"
 # tests fail here, not at benchmark time, when an API it imports changes.
 run cargo test --offline -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
-# Benches are plain `fn main()` binaries on the in-tree harness: build
+# Benches are plain `fn main()` binaries on ev8_bench::measure: build
 # them all, then smoke-run them at one sample per benchmark
-# (EV8_BENCH_SAMPLES overrides per-group sample sizes, so this stays
-# fast; EV8_BENCH_JSON keeps the smoke from overwriting the committed
-# BENCH_sim.json numbers). Proper timing runs remain a manual step.
+# (EV8_BENCH_SAMPLES=1, so this stays fast; EV8_BENCH_JSON keeps the
+# smoke from overwriting the committed BENCH_sim.json numbers). Proper
+# timing runs remain a manual step.
 run cargo build --benches --workspace --offline
 if [ "$QUICK" -eq 0 ]; then
     # cargo runs bench binaries from the package directory, so the
@@ -203,8 +203,7 @@ if [ "$QUICK" -eq 0 ]; then
     run env EV8_BENCH_SAMPLES=1 EV8_SCALE=0.002 \
         EV8_BENCH_JSON="$PWD/target/bench-smoke.json" \
         cargo bench --offline -p ev8-bench \
-        --bench predictor_throughput --bench ev8_pipeline --bench index_functions \
-        --bench workload_generation --bench ablations --bench sim_hot_loop \
+        --bench predictor_throughput --bench index_functions --bench sim_hot_loop \
         --bench sweep_batched --bench shootout --bench corpus --bench sampling
     # server_load checks each of its 8 sessions against the serial
     # simulation of its trace: it keeps its 0.02 scale (about 62 frames
